@@ -241,9 +241,21 @@ def cmd_conjecture(args):
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low`` (else exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
+    p.add_argument("--q", type=_int_at_least(2), default=2)
     p.add_argument("--pinch", default="", help="comma-separated pinch set")
     p.add_argument("--graph", default="",
                    help="graph JSON file or standard name (B, C2, L1, theta)")

@@ -358,7 +358,8 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
         Jset = set(J)
         m = min(x for x in range(1, two_n + 1) if x not in Jset)
         out = tuple(sorted(J + (m,)))
-        assert is_sparse(out, two_n)
+        if not is_sparse(out, two_n):
+            raise RuntimeError(f"plus closure {out} of {J} is not sparse")
         return out
     if kind == "bar":
         out = J

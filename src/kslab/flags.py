@@ -13,7 +13,12 @@ flags over a small prime field exercises the same structural lemmas:
   * the chain lemmas about gaps, triangles and one-step reductions.
 
 Vectors in V(m) use coordinates 2i + j for t^i e_j (0 <= i < m,
-j in {0, 1}); subspaces are reduced-row-echelon tuples from fqlin.
+j in {0, 1}); subspaces are reduced-row-echelon tuples from fqlin,
+hashable and canonical.  The lattice operations ``t_image``,
+``t_preimage``, ``thin_invariants`` (and ``fqlin.intersect``) are
+memoised per process on that representation, as ``submodules`` is, so
+callers must pass tuples, never lists.  The scans meet the same
+submodules again and again; the caches compute each lattice once.
 """
 
 from __future__ import annotations
@@ -52,10 +57,12 @@ def t_shift(v, m: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def t_image(W: Rows, m: int, q: int) -> Rows:
     return rref([t_shift(v, m) for v in W], q) if W else ()
 
 
+@lru_cache(maxsize=None)
 def t_preimage(W: Rows, m: int, q: int) -> Rows:
     """{v in V(m) : t v in W}."""
     composed = []
@@ -96,6 +103,7 @@ class ThinInvariants:
     dim: int
 
 
+@lru_cache(maxsize=None)
 def thin_invariants(L: Rows, K: Rows, m: int, q: int) -> ThinInvariants:
     """Invariants of the subquotient M = L/K of V(m).
 
@@ -159,7 +167,9 @@ def enumerate_flags(n: int, q: int = 2, cap: int = FLAG_BRANCH_CAP):
                 cur = rref(cur + (b,), q)
         if len(ext) == 1:
             return [ext[0]]
-        assert len(ext) == 2
+        if len(ext) != 2:
+            raise RuntimeError(f"t^-1 W / W has dimension {len(ext)}, "
+                               f"expected 1 or 2")
         a, b = ext
         lines = [a]
         for c in range(q):

@@ -2,8 +2,10 @@
 
 Subspaces are stored as tuples of reduced-row-echelon basis vectors
 (tuples of ints in [0, q)), which makes the representation canonical:
-two subspaces are equal iff their representations are equal.  Only
-prime q is supported; inverses come from a lookup table.
+two subspaces are equal iff their representations are equal, and it is
+hashable.  ``intersect`` is memoised per process on that representation,
+so callers must pass tuples (as ``rref`` returns them), never lists.
+Only prime q is supported; inverses come from a lookup table.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ def _inverses(q: int) -> tuple[int, ...]:
 
 
 def rref(rows, q: int) -> Rows:
-    """Reduced row echelon form; zero rows dropped, canonical output."""
+    """Reduced row echelon form; zero rows dropped, canonical output.
+
+    Rows left in ``mat`` are zero (mod q) before ``col``, and so is the
+    pivot row, so elimination starts at ``col``; zero rows stay in
+    ``mat`` and are passed over by the pivot search.
+    """
     inv = _inverses(q)
     mat = [list(r) for r in rows]
     out: list[list[int]] = []
@@ -40,18 +47,13 @@ def rref(rows, q: int) -> Rows:
         for other in mat + out:
             f = other[col] % q
             if f:
-                for i in range(ncols):
+                for i in range(col, ncols):
                     other[i] = (other[i] - f * pivot_row[i]) % q
-        mat = [r for r in mat if any(x % q for x in r)]
         out.append(pivot_row)
         pivots.append(col)
         col += 1
     order = sorted(range(len(out)), key=lambda i: pivots[i])
     return tuple(tuple(out[i]) for i in order)
-
-
-def span(vectors, q: int) -> Rows:
-    return rref(vectors, q)
 
 
 def dim(W: Rows) -> int:
@@ -73,10 +75,7 @@ def contains(W: Rows, U: Rows, q: int) -> bool:
     return all(member(u, W, q) for u in U)
 
 
-def subspace_sum(U: Rows, W: Rows, q: int) -> Rows:
-    return rref(U + W, q)
-
-
+@lru_cache(maxsize=None)
 def intersect(U: Rows, W: Rows, ncols: int, q: int) -> Rows:
     """Zassenhaus: rref of [[u|u],[w|0]]; zero-left rows carry the answer."""
     stacked = [tuple(u) + tuple(u) for u in U] + \

@@ -47,8 +47,8 @@ def rewrite_step(J: Subset, two_n: int) -> ExtElement:
     M = sorted(L + tuple(range(1, j)))
     relation = ExtElement.monomial(K, two_n) * sigma(p + 1, M, two_n)
     out = ExtElement.monomial(J, two_n) - relation
-    assert out.coefficient(J) == 0
-    assert all(T < J for T in out.terms), (J, out)
+    if out.coefficient(J) != 0 or not all(T < J for T in out.terms):
+        raise RuntimeError(f"relation for {J} does not lower it: {out}")
     return out
 
 

@@ -121,3 +121,16 @@ def test_out_file_deterministic(tmp_path, capsys):
     assert main(["flags", "--n", "2", "--op", "cover",
                  "--out", str(b), "--seed", "7"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["flags", "--n", "0", "--op", "cover"],
+    ["ring", "--n", "-1"],
+    ["flags", "--n", "2", "--q", "1"],
+])
+def test_out_of_range_n_and_q_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be at least" in out.err

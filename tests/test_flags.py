@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kslab import flags, fqlin
 from kslab.combinatorics import enumerate_sparse
 from kslab.flags import (
     chain_lemma_scan,
@@ -27,8 +28,35 @@ from kslab.fqlin import (
     member,
     nullspace,
     rref,
-    subspace_sum,
 )
+
+
+def reference_rref(rows, q):
+    """Reference RREF: full-width elimination, zero rows filtered per pivot."""
+    inv = [pow(a, q - 2, q) if a else 0 for a in range(q)]
+    mat = [list(r) for r in rows]
+    out, pivots = [], []
+    ncols = len(mat[0]) if mat else 0
+    col = 0
+    while mat and col < ncols:
+        pivot_row = next((r for r in mat if r[col] % q != 0), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        mat.remove(pivot_row)
+        c = inv[pivot_row[col] % q]
+        pivot_row = [(c * x) % q for x in pivot_row]
+        for other in mat + out:
+            f = other[col] % q
+            if f:
+                for i in range(ncols):
+                    other[i] = (other[i] - f * pivot_row[i]) % q
+        mat = [r for r in mat if any(x % q for x in r)]
+        out.append(pivot_row)
+        pivots.append(col)
+        col += 1
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return tuple(tuple(out[i]) for i in order)
 
 
 def identity(m, q):
@@ -52,6 +80,38 @@ def test_rref_is_canonical_under_change_of_basis():
             assert rref(mixed + list(rows), q) == W
 
 
+def test_rref_matches_reference_on_random_matrices():
+    rng = random.Random(5101)
+    for q in (2, 3, 5):
+        for _ in range(300):
+            ncols = rng.randint(1, 7)
+            rows = [tuple(rng.randrange(3 * q) for _ in range(ncols))
+                    for _ in range(rng.randint(0, 6))]
+            rows += [(0,) * ncols] * rng.randint(0, 2)
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))
+                     if rows]
+            rng.shuffle(rows)
+            assert rref(rows, q) == reference_rref(rows, q), (q, rows)
+
+
+def test_cached_lattice_ops_match_uncached():
+    n, q = 2, 3
+    subs = submodules(n, q)
+    cached = (flags.t_image, flags.t_preimage, flags.thin_invariants,
+              fqlin.intersect)
+    for fn in cached:
+        fn.cache_clear()
+    calls = [(fn, (L, n, q)) for fn in cached[:2] for L in subs]
+    calls += [(fqlin.intersect, (L, K, 2 * n, q)) for L in subs for K in subs]
+    calls += [(flags.thin_invariants, (L, K, n, q)) for L in subs
+              for K in subs if contains(L, K, q)]
+    for fn, args in calls:
+        # computed, then reused: both equal the undecorated result
+        assert fn(*args) == fn(*args) == fn.__wrapped__(*args)
+    for fn in cached:
+        assert fn.cache_info().hits > 0
+
+
 def test_sum_intersection_dimension_formula():
     rng = random.Random(7)
     for _ in range(60):
@@ -60,7 +120,7 @@ def test_sum_intersection_dimension_formula():
                   for _ in range(rng.randint(1, 3))], q)
         W = rref([tuple(rng.randrange(q) for _ in range(ncols))
                   for _ in range(rng.randint(1, 3))], q)
-        S = subspace_sum(U, W, q)
+        S = rref(U + W, q)
         X = intersect(U, W, ncols, q)
         assert dim(S) + dim(X) == dim(U) + dim(W)
         assert contains(U, X, q) and contains(W, X, q)
@@ -147,6 +207,13 @@ def test_cover_scans():
     assert r3["xni_counts"] == {1: 45, 2: 45, 3: 45}
     assert set(r3["xnk_counts"].values()) == {27}
     assert cover_scan(2, 3)["covered"]
+
+
+@pytest.mark.parametrize("n, q, count", [(4, 2, 543), (3, 3, 232)])
+def test_cover_scan_at_larger_sizes(n, q, count):
+    r = cover_scan(n, q)
+    assert r["covered"]
+    assert r["flags"] == point_count_report(n, q)["poincare_value"] == count
 
 
 def test_unrolled_metric_axioms_exhaustive_n2():
