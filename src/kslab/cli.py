@@ -2,10 +2,10 @@
 
 Exit codes: 0 when all assertions pass, 1 when a falsifier was found
 (the report carries a minimal counterexample object), 2 for input or
-budget errors.  Results go to ``--out`` or standard output; progress
-notes go to standard error.  ``KRL_BUDGET`` overrides the default
-simplex budget; ``--budget`` overrides both.  ``--jobs`` is accepted
-for interface stability but execution is serial.
+budget errors, 3 for an internal error (the traceback goes to standard
+error).  Results go to ``--out`` or standard output; progress notes go
+to standard error.  ``KRL_BUDGET`` overrides the default simplex budget;
+``--budget`` overrides both.
 """
 
 from __future__ import annotations
@@ -16,27 +16,23 @@ import io
 import json
 import os
 import sys
+import traceback
 
 from . import combinatorics, flags, graph_rings, mvss, springer, topology
-from .graphs import BiGraph, enumerate_tree_foldings, graph_from_json, \
-    hedgehog_analyze, make_standard
+from .graphs import FIXED_GRAPHS, BiGraph, enumerate_tree_foldings, \
+    graph_from_json, hedgehog_analyze, make_standard
 
 
 def graph_parse(source: str) -> BiGraph:
-    """A graph from a JSON file path or a standard name (B, C3, L2, theta).
+    """A graph from a JSON file path or a standard name.
 
-    The JSON format is {"vertices": [{"id": ..., "parity": 0|1}, ...],
-    "edges": [[u, v], ...]}; parity, connectivity and loop checks are
-    enforced by the graph constructor.
+    Standard names: C<n>, L<n> and those of ``graphs.FIXED_GRAPHS``
+    (B, theta, K23, K33, cube).  The JSON format is {"vertices": [{"id":
+    ..., "parity": 0|1}, ...], "edges": [[u, v], ...]}; parity,
+    connectivity and loop checks are enforced by the graph constructor.
     """
-    if source == "B":
-        return make_standard("B")
-    if source == "theta":
-        parity = {v: v % 2 for v in range(6)}
-        edges = frozenset(frozenset(e) for e in
-                          [(0, 1), (1, 2), (2, 3), (3, 0),
-                           (1, 4), (4, 5), (5, 0)])
-        return BiGraph(tuple(range(6)), parity, edges)
+    if source in FIXED_GRAPHS:
+        return make_standard(source)
     if len(source) >= 2 and source[0] in "CL" and source[1:].isdigit():
         return make_standard(source[0], int(source[1:]))
     with open(source) as fh:
@@ -258,14 +254,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=_int_at_least(2), default=2)
     p.add_argument("--pinch", default="", help="comma-separated pinch set")
     p.add_argument("--graph", default="",
-                   help="graph JSON file or standard name (B, C2, L1, theta)")
+                   help="graph JSON file or standard name (C<n>, L<n>, "
+                        "B, theta, K23, K33, cube)")
     p.add_argument("--out", default="", help="write the report here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--budget", type=int, default=None,
                    help="simplex budget (overrides KRL_BUDGET)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; execution is serial")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--large", action="store_true",
                    help="enable the large topology runs")
 
@@ -303,10 +297,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, ok = args.handler(args)
+        _emit(report, args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
+    except Exception:
+        traceback.print_exc()
+        return 3
     return 0 if ok else 1
 
 

@@ -2,14 +2,20 @@
 
 S(G) is generated by one variable per positive edge of G (an undirected edge
 oriented from its even to its odd endpoint), with x_e^2 = 0, x reversed = -x,
-and, for every nondegenerate cycle c (length > 2, distinct vertices), the
-relations given by the t-coefficients of r_c(t) - 1 where
+and, for every cycle c, the relations given by the t-coefficients of
+r_c(t) - 1 where
 
     r_c(t) = prod_i (1 + t * eps_i * x_{e_i}),
 
 eps_i = +1 when the i-th step of the traversal runs along the positive
-orientation and -1 otherwise.  Basic plus nondegenerate relations imply all
-cycle relations, so this presentation is complete.
+orientation and -1 otherwise.
+
+The presentation uses only the |E| - |V| + 1 fundamental cycles of a
+spanning tree, each traversed once.  They generate the same ideal as all
+cycles in both directions: r is multiplicative along closed walks and a
+backtrack contributes (1 + tx)(1 - tx) = 1, so every cycle's r is a product
+of basis r's and their inverses (a reversed traversal gives r^-1); and
+r1 r2 - 1 = (r1 - 1) r2 + (r2 - 1), r^-1 - 1 = -(r - 1) r^-1.
 
 The graded structure (free rank and torsion per degree) is obtained degree
 by degree: the degree-k piece of the relation ideal inside E(E_+) is spanned
@@ -24,11 +30,10 @@ R(n)/(x_i + x_{i+1} : i in A).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-
-import networkx as nx
 
 from .combinatorics import sparse_count
 from .exterior import ExtElement, r_poly, sigma
@@ -49,33 +54,47 @@ def _edge_index(G: BiGraph) -> dict[tuple, int]:
 
 
 def cycle_relations(G: BiGraph) -> GraphRingPresentation:
-    """Relations of S(G) from all nondegenerate cycles.
+    """Relations of S(G) from the fundamental cycles of a BFS spanning tree.
 
-    Cycles are enumerated up to rotation; both traversal directions are
-    emitted (redundant rows are harmless, the SNF absorbs them).
+    The tree is rooted at ``G.vertices[0]`` and grown in positive-edge
+    order.  Each non-tree edge {a, b} closes one cycle: the tree path from
+    a to b, then the edge back to a.  Trees get no relations.
     """
     idx = _edge_index(G)
     m = len(idx)
-    H = nx.Graph()
-    H.add_nodes_from(G.vertices)
-    H.add_edges_from(tuple(e) for e in G.edges)
+    neighbours = {v: [] for v in G.vertices}
+    for a, b in idx:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    root = G.vertices[0]
+    parent, depth = {root: None}, {root: 0}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in neighbours[v]:
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                queue.append(w)
     relations: list[ExtElement] = []
     provenance: list[tuple] = []
-    for cyc in nx.simple_cycles(H):
-        if len(cyc) <= 2:
+    for a, b in idx:
+        if parent[a] == b or parent[b] == a:
             continue
-        for walk in (list(cyc), list(reversed(cyc))):
-            variables, signs = [], []
-            for a, b in zip(walk, walk[1:] + walk[:1]):
-                positive = G.parity[a] == 0
-                key = (a, b) if positive else (b, a)
-                variables.append(idx[key])
-                signs.append(1 if positive else -1)
-            coeffs = r_poly(variables, m, signs=signs)
-            for k in range(1, len(coeffs)):
-                if not coeffs[k].is_zero():
-                    relations.append(coeffs[k])
-                    provenance.append(tuple(walk))
+        up_a, up_b = [a], [b]
+        while up_a[-1] != up_b[-1]:
+            up = up_a if depth[up_a[-1]] >= depth[up_b[-1]] else up_b
+            up.append(parent[up[-1]])
+        walk = up_a + up_b[-2::-1]
+        variables, signs = [], []
+        for u, v in zip(walk, walk[1:] + walk[:1]):
+            positive = G.parity[u] == 0
+            variables.append(idx[(u, v) if positive else (v, u)])
+            signs.append(1 if positive else -1)
+        coeffs = r_poly(variables, m, signs=signs)
+        for k in range(1, len(coeffs)):
+            if not coeffs[k].is_zero():
+                relations.append(coeffs[k])
+                provenance.append(tuple(walk))
     return GraphRingPresentation(G, G.positive_edges(), relations, provenance)
 
 

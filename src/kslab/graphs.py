@@ -18,6 +18,10 @@ Standard graphs:
   C(1) is a single undirected edge (2 directed edges).
 * L(n): line with vertices 0..2n, edges e_i = {i-1, i}.
 * B: the single-edge graph on {0, 1}.
+* theta: two squares 0-1-2-3 and 0-1-4-5 sharing the edge {0, 1}.
+* K23, K33: complete bipartite graphs, even vertices first.
+* cube: the 3-cube on {0..7}, v ~ w iff they differ in one bit; parity
+  is the bit count mod 2.
 
 Hedgehogs: pinching L(n) along A (identifying i-1 with i+1 for i in A) and
 rolling (0 = 2n) folds C(n) onto a body cycle C(m) with attached spines.
@@ -141,7 +145,22 @@ def is_tree_by_deletion(G: BiGraph) -> bool:
 # standard graphs
 # ---------------------------------------------------------------------------
 
+# the standard graphs without a size parameter: (parities, edges) on 0..k-1
+FIXED_GRAPHS = {
+    "B": ([0, 1], [(0, 1)]),
+    "theta": ([v % 2 for v in range(6)],
+              [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0)]),
+    "K23": ([0, 0, 1, 1, 1], [(a, b) for a in range(2) for b in range(2, 5)]),
+    "K33": ([0, 0, 0, 1, 1, 1],
+            [(a, b) for a in range(3) for b in range(3, 6)]),
+    "cube": ([bin(v).count("1") % 2 for v in range(8)],
+             [(v, v | bit) for v in range(8) for bit in (1, 2, 4)
+              if not v & bit]),
+}
+
+
 def make_standard(kind: str, n: int = 0) -> BiGraph:
+    """C(n) and L(n) for kind "C" / "L", else a name in ``FIXED_GRAPHS``."""
     if kind == "C":
         if n < 1:
             raise ValueError("C(n) needs n >= 1")
@@ -157,8 +176,10 @@ def make_standard(kind: str, n: int = 0) -> BiGraph:
         parity = {v: v % 2 for v in vertices}
         edges = frozenset(frozenset({i - 1, i}) for i in range(1, 2 * n + 1))
         return BiGraph(vertices, parity, edges)
-    if kind == "B":
-        return BiGraph((0, 1), {0: 0, 1: 1}, frozenset({frozenset({0, 1})}))
+    if kind in FIXED_GRAPHS:
+        parity, edges = FIXED_GRAPHS[kind]
+        return BiGraph(tuple(range(len(parity))), dict(enumerate(parity)),
+                       frozenset(frozenset(e) for e in edges))
     raise ValueError(f"unknown standard graph kind {kind!r}")
 
 

@@ -119,6 +119,7 @@ def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET):
 TET_VERTICES = (0, 1, 2, 3)
 
 
+@lru_cache(maxsize=None)
 def staircase_product_complex(c: int, budget: int = SIMPLEX_BUDGET):
     """Staircase triangulation of the c-fold product of the minimal 2-sphere.
 
@@ -128,9 +129,15 @@ def staircase_product_complex(c: int, budget: int = SIMPLEX_BUDGET):
     increasing ladders in the componentwise order whose coordinate
     projections are faces, i.e. never use all four vertices in one
     coordinate.
+
+    Memoised, since ``y_small_complex`` asks for it once per folding; the
+    levels are tuples so that no caller can alter the cached value.
     """
     vertices = list(product(TET_VERTICES, repeat=c))
-    simplices: list[list[tuple]] = []
+    above = {v: [w for w in vertices
+                 if w != v and all(a <= b for a, b in zip(v, w))]
+             for v in vertices}
+    simplices: list[tuple[tuple, ...]] = []
     total = 0
     frontier = [(v,) for v in vertices]
     while frontier:
@@ -138,18 +145,15 @@ def staircase_product_complex(c: int, budget: int = SIMPLEX_BUDGET):
         if total > budget:
             raise ValueError(f"product complex exceeds the simplex budget "
                              f"({total}+ > {budget})")
-        simplices.append(sorted(frontier))
+        simplices.append(tuple(sorted(frontier)))
         nxt = []
         for chain in frontier:
             used = [set(col) for col in zip(*chain)]
-            last = chain[-1]
-            for w in vertices:
-                if w == last or any(a > b for a, b in zip(last, w)):
-                    continue
+            for w in above[chain[-1]]:
                 if all(len(u | {x}) < 4 for u, x in zip(used, w)):
                     nxt.append(chain + (w,))
         frontier = nxt
-    return simplices
+    return tuple(simplices)
 
 
 def y_small_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET):

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kslab
+from kslab import cli
 from kslab.cli import graph_parse, main
 from kslab.graphs import make_standard
 
@@ -117,9 +122,9 @@ def test_complex_export(tmp_path, capsys):
 def test_out_file_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["flags", "--n", "2", "--op", "cover",
-                 "--out", str(a), "--seed", "7"]) == 0
+                 "--out", str(a)]) == 0
     assert main(["flags", "--n", "2", "--op", "cover",
-                 "--out", str(b), "--seed", "7"]) == 0
+                 "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -134,3 +139,36 @@ def test_out_of_range_n_and_q_exit_two(argv, capsys):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "must be at least" in out.err
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("internal check failed")
+    monkeypatch.setattr(cli, "cmd_sparse", broken)
+    code, out, err = run(capsys, "sparse", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "internal check failed" in err
+
+
+def test_removed_flags_are_refused():
+    for flag in ("--jobs", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sparse", "--n", "2", flag, "1"])
+        assert exc.value.code == 2
+
+
+def test_standard_graph_names(capsys):
+    for name, edges in (("K23", 6), ("K33", 9), ("cube", 12), ("theta", 7)):
+        assert len(graph_parse(name).edges) == edges
+    code, out, _ = run(capsys, "sgring", "--graph", "K23")
+    assert code == 0
+    assert json.loads(out)["ranks"] == [1, 4, 4, 1, 0, 0, 0]
+
+
+def test_cli_import_does_not_load_networkx():
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    probe = "import sys, kslab.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 from math import comb
 
+import pytest
+
 from kslab.exterior import ExtElement, r_poly
 from kslab.graph_rings import (
     GraphRingPresentation,
@@ -27,13 +29,48 @@ def join_with_edge(G0: BiGraph, G1: BiGraph, v0, v1) -> BiGraph:
     return BiGraph(vertices, parity, frozenset(edges))
 
 
-def theta_graph() -> BiGraph:
-    """Two squares sharing an edge: 6 vertices, 7 edges, 3 cycle classes."""
-    vertices = tuple(range(6))
-    parity = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1}
-    edges = frozenset(frozenset(e) for e in
-                      [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0)])
-    return BiGraph(vertices, parity, edges)
+def walk_relations(G: BiGraph, walk) -> list[ExtElement]:
+    """Nonzero t-coefficients of r(t) - 1 along a closed walk of G."""
+    idx = {e: i + 1 for i, e in enumerate(G.positive_edges())}
+    variables, signs = [], []
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        positive = G.parity[a] == 0
+        variables.append(idx[(a, b) if positive else (b, a)])
+        signs.append(1 if positive else -1)
+    coeffs = r_poly(variables, len(idx), signs=signs)
+    return [c for c in coeffs[1:] if not c.is_zero()]
+
+
+def directed_simple_cycles(G: BiGraph) -> list[tuple]:
+    """Every simple cycle of length > 2 in both directions, by plain DFS.
+
+    A cycle is listed from its first vertex in ``G.vertices`` order, once
+    per traversal direction.
+    """
+    order = {v: i for i, v in enumerate(G.vertices)}
+    out = []
+
+    def extend(path):
+        for w in sorted(G.neighbours(path[-1]), key=order.get):
+            if w == path[0] and len(path) > 2:
+                out.append(tuple(path))
+            elif order[w] > order[path[0]] and w not in path:
+                extend(path + [w])
+
+    for s in G.vertices:
+        extend([s])
+    return out
+
+
+def all_cycle_relations(G: BiGraph) -> list[ExtElement]:
+    """The presentation by all simple cycles in both directions (oracle)."""
+    return [rel for cyc in directed_simple_cycles(G)
+            for rel in walk_relations(G, cyc)]
+
+
+ORACLE_GRAPHS = {"C2": make_standard("C", 2), "C3": make_standard("C", 3),
+                 "theta": make_standard("theta"), "K23": make_standard("K23"),
+                 "K33": make_standard("K33")}
 
 
 def test_tree_has_no_relations():
@@ -44,12 +81,42 @@ def test_tree_has_no_relations():
 def test_c2_relations_are_sigmas():
     pres = cycle_relations(make_standard("C", 2))
     degs = sorted(r.homogeneous_degree() for r in pres.relations)
-    assert degs == [1, 1, 2, 2, 3, 3, 4, 4]  # both traversal directions
+    assert degs == [1, 2, 3, 4]  # the one basis cycle, one direction
 
 
 def test_theta_graph_cycle_classes():
-    pres = cycle_relations(theta_graph())
-    assert len({tuple(sorted(p)) for p in pres.provenance}) == 3
+    G = make_standard("theta")
+    pres = cycle_relations(G)
+    basis_size = len(G.edges) - len(G.vertices) + 1
+    assert len({tuple(sorted(p)) for p in pres.provenance}) == basis_size == 2
+
+
+def test_oracle_enumerates_the_old_presentation():
+    """Both directions of every simple cycle: 144 rows for K_{3,3}."""
+    K33 = make_standard("K33")
+    assert len(directed_simple_cycles(K33)) == 2 * (9 + 6)
+    assert len(all_cycle_relations(K33)) == 144
+    assert len(cycle_relations(K33).relations) == 16
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_cycle_basis_generates_all_cycle_relations(name):
+    """Adjoining every cycle relation to the basis presentation changes no
+    graded piece, so (finitely generated abelian groups being Hopfian) the
+    ideals are equal."""
+    G = ORACLE_GRAPHS[name]
+    basis = graded_structure(G)
+    assert graded_structure(G, extra_relations=all_cycle_relations(G)) == basis
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_reversed_basis_cycles_add_nothing(name):
+    G = ORACLE_GRAPHS[name]
+    pres = cycle_relations(G)
+    reversed_walks = {tuple(reversed(p)) for p in pres.provenance}
+    extra = [rel for walk in reversed_walks for rel in walk_relations(G, walk)]
+    assert graded_structure(pres, extra_relations=extra) == \
+        graded_structure(pres)
 
 
 def test_s_of_cycle_equals_r():
@@ -138,7 +205,7 @@ def test_hedgehog_ring_all_pinches_n_le_3():
 
 
 def test_theta_graph_structure_reported():
-    gs = graded_structure(theta_graph())
+    gs = graded_structure(make_standard("theta"))
     # exploratory instance for the open question: record shape, expect
     # a well-defined graded structure with rank 1 in degree 0
     assert gs[0] == (1, [])

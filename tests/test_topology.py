@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from kslab.graphs import BiGraph, make_standard
+from kslab.graphs import make_standard
 from kslab.topology import (
     OCT_ELEMENTS,
     compare_with_S,
@@ -23,14 +23,6 @@ from kslab.topology import (
 )
 
 run_large = os.environ.get("KRL_LARGE") == "1"
-
-
-def theta_graph():
-    """Two squares sharing an edge: the smallest non-cycle non-tree case."""
-    parity = {v: v % 2 for v in range(6)}
-    edges = frozenset(frozenset(e) for e in
-                      [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0)])
-    return BiGraph(tuple(range(6)), parity, edges)
 
 
 def test_octahedron_poset():
@@ -117,6 +109,17 @@ def test_small_sphere_model_products():
         [(1, []), (0, []), (2, []), (0, []), (1, [])]
 
 
+def test_staircase_memo_matches_a_fresh_build():
+    for c in (1, 2, 3):
+        cached = staircase_product_complex(c)
+        assert cached is staircase_product_complex(c)
+        assert cached == staircase_product_complex.__wrapped__(c)
+        assert isinstance(cached, tuple)
+        assert all(isinstance(level, tuple) for level in cached)
+    assert f_vector(staircase_product_complex(3)) == \
+        (64, 936, 6064, 18240, 27456, 20160, 5760)
+
+
 def test_small_model_agrees_on_c2():
     cx = y_small_complex(make_standard("C", 2))
     assert euler_characteristic(cx) == 6
@@ -159,7 +162,7 @@ def test_budget_refusal():
     with pytest.raises(ValueError):
         y_complex(make_standard("L", 2), budget=1000)
     with pytest.raises(ValueError):
-        y_small_complex(theta_graph(), budget=1000)
+        y_small_complex(make_standard("theta"), budget=1000)
     with pytest.raises(ValueError):
         order_complex(OCT_ELEMENTS, oct_leq, budget=10)
 
@@ -179,15 +182,15 @@ def test_theta_euler_characteristic_agrees():
     # cheap consistency signal for the exploratory case: chi equals the
     # total rank of the graph ring
     from kslab.graph_rings import graded_structure, structure_ranks
-    s_ranks = structure_ranks(graded_structure(theta_graph()))
+    s_ranks = structure_ranks(graded_structure(make_standard("theta")))
     assert s_ranks[:4] == [1, 5, 8, 4]
-    cx = y_small_complex(theta_graph())
+    cx = y_small_complex(make_standard("theta"))
     assert euler_characteristic(cx) == sum(s_ranks)
 
 
 @pytest.mark.skipif(not run_large, reason="set KRL_LARGE=1 to run")
 def test_theta_comparison_large():
-    rep = compare_with_S(theta_graph(), model="small")
+    rep = compare_with_S(make_standard("theta"), model="small")
     assert rep["match"]
     assert rep["cohomology"][:7] == [(1, []), (0, []), (5, []), (0, []),
                                      (8, []), (0, []), (4, [])]
