@@ -220,7 +220,7 @@ def cmd_cohomology(args):
               "sphere model; expect minutes of exact SNF", file=sys.stderr)
     rep = topology.compare_with_S(G, budget=_budget(args), model=model)
     if args.export:
-        complex_ = topology.y_complex(G, _budget(args))
+        complex_ = topology.y_complex(G, _budget(args), model)
         with open(args.export, "w") as fh:
             for level in complex_:
                 for simplex in level:
@@ -261,7 +261,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None,
                    help="simplex budget (overrides KRL_BUDGET)")
     p.add_argument("--large", action="store_true",
-                   help="enable the large topology runs")
+                   help="compute Y(G) over the 4-vertex sphere model")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("enumerate", "cover", "lemmas", "tree"))
         if name == "cohomology":
             p.add_argument("--export", default="",
-                           help="write the simplicial complex, one simplex "
-                                "per line")
+                           help="write the simplicial complex of Y(G) in "
+                                "the sphere model of the report, one "
+                                "simplex per line")
     return parser
 
 
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     try:
         report, ok = args.handler(args)
         _emit(report, args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -159,15 +159,6 @@ def beta_of(K: Subset, two_n: int) -> Subset:
     return tuple(low + high)
 
 
-def alpha_beta(J: Subset, direction: str, two_n: int) -> Subset:
-    """Dispatch: direction 'forward' applies alpha, 'backward' applies beta."""
-    if direction == "forward":
-        return alpha_of(J, two_n)
-    if direction == "backward":
-        return beta_of(J, two_n)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 # ---------------------------------------------------------------------------
 # generating function for the sparse counts
 # ---------------------------------------------------------------------------

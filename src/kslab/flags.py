@@ -87,10 +87,6 @@ def t_power_preimage(W: Rows, r: int, m: int, q: int) -> Rows:
     return W
 
 
-def is_submodule(W: Rows, m: int, q: int) -> bool:
-    return contains(W, t_image(W, m, q), q)
-
-
 # ---------------------------------------------------------------------------
 # thin module invariants
 # ---------------------------------------------------------------------------

@@ -116,6 +116,26 @@ class BiGraph:
 
 
 def graph_from_json(data: dict) -> BiGraph:
+    """A graph from {"vertices": [{"id": ..., "parity": 0|1}, ...],
+    "edges": [[u, v], ...]}; any other shape raises ValueError naming the
+    key at fault."""
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object with keys "
+                         "'vertices' and 'edges'")
+    for key in ("vertices", "edges"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"graph JSON needs a list under {key!r}")
+    for item in data["vertices"]:
+        for key in ("id", "parity"):
+            if not isinstance(item, dict) or key not in item:
+                raise ValueError(f"graph JSON vertex {item!r} has no {key!r}")
+        if not isinstance(item["id"], (int, str)) \
+                or item["parity"] not in (0, 1):
+            raise ValueError(f"graph JSON vertex {item!r} needs an int or "
+                             f"string 'id' and a 'parity' of 0 or 1")
+    for e in data["edges"]:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ValueError(f"graph JSON 'edges' entry {e!r} is not a pair")
     vertices = tuple(item["id"] for item in data["vertices"])
     parity = {item["id"]: item["parity"] for item in data["vertices"]}
     edges = frozenset(frozenset(e) for e in data["edges"])
@@ -181,12 +201,6 @@ def make_standard(kind: str, n: int = 0) -> BiGraph:
         return BiGraph(tuple(range(len(parity))), dict(enumerate(parity)),
                        frozenset(frozenset(e) for e in edges))
     raise ValueError(f"unknown standard graph kind {kind!r}")
-
-
-def cycle_edge(n: int, i: int) -> Edge:
-    """The undirected edge e_i = {i-1, i} of C(n), indices mod 2n."""
-    two_n = 2 * n
-    return frozenset({(i - 1) % two_n, i % two_n})
 
 
 # ---------------------------------------------------------------------------

@@ -142,13 +142,17 @@ def bts_by_bidegree(n: int) -> dict[tuple[int, int], list[tuple[Subset, Subset]]
 # normal form and the differential
 # ---------------------------------------------------------------------------
 
-def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int) -> TSElement:
+def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int,
+                   substitution=pinch_substitution) -> TSElement:
     """Rewrite an integer combination of monomials x_J e_A onto BTS.
 
     Per term: the pinch relations e_a (x_a + x_{a+1}) replace each x_j by
     +-x_rep(j) with rep(j) the bottom of its pinch block; squares die; the
     body part of the surviving monomial is reduced to its sparse normal
     form inside the body ring, while spine variables pass through freely.
+    ``substitution(A)`` gives the relabelling {j: (sign, rep(j))} that
+    the relations impose on e_A; ``mv_two_sets_demo`` swaps in a wrong
+    one to show that the exactness check notices.
     """
     two_n = 2 * n
     out = TSElement(n)
@@ -161,7 +165,7 @@ def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int) -> TSElement:
         if any(a < 1 or a >= two_n for a in A):
             raise ValueError(f"e-index out of range in {A}")
         folded = ExtElement.monomial(J, two_n).relabel_signed(
-            pinch_substitution(A))
+            substitution(A))
         if folded.is_zero():
             continue
         h = _hedgehog(n, A)
@@ -180,7 +184,7 @@ def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int) -> TSElement:
     return out
 
 
-def d1(a: TSElement) -> TSElement:
+def d1(a: TSElement, substitution=pinch_substitution) -> TSElement:
     """Right multiplication by u = e_1 + ... + e_{2n-1}, renormalized."""
     n = a.n
     raw: dict[tuple[Subset, Subset], int] = {}
@@ -191,7 +195,7 @@ def d1(a: TSElement) -> TSElement:
             sign = (-1) ** sum(1 for x in A if x < t)
             key = (J, tuple(sorted(A + (t,))))
             raw[key] = raw.get(key, 0) + c * sign
-    return ts_normal_form(raw, n)
+    return ts_normal_form(raw, n, substitution)
 
 
 # ---------------------------------------------------------------------------
@@ -252,37 +256,47 @@ def _order_key(J: Subset, A: Subset):
     return (J, tuple(-a for a in reversed(A)))
 
 
-def _d1_matrix(n: int, source: list[tuple[Subset, Subset]],
-               target: list[tuple[Subset, Subset]]) -> list[dict[int, int]]:
-    col = {key: i for i, key in enumerate(target)}
-    rows = []
-    for J, A in source:
-        img = d1(TSElement.basis_element(J, A, n))
-        rows.append({col[key]: c for key, c in img.terms.items()})
-    return rows
+def _bidegree_exactness(groups, image) -> dict[tuple[int, int], dict]:
+    """Integral exactness of a differential in each bidegree (p, j).
+
+    ``groups`` maps (p, j) to its sorted basis, and ``image(J, A)`` is
+    the differential of x_J e_A, with every term in the basis of
+    (p + 1, j).  With d_in the matrix from (p-1, j) and d_out the matrix
+    from (p, j), the complex is exact at (p, j) over the integers iff
+    rank(d_in) + rank(d_out) = dim and every elementary divisor of d_in
+    equals 1.
+    """
+    matrices = {}
+    for (p, j), source in groups.items():
+        col = {key: i for i, key in enumerate(groups.get((p + 1, j), []))}
+        matrices[(p, j)] = [{col[key]: c for key, c in image(J, A).terms.items()}
+                            for J, A in source]
+    out = {}
+    for (p, j) in sorted(groups):
+        dim = len(groups[(p, j)])
+        rank_out = rank(matrices[(p, j)], len(groups.get((p + 1, j), [])))
+        divisors = snf_invariants(matrices.get((p - 1, j), []), dim)
+        rank_in = len(divisors)
+        out[(p, j)] = {
+            "dim": dim, "rank_in": rank_in, "rank_out": rank_out,
+            "exact": rank_in + rank_out == dim and all(d == 1 for d in divisors),
+        }
+    return out
 
 
 def exactness_check(n: int) -> dict:
     """Certify H(TS**, d1) = 0 integrally in every bidegree.
 
-    Per bidegree (p, j): with d_in the matrix of d1 from (p-1, j) and
-    d_out the matrix from (p, j), exactness over the integers holds iff
-    rank(d_in) + rank(d_out) = dim and every elementary divisor of d_in
-    equals 1.  The report also verifies d1 o d1 = 0 on the whole basis and
-    the triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
+    Exactness per bidegree is decided by ``_bidegree_exactness``.  The
+    report also verifies d1 o d1 = 0 on the whole basis and the
+    triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
     for every extendable element.
     """
     if n < 2:
         raise ValueError("the double complex is set up for n >= 2")
-    groups = bts_by_bidegree(n)
-    degrees = sorted(groups)
     report = {"n": n, "bidegrees": {}, "d1_squared_zero": True,
               "triangular_failures": [], "counterexamples": [],
               "all_exact": True}
-
-    matrices: dict[tuple[int, int], list[dict[int, int]]] = {}
-    for (p, j), basis in groups.items():
-        matrices[(p, j)] = _d1_matrix(n, basis, groups.get((p + 1, j), []))
 
     for J, A in enumerate_bts(n):
         once = d1(TSElement.basis_element(J, A, n))
@@ -290,19 +304,11 @@ def exactness_check(n: int) -> dict:
             report["d1_squared_zero"] = False
             report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
 
-    for (p, j) in degrees:
-        dim = len(groups[(p, j)])
-        rows_out = matrices[(p, j)]
-        rows_in = matrices.get((p - 1, j), [])
-        rank_out = rank(rows_out, len(groups.get((p + 1, j), [])))
-        divisors = snf_invariants(rows_in, dim)
-        rank_in = len(divisors)
-        exact = (rank_in + rank_out == dim) and all(d == 1 for d in divisors)
-        report["bidegrees"][(p, j)] = {
-            "dim": dim, "rank_in": rank_in, "rank_out": rank_out,
-            "exact": exact,
-        }
-        if not exact:
+    report["bidegrees"] = _bidegree_exactness(
+        bts_by_bidegree(n),
+        lambda J, A: d1(TSElement.basis_element(J, A, n)))
+    for (p, j), info in report["bidegrees"].items():
+        if not info["exact"]:
             report["all_exact"] = False
             report["counterexamples"].append({"kind": "homology", "bidegree": (p, j)})
 
@@ -348,82 +354,42 @@ def row_euler_characteristics(n: int) -> dict[int, int]:
 # the two-set Mayer-Vietoris demonstration
 # ---------------------------------------------------------------------------
 
+def _broken_pinch_substitution(A: Subset) -> dict[int, tuple[int, int]]:
+    """The pinch substitution with the relation at the pinch 1 replaced by
+    e_1 (x_3 + x_2): x_2 goes to -x_3 instead of -x_1."""
+    mapping = dict(pinch_substitution(A))
+    if 2 in mapping:
+        mapping[2] = (-1, 3)
+    return mapping
+
+
 def mv_two_sets_demo(corrupt: bool = False) -> dict:
     """The three-column complex of a two-set cover, over n = 2.
 
     Columns p = 0, 1, 2 are spanned by the BTS elements with A a subset of
-    {1, 2}; the differential is multiplication by e_1 + e_2.  With the
-    correct relations the complex is exact everywhere (the second page of
-    the corresponding spectral sequence vanishes identically, matching
-    the two-set Mayer-Vietoris identification).  Setting ``corrupt=True``
+    {1, 2}; the differential is d1 with the terms outside those columns
+    dropped, i.e. multiplication by e_1 + e_2 (the wrong relation below
+    also yields monomials outside BTS, which are dropped as well).  With the correct
+    relations the complex is exact everywhere (the second page of the
+    corresponding spectral sequence vanishes identically, matching the
+    two-set Mayer-Vietoris identification).  Setting ``corrupt=True``
     replaces the relation e_1 (x_1 + x_2) by e_1 (x_3 + x_2), which the
     rank check then detects.
     """
     n = 2
-    two_n = 2 * n
+    substitution = (_broken_pinch_substitution if corrupt
+                    else pinch_substitution)
     basis = [(J, A) for J, A in enumerate_bts(n) if set(A) <= {1, 2}]
     groups: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
     for J, A in basis:
         groups.setdefault((len(A), len(J)), []).append((J, A))
-
-    def normal(raw):
-        if not corrupt:
-            out = ts_normal_form(raw, n)
-        else:
-            # broken relation at the pinch 1: substitute x_2 -> -x_3
-            out = TSElement(n)
-            for (J, A), c in raw.items():
-                mapping = dict(pinch_substitution(tuple(sorted(A))))
-                if 2 in mapping:
-                    mapping[2] = (-1, 3)
-                folded = ExtElement.monomial(J, two_n).relabel_signed(mapping)
-                h = _hedgehog(n, tuple(sorted(A)))
-                body = set(h.body_indices)
-                for Jf, cf in folded.terms.items():
-                    spine_part = tuple(j for j in Jf if j not in body)
-                    body_part = tuple(j for j in Jf if j in body)
-                    spine_mono = ExtElement.monomial(spine_part, two_n)
-                    sign = (spine_mono
-                            * ExtElement.monomial(body_part, two_n)
-                            ).coefficient(Jf)
-                    reduced = spine_mono * reduce_in(
-                        ExtElement.monomial(body_part, two_n), h.body_indices)
-                    for Jr, cr in reduced.terms.items():
-                        out += TSElement(n, {(Jr, tuple(sorted(A))):
-                                             c * cf * sign * cr})
-        return out
+    span = set(basis)
 
     def image(J, A):
-        raw: dict[tuple[Subset, Subset], int] = {}
-        for t in (1, 2):
-            if t in A:
-                continue
-            sign = (-1) ** sum(1 for x in A if x < t)
-            key = (J, tuple(sorted(A + (t,))))
-            raw[key] = raw.get(key, 0) + sign
-        out = normal(raw)
-        return TSElement(n, {k: c for k, c in out.terms.items()
-                             if set(k[1]) <= {1, 2}})
+        img = d1(TSElement.basis_element(J, A, n), substitution)
+        return TSElement(n, {k: c for k, c in img.terms.items() if k in span})
 
-    report = {"columns": {}, "exact_everywhere": True, "corrupted": corrupt}
-    degrees = sorted(groups)
-    matrices = {}
-    for (p, j), src in groups.items():
-        tgt = groups.get((p + 1, j), [])
-        col = {key: i for i, key in enumerate(tgt)}
-        rows = []
-        for J, A in src:
-            img = image(J, A)
-            rows.append({col[key]: c for key, c in img.terms.items()
-                         if key in col})
-        matrices[(p, j)] = rows
-    for (p, j) in degrees:
-        dim = len(groups[(p, j)])
-        rank_out = rank(matrices[(p, j)], len(groups.get((p + 1, j), [])))
-        divisors = snf_invariants(matrices.get((p - 1, j), []), dim)
-        exact = (len(divisors) + rank_out == dim) and all(d == 1 for d in divisors)
-        report["columns"][(p, j)] = {"dim": dim, "rank_in": len(divisors),
-                                     "rank_out": rank_out, "exact": exact}
-        if not exact:
-            report["exact_everywhere"] = False
-    return report
+    columns = _bidegree_exactness(groups, image)
+    return {"columns": columns,
+            "exact_everywhere": all(c["exact"] for c in columns.values()),
+            "corrupted": corrupt}

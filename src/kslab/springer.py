@@ -70,10 +70,6 @@ def reduce(a: ExtElement) -> ExtElement:
     return ExtElement(two_n, terms)
 
 
-def is_normal_form(a: ExtElement) -> bool:
-    return all(is_sparse(J, a.nvars) for J in a.terms)
-
-
 def reduce_in(a: ExtElement, ambient: Subset) -> ExtElement:
     """Normal form in R(ambient) for an arbitrary even-size ordered ambient.
 

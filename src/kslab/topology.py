@@ -1,42 +1,58 @@
 """The combinatorial model Y(G) and its integral simplicial cohomology.
 
-The building block is the six-element poset P = {-3, -2, -1, 1, 2, 3}
-with u < v iff |u| < |v|; its order complex is the octahedral
-triangulation of the 2-sphere.  For a bipartite graph G, the poset
-Y(G) consists of the maps from the positive edges of G to P that are
-constant on the fibres of at least one tree folding of G, ordered
-componentwise.  (Foldings preserve the even-to-odd orientation of
-edges, so no sign twisting is needed when pulling values back.)
+Y(G) is a union, over the tree foldings of G, of products of 2-spheres
+glued along diagonal inclusions.  A folding p of a bipartite graph G
+with c(p) edge classes contributes the maps from the positive edges of
+G to the sphere that are constant on the classes of p: a copy of the
+c(p)-fold sphere power, pulled back along the class map.  (Foldings
+preserve the even-to-odd orientation of edges, so no sign twisting is
+needed when pulling values back.)  A chain that mixes two foldings is
+not a simplex: the space is the union of the products, not the
+realization of the union poset.
 
-Cohomology is computed from the order complex: simplices are the
-nonempty chains, and the coboundary matrices are fed to the exact
-Smith-normal-form engine.  For a tree T with k positive edges the
-poset Y(T) is the full product P^k, whose order complex triangulates
-(S^2)^k; its cohomology is obtained from the octahedron by the graded
-tensor product, which is exact over the integers because every factor
-is free.  Non-product posets (cycles, unions) are computed directly,
-subject to a configurable simplex budget.
+The sphere is a model given as data in ``SPHERE_MODELS``, a vertex
+poset with its order:
 
-For graphs whose octahedral model is too large, ``y_small_complex``
-swaps the sphere model for the 4-vertex boundary of the 3-simplex.
-Both models are unions, over the constancy partitions, of products of
-2-spheres glued along diagonal inclusions; a coordinatewise homotopy
-equivalence of the two sphere models commutes with every diagonal, so
-the two unions are homotopy equivalent and have the same cohomology.
+* ``"octahedron"``: P = {-3, -2, -1, 1, 2, 3} with u < v iff |u| < |v|,
+  whose order complex is the octahedral triangulation of the 2-sphere;
+* ``"small"``: the chain 0 < 1 < 2 < 3, read as the boundary of the
+  3-simplex, which has far fewer simplices in its powers.
+
+One rule triangulates the c-fold power of either model: a simplex is a
+chain of vertex c-tuples, strictly increasing in the componentwise
+order, whose every coordinate takes at most three distinct values.
+Every chain of P has at most three elements, so for the octahedron the
+rule never fires and the power is the order complex of P^c; for the
+4-vertex chain it removes exactly the missing face {0, 1, 2, 3} of the
+boundary of the 3-simplex (the staircase triangulation).
+``staircase_product_complex`` is the only code that enumerates these
+chains, and ``y_complex`` the only code that unions their pull-backs.
+A coordinatewise homotopy equivalence of the two sphere models commutes
+with every diagonal, so the two unions are homotopy equivalent and have
+the same cohomology.
+
+Cohomology is computed from the simplices: the coboundary matrices are
+fed to the exact Smith-normal-form engine.  For a tree T with k positive
+edges, Y(T) is the full power (S^2)^k, whose cohomology is obtained from
+the octahedron by the graded tensor product, which is exact over the
+integers because every factor is free.  Other graphs are computed
+directly, subject to a configurable simplex budget.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import product
 
 from .graph_rings import graded_structure, structure_ranks, tensor_ranks
 from .graphs import BiGraph, enumerate_tree_foldings, is_tree, partition_map
-from .intlinalg import rank, snf_invariants
+from .intlinalg import snf_invariants
 
 SIMPLEX_BUDGET = 5 * 10 ** 6
 
 OCT_ELEMENTS = (-3, -2, -1, 1, 2, 3)
+TET_VERTICES = (0, 1, 2, 3)
 
 
 def oct_leq(u: int, v: int) -> bool:
@@ -47,145 +63,93 @@ def oct_chi(u: int) -> int:
     return -u
 
 
-# ---------------------------------------------------------------------------
-# the poset Y(G)
-# ---------------------------------------------------------------------------
-
-def y_elements(G: BiGraph) -> tuple[tuple[int, ...], ...]:
-    """All maps E_+ -> P constant on the fibres of some tree folding.
-
-    Values are recorded against the sorted list ``G.positive_edges()``.
-    """
-    edges = G.positive_edges()
-    found: set[tuple[int, ...]] = set()
-    for p in enumerate_tree_foldings(G, "any"):
-        pmap = partition_map(p)
-        # group positive edges by their image in the quotient
-        fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
-        classes = sorted(set(fibre_key))
-        for values in product(OCT_ELEMENTS, repeat=len(classes)):
-            val = dict(zip(classes, values))
-            found.add(tuple(val[k] for k in fibre_key))
-    return tuple(sorted(found))
-
-
-def y_leq(a, b) -> bool:
-    return all(oct_leq(u, v) for u, v in zip(a, b))
-
-
-def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET):
-    """The simplicial model of Y(G): a union of product subcomplexes.
-
-    Each tree folding p contributes the order complex of its pullback
-    subposet (all maps constant on p-fibres); the model is the union of
-    these subcomplexes inside the full chain complex of P^{E_+}.  A
-    chain mixing two foldings is *not* a simplex: the space Y(G) is a
-    union of products of spheres, not the realization of the union
-    poset.
-    """
-    edges = G.positive_edges()
-    simplices: list[set[tuple]] = []
-    total = 0
-    for p in enumerate_tree_foldings(G, "any"):
-        pmap = partition_map(p)
-        fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
-        classes = sorted(set(fibre_key))
-        sub_elements = list(product(OCT_ELEMENTS, repeat=len(classes)))
-        sub = order_complex(
-            sub_elements,
-            lambda a, b: all(oct_leq(u, v) for u, v in zip(a, b)),
-            budget)
-        expand = {cls: i for i, cls in enumerate(classes)}
-        pull = [expand[k] for k in fibre_key]
-        for k, level in enumerate(sub):
-            if k >= len(simplices):
-                simplices.append(set())
-            for chain in level:
-                total += 1
-                simplices[k].add(tuple(tuple(sub_elements[v][i] for i in pull)
-                                       for v in chain))
-            if total > budget:
-                raise ValueError(f"Y-complex exceeds the simplex budget "
-                                 f"({total}+ > {budget})")
-    if sum(len(s) for s in simplices) > budget:
-        raise ValueError("Y-complex exceeds the simplex budget")
-    return [sorted(level) for level in simplices]
+# sphere model -> (vertex poset, its order)
+SPHERE_MODELS = {
+    "octahedron": (OCT_ELEMENTS, oct_leq),
+    "small": (TET_VERTICES, operator.le),
+}
 
 
 # ---------------------------------------------------------------------------
-# the small-sphere model
+# sphere powers and their union Y(G)
 # ---------------------------------------------------------------------------
 
-TET_VERTICES = (0, 1, 2, 3)
+def _refuse(what: str, total: int, budget: int):
+    raise ValueError(f"{what} exceeds the simplex budget "
+                     f"({total}+ > {budget})")
 
 
 @lru_cache(maxsize=None)
-def staircase_product_complex(c: int, budget: int = SIMPLEX_BUDGET):
-    """Staircase triangulation of the c-fold product of the minimal 2-sphere.
+def staircase_product_complex(c: int, model: str = "small",
+                              budget: int = SIMPLEX_BUDGET):
+    """The c-fold power of a sphere model, by dimension.
 
-    The boundary of the 3-simplex (4 vertices, every proper subset of
-    the vertex set is a face) triangulates S^2 with far fewer simplices
-    than the octahedron.  Simplices of the product are the strictly
-    increasing ladders in the componentwise order whose coordinate
-    projections are faces, i.e. never use all four vertices in one
-    coordinate.
+    Simplices are the chains of vertex c-tuples, strictly increasing in
+    the componentwise order, that take at most three distinct values in
+    every coordinate (see the module docstring).  Refuses as soon as the
+    running count of chains passes ``budget``.
 
-    Memoised, since ``y_small_complex`` asks for it once per folding; the
+    Memoised, since ``y_complex`` asks for it once per folding; the
     levels are tuples so that no caller can alter the cached value.
     """
-    vertices = list(product(TET_VERTICES, repeat=c))
-    above = {v: [w for w in vertices
-                 if w != v and all(a <= b for a, b in zip(v, w))]
+    if model not in SPHERE_MODELS:
+        raise ValueError(f"unknown sphere model {model!r}")
+    elements, leq = SPHERE_MODELS[model]
+    vertices = list(product(elements, repeat=c))
+    above = {v: [w for w in vertices if w != v and all(map(leq, v, w))]
              for v in vertices}
-    simplices: list[tuple[tuple, ...]] = []
-    total = 0
+    total = len(vertices)
+    if total > budget:
+        _refuse("product complex", total, budget)
+    levels: list[tuple[tuple, ...]] = []
     frontier = [(v,) for v in vertices]
     while frontier:
-        total += len(frontier)
-        if total > budget:
-            raise ValueError(f"product complex exceeds the simplex budget "
-                             f"({total}+ > {budget})")
-        simplices.append(tuple(sorted(frontier)))
+        levels.append(tuple(sorted(frontier)))
         nxt = []
         for chain in frontier:
             used = [set(col) for col in zip(*chain)]
             for w in above[chain[-1]]:
-                if all(len(u | {x}) < 4 for u, x in zip(used, w)):
+                if all(len(u | {x}) <= 3 for u, x in zip(used, w)):
+                    total += 1
+                    if total > budget:
+                        _refuse("product complex", total, budget)
                     nxt.append(chain + (w,))
         frontier = nxt
-    return tuple(simplices)
+    return tuple(levels)
 
 
-def y_small_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET):
-    """Union-of-subcomplexes model of Y(G) over the 4-vertex sphere.
+def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET,
+              model: str = "octahedron"):
+    """The simplicial model of Y(G) over a sphere model, by dimension.
 
-    Homotopy equivalent to the octahedral model: both are colimits of
-    the same diagram of diagonal inclusions of sphere powers, and a
-    coordinatewise homotopy equivalence of the sphere models commutes
-    with every map of the diagram.  Used for graphs whose octahedral
-    model would blow the simplex budget.
+    Each tree folding contributes its sphere power, pulled back along
+    the map from positive edges to folding classes; the model is the
+    union of these subcomplexes.  Refuses once the running count of
+    pulled-back simplices passes ``budget``.
     """
     edges = G.positive_edges()
-    simplices: list[set[tuple]] = []
+    levels: list[set[tuple]] = []
     total = 0
     for p in enumerate_tree_foldings(G, "any"):
         pmap = partition_map(p)
         fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
         classes = sorted(set(fibre_key))
-        sub = staircase_product_complex(len(classes), budget)
-        expand = {cls: i for i, cls in enumerate(classes)}
-        pull = [expand[k] for k in fibre_key]
-        for k, level in enumerate(sub):
-            if k >= len(simplices):
-                simplices.append(set())
-            for chain in level:
-                total += 1
-                simplices[k].add(tuple(tuple(v[i] for i in pull)
-                                       for v in chain))
+        pull = [classes.index(k) for k in fibre_key]
+        power = staircase_product_complex(len(classes), model, budget)
+        for k, level in enumerate(power):
+            if k == len(levels):
+                levels.append(set())
+            levels[k].update(tuple(tuple(v[i] for i in pull) for v in chain)
+                             for chain in level)
+            total += len(level)
             if total > budget:
-                raise ValueError(f"Y-complex exceeds the simplex budget "
-                                 f"({total}+ > {budget})")
-    return [sorted(level) for level in simplices]
+                _refuse("Y-complex", total, budget)
+    return [sorted(level) for level in levels]
+
+
+# ``perfbench/spans.py`` traces this name, so it stays as a delegate.
+def y_small_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET):
+    return y_complex(G, budget, "small")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +161,8 @@ def order_complex(elements, leq, budget: int = SIMPLEX_BUDGET):
 
     Returns a list ``simplices`` where ``simplices[k]`` is the sorted
     list of (k+1)-tuples of element indices forming chains.  Refuses
-    with an estimate when the total would exceed ``budget``.
+    with an estimate when the total would exceed ``budget``.  This is
+    the generic poset builder; Y(G) is built by ``y_complex``.
     """
     m = len(elements)
     above = [[j for j in range(m) if j != i
@@ -208,15 +173,13 @@ def order_complex(elements, leq, budget: int = SIMPLEX_BUDGET):
     while frontier:
         total += len(frontier)
         if total > budget:
-            raise ValueError(f"order complex exceeds the simplex budget "
-                             f"({total}+ > {budget})")
+            _refuse("order complex", total, budget)
         simplices.append(sorted(frontier))
         # estimate the next level before materializing it
         nxt = sum(len(above[chain[-1]]) for chain in frontier)
         if total + nxt > budget:
             if nxt:
-                raise ValueError(f"order complex exceeds the simplex budget "
-                                 f"({total + nxt}+ > {budget})")
+                _refuse("order complex", total + nxt, budget)
             break
         frontier = [chain + (j,) for chain in frontier for j in above[chain[-1]]]
     return simplices
@@ -266,14 +229,10 @@ def integral_cohomology(simplices) -> list[tuple[int, list[int]]]:
         simplices, lambda k: coboundary_rows(simplices, k))
 
 
-def poset_cohomology(elements, leq, budget: int = SIMPLEX_BUDGET):
-    return integral_cohomology(order_complex(elements, leq, budget))
-
-
 @lru_cache(maxsize=None)
 def octahedron_cohomology() -> tuple[tuple[int, tuple[int, ...]], ...]:
     """H^* of the order complex of P, computed directly (a 2-sphere)."""
-    structure = poset_cohomology(OCT_ELEMENTS, oct_leq)
+    structure = integral_cohomology(order_complex(OCT_ELEMENTS, oct_leq))
     return tuple((r, tuple(t)) for r, t in structure)
 
 
@@ -299,29 +258,25 @@ def tree_y_cohomology(k: int) -> list[tuple[int, list[int]]]:
 # ---------------------------------------------------------------------------
 
 def compare_with_S(G: BiGraph, budget: int = SIMPLEX_BUDGET,
-                   product_shortcut: bool = True,
                    model: str = "octahedron") -> dict:
     """Graded comparison of S(G) with H^*(Y(G)).
 
     S-degree k is matched against cohomological degree 2k, and all odd
     cohomology must vanish.  For trees the product structure
     Y(T) = P^k is used (with the octahedron factor still computed
-    directly); other graphs get the full simplicial computation.
+    directly); other graphs get the full simplicial computation over
+    the sphere model ``model``.
     """
     s_structure = graded_structure(G)
     s_ranks = structure_ranks(s_structure)
     k = len(G.positive_edges())
-    if product_shortcut and is_tree(G):
+    if is_tree(G):
         h = tree_y_cohomology(k)
         route = "product"
         y_size = 6 ** k
     else:
-        if model == "small":
-            complex_ = y_small_complex(G, budget)
-            route = "direct-small"
-        else:
-            complex_ = y_complex(G, budget)
-            route = "direct"
+        complex_ = y_complex(G, budget, model)
+        route = "direct-small" if model == "small" else "direct"
         y_size = len(complex_[0])
         h = integral_cohomology(complex_)
     h = h + [(0, [])] * max(0, 2 * len(s_ranks) - len(h))

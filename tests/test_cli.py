@@ -92,6 +92,22 @@ def test_malformed_graphs_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data, key", [
+    ([1, 2], "vertices"),
+    ({"vertices": [{"id": 0, "parity": 0}]}, "edges"),
+    ({"vertices": [{"id": 0}], "edges": []}, "parity"),
+    ({"vertices": [{"parity": 0}], "edges": []}, "id"),
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1}],
+      "edges": [[0, 1, 1]]}, "edges"),
+])
+def test_misshapen_graph_json_exits_two(tmp_path, capsys, data, key):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "sgring", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert repr(key) in err and "Traceback" not in err
+
+
 def test_budget_exit_two(capsys, monkeypatch):
     code, _, err = run(capsys, "cohomology", "--graph", "theta",
                        "--budget", "1000")
@@ -117,6 +133,19 @@ def test_complex_export(tmp_path, capsys):
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert len(lines) == 6 + 12 + 8
+
+
+def test_export_writes_the_complex_of_the_report(tmp_path, capsys):
+    # --large reports on the small-sphere model, and exports that complex
+    for flags, simplices, vertices in (((), 4974, 66),
+                                       (("--large",), 1290, 28)):
+        out_file = tmp_path / "complex.txt"
+        code, out, _ = run(capsys, "cohomology", "--graph", "C2", *flags,
+                           "--export", str(out_file))
+        assert code == 0 and json.loads(out)["y_size"] == vertices
+        lines = out_file.read_text().splitlines()
+        assert len(lines) == simplices
+        assert sum(1 for line in lines if line.count("(") == 1) == vertices
 
 
 def test_out_file_deterministic(tmp_path, capsys):

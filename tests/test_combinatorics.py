@@ -94,8 +94,8 @@ def test_size_n_sparse_count_is_catalan():
 # ---------------------------------------------------------------------------
 
 def test_alpha_beta_hand_examples():
-    assert comb.alpha_beta((2, 3), "forward", 4) == (4,)
-    assert comb.alpha_beta((4,), "backward", 4) == (2, 3)
+    assert comb.alpha_of((2, 3), 4) == (4,)
+    assert comb.beta_of((4,), 4) == (2, 3)
 
 
 def test_alpha_rejects_sparse_input():

@@ -1,4 +1,5 @@
 import os
+from itertools import product
 
 import pytest
 
@@ -17,8 +18,6 @@ from kslab.topology import (
     staircase_product_complex,
     tree_y_cohomology,
     y_complex,
-    y_elements,
-    y_leq,
     y_small_complex,
 )
 
@@ -69,9 +68,6 @@ def test_y_c1_is_the_octahedron():
 
 def test_y_c2_frozen_values():
     G = make_standard("C", 2)
-    els = y_elements(G)
-    assert len(els) == 66
-    assert all(y_leq(e, e) for e in els)
     cx = y_complex(G)
     assert f_vector(cx) == (66, 564, 1656, 1920, 768)
     assert euler_characteristic(cx) == 6
@@ -120,8 +116,32 @@ def test_staircase_memo_matches_a_fresh_build():
         (64, 936, 6064, 18240, 27456, 20160, 5760)
 
 
+def test_octahedral_power_is_the_order_complex_of_the_product():
+    # the at-most-three-values rule never fires on the octahedron, so its
+    # sphere power is the order complex of P^c
+    for c in (1, 2):
+        elements = list(product(OCT_ELEMENTS, repeat=c))
+        oracle = order_complex(
+            elements, lambda a, b: all(map(oct_leq, a, b)))
+        expected = tuple(
+            tuple(sorted(tuple(elements[i] for i in chain) for chain in level))
+            for level in oracle)
+        assert staircase_product_complex(c, "octahedron") == expected
+
+
+def test_sphere_power_budget_and_model_checks():
+    # the small 2-sphere has 4 + 6 + 4 = 14 simplices
+    assert f_vector(staircase_product_complex(1, "small", 14)) == (4, 6, 4)
+    with pytest.raises(ValueError, match="budget"):
+        staircase_product_complex(1, "small", 13)
+    with pytest.raises(ValueError, match="sphere model"):
+        staircase_product_complex(1, "cube")
+
+
 def test_small_model_agrees_on_c2():
     cx = y_small_complex(make_standard("C", 2))
+    assert f_vector(cx) == (28, 162, 428, 480, 192)
+    assert y_complex(make_standard("C", 2), model="small") == cx
     assert euler_characteristic(cx) == 6
     assert integral_cohomology(cx) == [(1, []), (0, []), (3, []), (0, []),
                                        (2, [])]
@@ -148,7 +168,8 @@ def test_folding_subcomplexes_embed():
         for a in sub_elements:
             for b in sub_elements:
                 if all(oct_leq(u, v) for u, v in zip(a, b)):
-                    assert y_leq(pulled[a], pulled[b])
+                    assert all(oct_leq(u, v)
+                               for u, v in zip(pulled[a], pulled[b]))
         sub = order_complex(sub_elements,
                             lambda a, b: all(oct_leq(u, v)
                                              for u, v in zip(a, b)))
@@ -185,6 +206,7 @@ def test_theta_euler_characteristic_agrees():
     s_ranks = structure_ranks(graded_structure(make_standard("theta")))
     assert s_ranks[:4] == [1, 5, 8, 4]
     cx = y_small_complex(make_standard("theta"))
+    assert f_vector(cx) == (196, 3414, 23396, 72000, 109440, 80640, 23040)
     assert euler_characteristic(cx) == sum(s_ranks)
 
 
