@@ -218,9 +218,11 @@ def cmd_cohomology(args):
     if args.large:
         print("large run: union-of-sphere-products over the 4-vertex "
               "sphere model; expect minutes of exact SNF", file=sys.stderr)
-    rep = topology.compare_with_S(G, budget=_budget(args), model=model)
-    if args.export:
-        complex_ = topology.y_complex(G, _budget(args), model)
+    complex_ = topology.y_complex(G, _budget(args), model) \
+        if args.export else None
+    rep = topology.compare_with_S(G, budget=_budget(args), model=model,
+                                  complex_=complex_)
+    if complex_ is not None:
         with open(args.export, "w") as fh:
             for level in complex_:
                 for simplex in level:
@@ -249,19 +251,36 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_int_at_least(1), default=2)
-    p.add_argument("--q", type=_int_at_least(2), default=2)
-    p.add_argument("--pinch", default="", help="comma-separated pinch set")
-    p.add_argument("--graph", default="",
-                   help="graph JSON file or standard name (C<n>, L<n>, "
-                        "B, theta, K23, K33, cube)")
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """Register ``--out``, ``--format`` and the options ``name`` reads."""
     p.add_argument("--out", default="", help="write the report here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--budget", type=int, default=None,
-                   help="simplex budget (overrides KRL_BUDGET)")
-    p.add_argument("--large", action="store_true",
-                   help="compute Y(G) over the 4-vertex sphere model")
+    if name in ("sparse", "ncm", "ring", "fold", "mvss", "flags",
+                "conjecture"):
+        p.add_argument("--n", type=_int_at_least(1), default=2)
+    if name in ("fold", "sgring", "cohomology"):
+        p.add_argument("--graph", default="",
+                       help="graph JSON file or standard name (C<n>, L<n>, "
+                            "B, theta, K23, K33, cube)")
+    if name == "fold":
+        p.add_argument("--pinch", default="",
+                       help="comma-separated pinch set")
+    if name == "ring":
+        p.add_argument("--ranks", action="store_true",
+                       help="print the graded ranks only")
+    if name == "flags":
+        p.add_argument("--q", type=_int_at_least(2), default=2)
+        p.add_argument("--op", default="cover",
+                       choices=("enumerate", "cover", "lemmas", "tree"))
+    if name == "cohomology":
+        p.add_argument("--budget", type=int, default=None,
+                       help="simplex budget (overrides KRL_BUDGET)")
+        p.add_argument("--large", action="store_true",
+                       help="compute Y(G) over the 4-vertex sphere model")
+        p.add_argument("--export", default="",
+                       help="write the simplicial complex of Y(G) in "
+                            "the sphere model of the report, one "
+                            "simplex per line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,19 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, fn in handlers.items():
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_options(p, name)
         p.set_defaults(handler=fn)
-        if name == "ring":
-            p.add_argument("--ranks", action="store_true",
-                           help="print the graded ranks only")
-        if name == "flags":
-            p.add_argument("--op", default="cover",
-                           choices=("enumerate", "cover", "lemmas", "tree"))
-        if name == "cohomology":
-            p.add_argument("--export", default="",
-                           help="write the simplicial complex of Y(G) in "
-                                "the sphere model of the report, one "
-                                "simplex per line")
     return parser
 
 

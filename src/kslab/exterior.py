@@ -164,29 +164,20 @@ def sigma(k: int, variables, nvars: int) -> ExtElement:
     return ExtElement(nvars, {J: 1 for J in combinations(variables, k)})
 
 
-def r_poly(variables, nvars: int, signs=None,
-           degree_cap: int | None = None) -> list[ExtElement]:
+def r_poly(variables, nvars: int, signs=None) -> list[ExtElement]:
     """Coefficient list of r(t) = prod_i (1 + t * sign_i * x_i) in E(I)[t].
 
     Entry k is the t^k coefficient, i.e. sigma_k of the signed variables.
     ``signs`` is a parallel sequence of +-1 (default all +1); variables may
     repeat, which is how traversals that use an edge in both directions
-    contribute (1 + t x)(1 - t x) = 1.  ``degree_cap`` truncates the output.
+    contribute (1 + t x)(1 - t x) = 1.
     """
     variables = tuple(variables)
     if signs is None:
         signs = [1] * len(variables)
-    cap = len(variables) if degree_cap is None else degree_cap
     out = [ExtElement.one(nvars)]
     for i, s in zip(variables, signs):
         xi = ExtElement.monomial((i,), nvars, s)
-        new = []
-        for k in range(min(len(out), cap) + 1):
-            term = out[k] if k < len(out) else ExtElement.zero(nvars)
-            if k > 0:
-                term = term + out[k - 1] * xi
-            new.append(term)
-        out = new[: cap + 1]
-    while len(out) < cap + 1:
-        out.append(ExtElement.zero(nvars))
+        out = [out[0]] + [out[k] + out[k - 1] * xi
+                          for k in range(1, len(out))] + [out[-1] * xi]
     return out

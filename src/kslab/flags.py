@@ -12,6 +12,11 @@ flags over a small prime field exercises the same structural lemmas:
     canonical tree folding of C(n) it induces,
   * the chain lemmas about gaps, triangles and one-step reductions.
 
+The submodule lattice of V(n) is read off the enumerated flags: every
+submodule is a space of some complete flag, and every chain of
+submodules with unit steps from 0 is a prefix of one, so the flag
+enumeration is the lattice's only source.
+
 Vectors in V(m) use coordinates 2i + j for t^i e_j (0 <= i < m,
 j in {0, 1}); subspaces are reduced-row-echelon tuples from fqlin,
 hashable and canonical.  The lattice operations ``t_image``,
@@ -29,7 +34,6 @@ from functools import lru_cache
 from .combinatorics import enumerate_sparse, mu_of
 from .fqlin import (
     Rows,
-    all_vectors,
     constraint_matrix,
     contains,
     dim,
@@ -139,17 +143,17 @@ def is_balanced(L: Rows, K: Rows, m: int, q: int) -> bool:
 # flag enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_flags(n: int, q: int = 2, cap: int = FLAG_BRANCH_CAP):
+def enumerate_flags(n: int, q: int = 2):
     """All complete t-stable flags in V(n), depth first.
 
     At each level the choices are the lines in t^{-1}W/W, a space of
     dimension at most 2, so the search tree has at most (q+1)^(2n)
-    leaves; enumeration refuses if that bound exceeds ``cap``.
+    leaves; enumeration refuses if that bound exceeds FLAG_BRANCH_CAP.
     """
     estimate = (q + 1) ** (2 * n)
-    if estimate > cap:
+    if estimate > FLAG_BRANCH_CAP:
         raise ValueError(f"flag enumeration would explore up to {estimate} "
-                         f"branches, above the cap {cap}")
+                         f"branches, above the cap {FLAG_BRANCH_CAP}")
 
     def extensions(W: Rows):
         U = t_preimage(W, n, q)
@@ -347,47 +351,33 @@ def tree_from_flag(F, n: int, q: int) -> tuple[BiGraph, dict]:
 
 
 # ---------------------------------------------------------------------------
-# submodule enumeration and the chain lemmas
+# the submodule lattice and the chain lemmas
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def submodules(n: int, q: int) -> tuple[Rows, ...]:
-    """All F_q[t]-submodules of V(n): every one has at most 2 generators."""
-    m = n
-    vectors = all_vectors(2 * m, q)
-    orbits = {}
-    for v in vectors:
-        orbit = []
-        w = v
-        while any(w):
-            orbit.append(w)
-            w = t_shift(w, m)
-        orbits[v] = tuple(orbit)
-    seen = set()
-    for u in vectors:
-        for v in vectors:
-            seen.add(rref(orbits[u] + orbits[v], q))
-    return tuple(sorted(seen, key=lambda W: (len(W), W)))
+    """All F_q[t]-submodules of V(n), read off the complete flags.
 
-
-def _delta(L, K, m, q):
-    return thin_invariants(L, K, m, q).delta
-
-
-def chain_lemma_scan(n: int, q: int = 2, full_lattice: bool | None = None) -> dict:
-    """Brute-force verification of the torsion-module chain lemmas.
-
-    The gap, triangle and one-step lemmas quantify over all submodule
-    chains of V(n); that full-lattice sweep is run when ``full_lattice``
-    is true (default for n <= 3, where V(n) has few submodules).  For
-    larger n the same statements are checked over the chains that
-    actually occur, namely the enumerated flags and their t-power
-    images.  The counting, exponent and interval lemmas are checked
-    along every flag and every sparse K regardless.
+    A submodule W lies in a composition series of V(n) (refine
+    0 <= W <= V(n)), and the composition series are exactly the
+    complete t-stable flags, so the submodules are their spaces.
     """
-    if full_lattice is None:
-        full_lattice = n <= 3
-    m = n
+    spaces = {W for F in enumerate_flags(n, q) for W in F}
+    return tuple(sorted(spaces, key=lambda W: (len(W), W)))
+
+
+def chain_lemma_scan(n: int, q: int = 2) -> dict:
+    """Exhaustive verification of the torsion-module chain lemmas.
+
+    Everything is read off the enumerated complete flags.  The gap and
+    triangle lemmas run over every pair of nested submodules (the
+    spaces of the flags, see ``submodules``).  The one-step lemmas run
+    over every chain 0 = M_0 < ... < M_d with dim M_i = i and d >= 1:
+    each quotient is a line, so t M_i <= M_{i-1} and the chain extends
+    to a complete flag, and the chains are exactly the distinct flag
+    prefixes.  The counting, exponent and interval lemmas are checked
+    along every flag and every sparse K.
+    """
     zero: Rows = ()
     report: dict[str, dict] = {}
 
@@ -429,7 +419,7 @@ def chain_lemma_scan(n: int, q: int = 2, full_lattice: bool | None = None) -> di
             for mm in range(1, 2 * n + 1):
                 ew["instances"] += 1
                 r = sum(1 for k in K if k <= mm)
-                if t_power_image(F[mm], r, m, q) != zero:
+                if t_power_image(F[mm], r, n, q) != zero:
                     ew["violations"].append((K, mm))
             for p in range(0, 2 * n):
                 for qq in range(p + 1, 2 * n + 1):
@@ -437,7 +427,7 @@ def chain_lemma_scan(n: int, q: int = 2, full_lattice: bool | None = None) -> di
                     if not all(tau[j - 1] in interval for j in interval):
                         continue
                     ei["instances"] += 1
-                    if (qq - p) % 2 or not is_balanced(F[qq], F[p], m, q):
+                    if (qq - p) % 2 or not is_balanced(F[qq], F[p], n, q):
                         ei["violations"].append((K, p, qq))
 
     # --- treelike four-point condition along every flag -----------------
@@ -456,90 +446,80 @@ def chain_lemma_scan(n: int, q: int = 2, full_lattice: bool | None = None) -> di
                             if dv[x][y] != 0:
                                 et["violations"].append((a, b, x, y))
 
-    # --- chains for the gap / triangle / one-step lemmas ----------------
-    if full_lattice:
-        subs = submodules(n, q)
-        pairs = [(N, M) for N in subs for M in subs
-                 if len(N) <= len(M) and contains(M, N, q)]
-        etr = entry("triangle")
-        for N, M in pairs:
-            etr["instances"] += 1
-            a = _delta(M, zero, m, q)
-            b = _delta(N, zero, m, q)
-            c = _delta(M, N, m, q)
-            if a > b + c or b > a + c or c > a + b:
-                etr["violations"].append((N, M))
-        eg = entry("gap")
-        for K, L in pairs:
-            if (len(L) - len(K)) % 2:
-                continue
-            d = (len(L) - len(K)) // 2
-            for N2, M2 in pairs:
-                if N2 != L:
-                    continue
-                M = M2
-                eg["instances"] += 1
-                a_holds = _delta(L, K, m, q) == 0
-                b_holds = (thin_invariants(L, zero, m, q).beta >= d
-                           and t_power_image(L, d, m, q) == K)
-                tdK = intersect(t_power_preimage(K, d, m, q), M, 2 * m, q)
-                c_holds = (thin_invariants(M, K, m, q).beta >= d
-                           and tdK == L)
-                ok = a_holds == b_holds == c_holds
-                if a_holds and ok:
-                    Md = intersect(t_power_preimage(zero, d, m, q), M,
-                                   2 * m, q)
-                    tdM = t_power_image(M, d, m, q)
-                    ok = (thin_invariants(M, zero, m, q).beta >= d
-                          and contains(L, Md, q) and contains(tdM, K, q)
-                          and _delta(M, zero, m, q) == _delta(tdM, zero, m, q)
-                          == _delta(M, Md, m, q)
-                          and _delta(K, zero, m, q) == _delta(L, zero, m, q)
-                          == _delta(L, Md, m, q)
-                          and _delta(M, L, m, q) == _delta(M, K, m, q)
-                          == _delta(tdM, K, m, q))
-                if not ok:
-                    eg["violations"].append((K, L, M))
-        chains = _all_chains(n, q)
-    else:
-        chains = []
-        for F in flags:
-            for r in range(n):
-                chain = [t_power_image(W, r, m, q) for W in F]
-                dedup = [chain[0]]
-                for W in chain[1:]:
-                    if W != dedup[-1]:
-                        dedup.append(W)
-                chains.append(dedup)
+    # --- triangle and gap lemmas over all nested submodule pairs --------
+    subs = submodules(n, q)
+    pairs = [(N, M) for N in subs for M in subs
+             if len(N) <= len(M) and contains(M, N, q)]
+    above: dict[Rows, list[Rows]] = {}
+    for N, M in pairs:
+        above.setdefault(N, []).append(M)
+    etr = entry("triangle")
+    for N, M in pairs:
+        etr["instances"] += 1
+        a = thin_invariants(M, zero, n, q).delta
+        b = thin_invariants(N, zero, n, q).delta
+        c = thin_invariants(M, N, n, q).delta
+        if a > b + c or b > a + c or c > a + b:
+            etr["violations"].append((N, M))
+    eg = entry("gap")
+    for K, L in pairs:
+        if (len(L) - len(K)) % 2:
+            continue
+        d = (len(L) - len(K)) // 2
+        for M in above[L]:
+            eg["instances"] += 1
+            a_holds = thin_invariants(L, K, n, q).delta == 0
+            b_holds = (thin_invariants(L, zero, n, q).beta >= d
+                       and t_power_image(L, d, n, q) == K)
+            tdK = intersect(t_power_preimage(K, d, n, q), M, 2 * n, q)
+            c_holds = thin_invariants(M, K, n, q).beta >= d and tdK == L
+            ok = a_holds == b_holds == c_holds
+            if a_holds and ok:
+                Md = intersect(t_power_preimage(zero, d, n, q), M, 2 * n, q)
+                tdM = t_power_image(M, d, n, q)
+                ok = (thin_invariants(M, zero, n, q).beta >= d
+                      and contains(L, Md, q) and contains(tdM, K, q)
+                      and thin_invariants(M, zero, n, q).delta
+                      == thin_invariants(tdM, zero, n, q).delta
+                      == thin_invariants(M, Md, n, q).delta
+                      and thin_invariants(K, zero, n, q).delta
+                      == thin_invariants(L, zero, n, q).delta
+                      == thin_invariants(L, Md, n, q).delta
+                      and thin_invariants(M, L, n, q).delta
+                      == thin_invariants(M, K, n, q).delta
+                      == thin_invariants(tdM, K, n, q).delta)
+            if not ok:
+                eg["violations"].append((K, L, M))
 
+    # --- one-step lemmas over every unit-step chain from 0 --------------
+    chains = dict.fromkeys(F[:d + 1] for F in flags
+                           for d in range(1, 2 * n + 1))
     ea = entry("one_step_a")
     eb = entry("one_step_b")
     for chain in chains:
         d = len(chain) - 1
-        if d < 1:
-            continue
         ea["instances"] += 1
         top = chain[-1]
-        cyclic = dim(intersect(t_preimage(zero, m, q), top, 2 * m, q)) <= 1
+        cyclic = dim(intersect(t_preimage(zero, n, q), top, 2 * n, q)) <= 1
         if not cyclic:
             found = any(
-                _delta(chain[i + 1], chain[i - 1], m, q) == 0
-                and t_image(chain[i + 1], m, q) == chain[i - 1]
+                thin_invariants(chain[i + 1], chain[i - 1], n, q).delta == 0
+                and t_image(chain[i + 1], n, q) == chain[i - 1]
                 for i in range(1, d))
             if not found:
                 ea["violations"].append(chain)
-        dl = _delta(top, zero, m, q)
+        dl = thin_invariants(top, zero, n, q).delta
         for k in range(dl + 1):
             eb["instances"] += 1
-            hit = any(_delta(chain[i], zero, m, q) == k
-                      and _delta(top, chain[i], m, q) == dl - k
+            hit = any(thin_invariants(chain[i], zero, n, q).delta == k
+                      and thin_invariants(top, chain[i], n, q).delta == dl - k
                       for i in range(d + 1))
             if not hit:
                 eb["violations"].append((chain, k))
         if dl == 1 and d > 1:
             eb["instances"] += 1
-            hit = any(_delta(chain[i], zero, m, q) == 0
-                      or _delta(top, chain[i], m, q) == 0
+            hit = any(thin_invariants(chain[i], zero, n, q).delta == 0
+                      or thin_invariants(top, chain[i], n, q).delta == 0
                       for i in range(1, d))
             if not hit:
                 eb["violations"].append((chain, "part_b"))
@@ -547,24 +527,3 @@ def chain_lemma_scan(n: int, q: int = 2, full_lattice: bool | None = None) -> di
     report["all_clear"] = all(not v["violations"] for k, v in report.items()
                               if isinstance(v, dict))
     return report
-
-
-def _all_chains(n: int, q: int) -> list[list[Rows]]:
-    """Every chain 0 = M_0 < ... < M_d of submodules with dim M_i = i."""
-    subs = submodules(n, q)
-    by_dim: dict[int, list[Rows]] = {}
-    for W in subs:
-        by_dim.setdefault(len(W), []).append(W)
-    chains: list[list[Rows]] = []
-
-    def grow(chain):
-        chains.append(list(chain))
-        nxt = by_dim.get(len(chain), [])
-        for W in nxt:
-            if contains(W, chain[-1], q):
-                chain.append(W)
-                grow(chain)
-                chain.pop()
-
-    grow([()])
-    return [c for c in chains if len(c) > 1]

@@ -113,10 +113,3 @@ def nullspace(rows, ncols: int, q: int) -> Rows:
         out.append(tuple(v))
     return rref(out, q)
 
-
-def all_vectors(ncols: int, q: int):
-    """All q^ncols coordinate vectors (small search spaces only)."""
-    out = [()]
-    for _ in range(ncols):
-        out = [v + (a,) for v in out for a in range(q)]
-    return out

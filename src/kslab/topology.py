@@ -258,14 +258,15 @@ def tree_y_cohomology(k: int) -> list[tuple[int, list[int]]]:
 # ---------------------------------------------------------------------------
 
 def compare_with_S(G: BiGraph, budget: int = SIMPLEX_BUDGET,
-                   model: str = "octahedron") -> dict:
+                   model: str = "octahedron", complex_=None) -> dict:
     """Graded comparison of S(G) with H^*(Y(G)).
 
     S-degree k is matched against cohomological degree 2k, and all odd
     cohomology must vanish.  For trees the product structure
     Y(T) = P^k is used (with the octahedron factor still computed
     directly); other graphs get the full simplicial computation over
-    the sphere model ``model``.
+    the sphere model ``model``, on ``complex_`` when the caller has
+    already built ``y_complex(G, budget, model)``.
     """
     s_structure = graded_structure(G)
     s_ranks = structure_ranks(s_structure)
@@ -275,7 +276,8 @@ def compare_with_S(G: BiGraph, budget: int = SIMPLEX_BUDGET,
         route = "product"
         y_size = 6 ** k
     else:
-        complex_ = y_complex(G, budget, model)
+        if complex_ is None:
+            complex_ = y_complex(G, budget, model)
         route = "direct-small" if model == "small" else "direct"
         y_size = len(complex_[0])
         h = integral_cohomology(complex_)

@@ -1,15 +1,13 @@
 """End-to-end acceptance checks, all exact (tolerance zero).
 
-Each test states its runtime cap in a comment; the heavy stretch run
-(the 3-cycle topology comparison) sits behind the KRL_LARGE=1 gate.
+Each test states its runtime cap in a comment.  The stretch run (the
+3-cycle topology comparison) is ``tests/test_topology.py::
+test_c3_comparison_large``, behind the KRL_LARGE=1 gate.
 """
 
 import itertools
-import os
 import random
 from math import comb
-
-import pytest
 
 from kslab.combinatorics import (
     alpha_of,
@@ -52,8 +50,6 @@ from kslab.topology import (
     tree_y_cohomology,
     y_complex,
 )
-
-run_large = os.environ.get("KRL_LARGE") == "1"
 
 
 def catalan(n: int) -> int:
@@ -198,12 +194,8 @@ def test_criterion_10_topology_vs_algebra():
         assert all(not t for _, t in h)
 
 
-@pytest.mark.skipif(not run_large, reason="set KRL_LARGE=1 to run")
-def test_criterion_10_stretch_three_cycle():
-    rep = compare_with_S(make_standard("C", 3), model="small")
-    assert rep["match"]
-    ranks = [r for r, _ in rep["cohomology"]]
-    assert ranks[:7] == [1, 0, 5, 0, 9, 0, 5] and not any(ranks[7:])
+# The C(3) stretch comparison lives in tests/test_topology.py::
+# test_c3_comparison_large (KRL_LARGE=1), which asserts all of it.
 
 
 def test_criterion_11_flag_lab():

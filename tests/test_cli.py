@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import kslab
-from kslab import cli
+from kslab import cli, topology
 from kslab.cli import graph_parse, main
 from kslab.graphs import make_standard
 
@@ -148,6 +148,20 @@ def test_export_writes_the_complex_of_the_report(tmp_path, capsys):
         assert sum(1 for line in lines if line.count("(") == 1) == vertices
 
 
+def test_export_builds_the_complex_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = topology.y_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(topology, "y_complex", counted)
+    code, out, _ = run(capsys, "cohomology", "--graph", "C2",
+                       "--export", str(tmp_path / "complex.txt"))
+    assert code == 0 and json.loads(out)["match"] is True
+    assert len(calls) == 1
+
+
 def test_out_file_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["flags", "--n", "2", "--op", "cover",
@@ -185,6 +199,20 @@ def test_removed_flags_are_refused():
         with pytest.raises(SystemExit) as exc:
             main(["sparse", "--n", "2", flag, "1"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "--n", "2", "--large"],
+    ["ring", "--n", "2", "--graph", "C9"],
+    ["sparse", "--n", "2", "--q", "3"],
+    ["mvss", "--n", "2", "--pinch", "1"],
+    ["flags", "--n", "2", "--budget", "3"],
+])
+def test_options_of_other_subcommands_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_standard_graph_names(capsys):

@@ -21,7 +21,6 @@ from kslab.flags import (
     unrolled_metric,
 )
 from kslab.fqlin import (
-    all_vectors,
     contains,
     dim,
     intersect,
@@ -57,6 +56,49 @@ def reference_rref(rows, q):
         col += 1
     order = sorted(range(len(out)), key=lambda i: pivots[i])
     return tuple(tuple(out[i]) for i in order)
+
+
+def all_vectors(ncols, q):
+    """All q^ncols coordinate vectors (small search spaces only)."""
+    out = [()]
+    for _ in range(ncols):
+        out = [v + (a,) for v in out for a in range(q)]
+    return out
+
+
+def oracle_submodules(n, q):
+    """Every submodule of V(n) as the span of the t-orbits of two vectors
+    (each has at most two generators): q^(4n) RREFs."""
+    vectors = all_vectors(2 * n, q)
+    orbits = {}
+    for v in vectors:
+        orbit, w = [], v
+        while any(w):
+            orbit.append(w)
+            w = flags.t_shift(w, n)
+        orbits[v] = tuple(orbit)
+    seen = {rref(orbits[u] + orbits[v], q) for u in vectors for v in vectors}
+    return tuple(sorted(seen, key=lambda W: (len(W), W)))
+
+
+def oracle_chains(n, q):
+    """Every chain 0 = M_0 < ... < M_d (d >= 1) of submodules with
+    dim M_i = i, by depth-first search over the oracle lattice."""
+    by_dim = {}
+    for W in oracle_submodules(n, q):
+        by_dim.setdefault(len(W), []).append(W)
+    chains = []
+
+    def grow(chain):
+        chains.append(tuple(chain))
+        for W in by_dim.get(len(chain), []):
+            if contains(W, chain[-1], q):
+                chain.append(W)
+                grow(chain)
+                chain.pop()
+
+    grow([()])
+    return [c for c in chains if len(c) > 1]
 
 
 def identity(m, q):
@@ -176,7 +218,7 @@ def test_flags_are_valid_and_distinct():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        list(enumerate_flags(12, 2, cap=1000))
+        list(enumerate_flags(12, 2))
 
 
 def test_point_count_reports():
@@ -255,6 +297,33 @@ def test_chain_lemma_scan_n2():
 
 def test_chain_lemma_scan_q3():
     assert chain_lemma_scan(2, 3)["all_clear"]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2)])
+def test_flag_lattice_matches_brute_force(n, q):
+    # the lattice read off the flags equals the vector-pair search, and
+    # the distinct flag prefixes are exactly the unit-step chains from 0
+    assert submodules(n, q) == oracle_submodules(n, q)
+    chains = oracle_chains(n, q)
+    prefixes = {F[:d + 1] for F in enumerate_flags(n, q)
+                for d in range(1, 2 * n + 1)}
+    assert len(set(chains)) == len(chains)
+    assert prefixes == set(chains)
+    rep = chain_lemma_scan(n, q)
+    assert rep["one_step_a"]["instances"] == len(chains)
+    subs = oracle_submodules(n, q)
+    assert rep["triangle"]["instances"] == sum(
+        1 for N in subs for M in subs if contains(M, N, q))
+
+
+def test_chain_lemma_scan_n4_counts():
+    # n = 4 now gets the gap and triangle lemmas and every chain
+    r = chain_lemma_scan(4, 2)
+    assert r["all_clear"]
+    counts = {k: v["instances"] for k, v in r.items() if isinstance(v, dict)}
+    assert counts == {"count_K": 56, "W_exponent": 9072, "interval": 6804,
+                      "treelike": 450384, "triangle": 987, "gap": 3257,
+                      "one_step_a": 1770, "one_step_b": 4179}
 
 
 def test_all_vectors_and_nullspace():
