@@ -186,7 +186,8 @@ def cmd_mvss(args):
 def cmd_flags(args):
     op = args.op
     if op == "enumerate":
-        flat = [[list(map(list, W)) for W in F[1:-1]]
+        flat = [[list(map(list, flags.rows(W, args.n, args.q)))
+                 for W in F[1:-1]]
                 for F in flags.enumerate_flags(args.n, args.q)]
         report = {"n": args.n, "q": args.q, "count": len(flat),
                   "flags": flat,
@@ -202,7 +203,7 @@ def cmd_flags(args):
         results = []
         ok = True
         for F in flags.enumerate_flags(args.n, args.q):
-            _, rep = flags.tree_from_flag(F, args.n, args.q)
+            _, rep = flags.tree_from_flag(F, args.n)
             ok = ok and rep["is_tree"] and rep["path_metric_matches"]
             results.append(rep)
         report = {"n": args.n, "q": args.q, "flags": len(results),

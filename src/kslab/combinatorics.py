@@ -42,7 +42,6 @@ def check_subset(J: Subset, two_n: int) -> None:
 def is_sparse(J: Subset, two_n: int) -> bool:
     """True iff for every j in J, |J^c_{>j}| > |J_{>j}|."""
     check_subset(J, two_n)
-    Jset = set(J)
     for j in J:
         above_in = sum(1 for x in J if x > j)
         above_out = (two_n - j) - above_in
@@ -65,7 +64,6 @@ def is_sparse_tail_criterion(J: Subset, two_n: int) -> bool:
 def is_sparse_halfcount_criterion(J: Subset, two_n: int) -> bool:
     """Third equivalent test: |J^c_{>=i}| >= |J_{>=i}| for every i in I."""
     check_subset(J, two_n)
-    Jset = set(J)
     for i in range(1, two_n + 1):
         ge_in = sum(1 for x in J if x >= i)
         ge_out = (two_n - i + 1) - ge_in

@@ -61,9 +61,6 @@ class ExtElement:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def copy(self) -> "ExtElement":
-        return ExtElement(self.nvars, dict(self.terms))
-
     def coefficient(self, J) -> int:
         return self.terms.get(tuple(sorted(J)), 0)
 

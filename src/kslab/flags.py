@@ -2,7 +2,7 @@
 
 The complex variety X(n) consists of complete flags W_0 < ... < W_2n
 with t W_i <= W_{i-1}.  Everything verified here is field-agnostic
-module theory over the discrete valuation ring F_q[t], so enumerating
+module theory over the discrete valuation ring F_q[[t]], so enumerating
 flags over a small prime field exercises the same structural lemmas:
 
   * exponent / imbalance invariants of thin torsion modules,
@@ -12,18 +12,18 @@ flags over a small prime field exercises the same structural lemmas:
     canonical tree folding of C(n) it induces,
   * the chain lemmas about gaps, triangles and one-step reductions.
 
+Each space is a lattice t^n Lambda <= W <= Lambda = F_q[[t]]^2 in the
+Hermite form (a, b, c) of ``fqlin``, and reports name spaces by it.  Up
+to scaling, the lattices are the vertices of the Bruhat-Tits tree of
+PGL_2(F_q((t))) (Serre, *Trees*, ch. II.1); the imbalance delta of L/K
+is the tree distance between L and K.
+
 The submodule lattice of V(n) is read off the enumerated flags: every
 submodule is a space of some complete flag, and every chain of
 submodules with unit steps from 0 is a prefix of one, so the flag
-enumeration is the lattice's only source.
-
-Vectors in V(m) use coordinates 2i + j for t^i e_j (0 <= i < m,
-j in {0, 1}); subspaces are reduced-row-echelon tuples from fqlin,
-hashable and canonical.  The lattice operations ``t_image``,
-``t_preimage``, ``thin_invariants`` (and ``fqlin.intersect``) are
-memoised per process on that representation, as ``submodules`` is, so
-callers must pass tuples, never lists.  The scans meet the same
-submodules again and again; the caches compute each lattice once.
+enumeration is the lattice's only source.  ``thin_invariants`` and
+``submodules`` are memoised, as the ``fqlin`` operations are: the
+scans meet the same submodules again and again.
 """
 
 from __future__ import annotations
@@ -33,62 +33,22 @@ from functools import lru_cache
 
 from .combinatorics import enumerate_sparse, mu_of
 from .fqlin import (
-    Rows,
-    constraint_matrix,
+    Lattice,
     contains,
     dim,
+    generators,
+    hermite,
     intersect,
     member,
-    nullspace,
+    rows,
     rref,
+    t_image,
+    t_preimage,
 )
 from .graphs import BiGraph, is_tree, make_standard, quotient
 from .springer import hilbert_ranks
 
 FLAG_BRANCH_CAP = 10 ** 6
-
-
-# ---------------------------------------------------------------------------
-# the t-action on V(m)
-# ---------------------------------------------------------------------------
-
-def t_shift(v, m: int):
-    """t . (t^i e_j) = t^(i+1) e_j, truncated at t^m."""
-    out = [0] * (2 * m)
-    for i in range(m - 1):
-        out[2 * (i + 1)] = v[2 * i]
-        out[2 * (i + 1) + 1] = v[2 * i + 1]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def t_image(W: Rows, m: int, q: int) -> Rows:
-    return rref([t_shift(v, m) for v in W], q) if W else ()
-
-
-@lru_cache(maxsize=None)
-def t_preimage(W: Rows, m: int, q: int) -> Rows:
-    """{v in V(m) : t v in W}."""
-    composed = []
-    for f in constraint_matrix(W, 2 * m, q):
-        g = [0] * (2 * m)
-        for i in range(m - 1):
-            g[2 * i] = f[2 * (i + 1)]
-            g[2 * i + 1] = f[2 * (i + 1) + 1]
-        composed.append(tuple(g))
-    return nullspace(composed, 2 * m, q)
-
-
-def t_power_image(W: Rows, r: int, m: int, q: int) -> Rows:
-    for _ in range(r):
-        W = t_image(W, m, q)
-    return W
-
-
-def t_power_preimage(W: Rows, r: int, m: int, q: int) -> Rows:
-    for _ in range(r):
-        W = t_preimage(W, m, q)
-    return W
 
 
 # ---------------------------------------------------------------------------
@@ -104,39 +64,29 @@ class ThinInvariants:
 
 
 @lru_cache(maxsize=None)
-def thin_invariants(L: Rows, K: Rows, m: int, q: int) -> ThinInvariants:
-    """Invariants of the subquotient M = L/K of V(m).
+def thin_invariants(L: Lattice, K: Lattice) -> ThinInvariants:
+    """Invariants of the quotient M = L/K of two lattices, K <= L.
 
-    M must be thin (rank at most 2), which holds for every subquotient
-    of V(m); a non-thin input raises.  The decomposition is
-    M = A_p + A_{p+d} with p = beta, d = delta, and eta = p + d.
+    The basis of K is B_L X with X = [[t^(a_K-a_L), g], [0, t^(b_K-b_L)]]
+    and g = (c_K - t^(b_K-b_L) c_L) / t^(a_L), so M = A_beta + A_eta with
+    beta the least valuation of an entry of X and beta + eta = dim M.
+    Coefficients of c lie in [0, q), so g's valuation needs no q.
     """
-    if not contains(L, K, q):
+    (a_l, b_l, c_l), (a_k, b_k, c_k) = L, K
+    da, db = a_k - a_l, b_k - b_l
+    if da < 0 or db < 0:
         raise ValueError("K is not contained in L")
-    d = dim(L) - dim(K)
-    rank = dim(intersect(t_preimage(K, m, q), L, 2 * m, q)) - dim(K)
-    if rank > 2:
-        raise ValueError(f"subquotient has rank {rank} > 2, not thin")
-    X, eta = L, 0
-    while not contains(K, X, q):
-        X = t_image(X, m, q)
-        eta += 1
-    beta, P = 0, K
-    while True:
-        P = t_preimage(P, m, q)
-        if dim(intersect(P, L, 2 * m, q)) - dim(K) == 2 * (beta + 1):
-            beta += 1
-        else:
-            break
-    delta = 2 * eta - d
-    if beta + delta != eta or delta < 0:
-        raise AssertionError(f"inconsistent invariants for a thin module "
-                             f"(eta={eta}, beta={beta}, delta={delta})")
-    return ThinInvariants(eta, beta, delta, d)
+    lifted = (0,) * db + c_l + (0,) * a_k
+    val = next((i for i, x in enumerate(c_k) if x != lifted[i]), a_k)
+    if val < a_l:
+        raise ValueError("K is not contained in L")
+    beta = min(da, db, val - a_l)
+    d = da + db
+    return ThinInvariants(d - beta, beta, d - 2 * beta, d)
 
 
-def is_balanced(L: Rows, K: Rows, m: int, q: int) -> bool:
-    return thin_invariants(L, K, m, q).delta == 0
+def is_balanced(L: Lattice, K: Lattice) -> bool:
+    return thin_invariants(L, K).delta == 0
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +105,17 @@ def enumerate_flags(n: int, q: int = 2):
         raise ValueError(f"flag enumeration would explore up to {estimate} "
                          f"branches, above the cap {FLAG_BRANCH_CAP}")
 
-    def extensions(W: Rows):
-        U = t_preimage(W, n, q)
+    def extensions(W: Lattice):
+        # the child order: a, then b + c a, over the RREF rows a, b of
+        # t^-1 W that are not in W
         ext: list = []
-        cur = W
-        for b in U:
-            if not any(x % q for x in b):
-                continue
+        cur = rows(W, n, q)
+        for b in rows(t_preimage(W, n, q), n, q):
             if not member(b, cur, q):
                 ext.append(b)
                 cur = rref(cur + (b,), q)
         if len(ext) == 1:
-            return [ext[0]]
+            return ext
         if len(ext) != 2:
             raise RuntimeError(f"t^-1 W / W has dimension {len(ext)}, "
                                f"expected 1 or 2")
@@ -181,20 +130,20 @@ def enumerate_flags(n: int, q: int = 2):
             yield tuple(chain)
             return
         for v in extensions(chain[-1]):
-            chain.append(rref(chain[-1] + (v,), q))
+            chain.append(hermite(generators(chain[-1], n) + (v,), n, q))
             yield from walk(chain)
             chain.pop()
 
-    yield from walk([()])
+    yield from walk([(n, n, (0,) * n)])
 
 
 def flag_is_valid(F, n: int, q: int) -> bool:
     if len(F) != 2 * n + 1:
         return False
     for i, W in enumerate(F):
-        if dim(W) != i:
+        if dim(W, n) != i:
             return False
-        if i and not contains(F[i - 1], t_image(W, n, q), q):
+        if i and not contains(F[i - 1], t_image(W, n, q), n, q):
             return False
     return True
 
@@ -219,13 +168,13 @@ def in_xni(F, i: int, n: int, q: int) -> bool:
     return t_image(F[i + 1], n, q) == F[i - 1]
 
 
-def in_xnk(F, K, n: int, q: int) -> bool:
+def in_xnk(F, K, n: int) -> bool:
     """W in X(n,K): W_i/W_{tau(i)-1} balanced for every i not in K."""
     tau = mu_of(tuple(K), 2 * n)
     for i in range(1, 2 * n + 1):
         if i in K:
             continue
-        if not is_balanced(F[i], F[tau[i - 1] - 1], n, q):
+        if not is_balanced(F[i], F[tau[i - 1] - 1]):
             return False
     return True
 
@@ -239,7 +188,7 @@ def cover_scan(n: int, q: int = 2) -> dict:
     for F in enumerate_flags(n, q):
         total += 1
         hit_i = [i for i in xni_counts if in_xni(F, i, n, q)]
-        hit_k = [K for K in sparse_sets if in_xnk(F, K, n, q)]
+        hit_k = [K for K in sparse_sets if in_xnk(F, K, n)]
         for i in hit_i:
             xni_counts[i] += 1
         for K in hit_k:
@@ -258,35 +207,13 @@ def cover_scan(n: int, q: int = 2) -> dict:
 # the unrolled pseudometric and the canonical tree
 # ---------------------------------------------------------------------------
 
-def _unrolled_spaces(F, n: int, q: int) -> list[Rows]:
-    """Models of the unrolled flag W~_0, ..., W~_4n inside V(3n).
-
-    The model module V(3n) stands for t^{-2n}V/t^n V; the true space
-    W~_i (which contains V and lies in t^{-2n}V for 0 <= i <= 4n) is
-    represented by its image, and all sub quotients of interest are
-    unchanged because the collapsed part t^n V lies in every W~_i.
-    For 0 <= i <= 2n the image is t^n lift(W_i) + t^{2n} V(3n); the
-    remaining spaces are W~_{i+2n} = t^{-n} W~_i.
-    """
-    m = 3 * n
-    tail = [tuple(1 if c == 2 * s + j else 0 for c in range(2 * m))
-            for s in range(2 * n, 3 * n) for j in (0, 1)]
-    out = []
-    for i in range(2 * n + 1):
-        shifted = []
-        for v in F[i]:
-            w = [0] * (2 * m)
-            for s in range(n):
-                w[2 * (s + n)] = v[2 * s]
-                w[2 * (s + n) + 1] = v[2 * s + 1]
-            shifted.append(tuple(w))
-        out.append(rref(shifted + tail, q))
-    for i in range(1, 2 * n + 1):
-        out.append(t_power_preimage(out[i], n, m, q))
-    return out
+def _unrolled_spaces(F, n: int) -> list[Lattice]:
+    """The unrolled flag W~_0, ..., W~_4n, scaled by t^2n: the spaces
+    t^n W_i for 0 <= i <= 2n, then W_i for 1 <= i <= 2n."""
+    return [(a + n, b + n, (0,) * n + c) for a, b, c in F] + list(F[1:])
 
 
-def unrolled_metric(F, n: int, q: int) -> dict:
+def unrolled_metric(F, n: int) -> dict:
     """The pseudometric d(i,j) = imbalance(W~_j/W~_i) and its axioms.
 
     Returns the window values d(i,j) for 0 <= i <= j <= 4n with
@@ -294,12 +221,11 @@ def unrolled_metric(F, n: int, q: int) -> dict:
     booleans certifying parity, periodicity, vanishing at distance 2n,
     and every triangle inequality inside the window.
     """
-    m = 3 * n
-    spaces = _unrolled_spaces(F, n, q)
+    spaces = _unrolled_spaces(F, n)
     window: dict[tuple[int, int], int] = {}
     for i in range(4 * n + 1):
         for j in range(i, min(i + 2 * n, 4 * n) + 1):
-            window[(i, j)] = thin_invariants(spaces[j], spaces[i], m, q).delta
+            window[(i, j)] = thin_invariants(spaces[j], spaces[i]).delta
     vertices = [[window[(u, v if v >= u else v + 2 * n)]
                  for v in range(2 * n)] for u in range(2 * n)]
     parity_ok = all(d % 2 == (j - i) % 2 for (i, j), d in window.items())
@@ -322,13 +248,13 @@ def unrolled_metric(F, n: int, q: int) -> dict:
             and step_ok and triangle_ok}
 
 
-def tree_from_flag(F, n: int, q: int) -> tuple[BiGraph, dict]:
+def tree_from_flag(F, n: int) -> tuple[BiGraph, dict]:
     """The canonical folding of C(n) by the relation d(u, v) = 0.
 
     Returns the quotient graph and a report asserting that it is a tree
     and that its path metric reproduces d on the vertex classes.
     """
-    metric = unrolled_metric(F, n, q)
+    metric = unrolled_metric(F, n)
     dvert = metric["vertices"]
     classes: list[list[int]] = []
     for v in range(2 * n):
@@ -355,15 +281,16 @@ def tree_from_flag(F, n: int, q: int) -> tuple[BiGraph, dict]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def submodules(n: int, q: int) -> tuple[Rows, ...]:
+def submodules(n: int, q: int) -> tuple[Lattice, ...]:
     """All F_q[t]-submodules of V(n), read off the complete flags.
 
     A submodule W lies in a composition series of V(n) (refine
     0 <= W <= V(n)), and the composition series are exactly the
-    complete t-stable flags, so the submodules are their spaces.
+    complete t-stable flags, so the submodules are their spaces.  They
+    are sorted by dimension, then by RREF basis.
     """
     spaces = {W for F in enumerate_flags(n, q) for W in F}
-    return tuple(sorted(spaces, key=lambda W: (len(W), W)))
+    return tuple(sorted(spaces, key=lambda W: (dim(W, n), rows(W, n, q))))
 
 
 def chain_lemma_scan(n: int, q: int = 2) -> dict:
@@ -378,7 +305,7 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
     prefixes.  The counting, exponent and interval lemmas are checked
     along every flag and every sparse K.
     """
-    zero: Rows = ()
+    zero = (n, n, (0,) * n)
     report: dict[str, dict] = {}
 
     def entry(name):
@@ -413,13 +340,13 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
     ei = entry("interval")
     for F in flags:
         for K in sparse_sets:
-            if not in_xnk(F, K, n, q):
+            if not in_xnk(F, K, n):
                 continue
             tau = mu_of(K, 2 * n)
             for mm in range(1, 2 * n + 1):
                 ew["instances"] += 1
                 r = sum(1 for k in K if k <= mm)
-                if t_power_image(F[mm], r, n, q) != zero:
+                if t_image(F[mm], n, q, r) != zero:
                     ew["violations"].append((K, mm))
             for p in range(0, 2 * n):
                 for qq in range(p + 1, 2 * n + 1):
@@ -427,13 +354,13 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
                     if not all(tau[j - 1] in interval for j in interval):
                         continue
                     ei["instances"] += 1
-                    if (qq - p) % 2 or not is_balanced(F[qq], F[p], n, q):
+                    if (qq - p) % 2 or not is_balanced(F[qq], F[p]):
                         ei["violations"].append((K, p, qq))
 
     # --- treelike four-point condition along every flag -----------------
     et = entry("treelike")
     for F in flags:
-        dv = unrolled_metric(F, n, q)["vertices"]
+        dv = unrolled_metric(F, n)["vertices"]
         V = range(2 * n)
         for a in V:
             for b in V:
@@ -449,45 +376,45 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
     # --- triangle and gap lemmas over all nested submodule pairs --------
     subs = submodules(n, q)
     pairs = [(N, M) for N in subs for M in subs
-             if len(N) <= len(M) and contains(M, N, q)]
-    above: dict[Rows, list[Rows]] = {}
+             if dim(N, n) <= dim(M, n) and contains(M, N, n, q)]
+    above: dict[Lattice, list[Lattice]] = {}
     for N, M in pairs:
         above.setdefault(N, []).append(M)
     etr = entry("triangle")
     for N, M in pairs:
         etr["instances"] += 1
-        a = thin_invariants(M, zero, n, q).delta
-        b = thin_invariants(N, zero, n, q).delta
-        c = thin_invariants(M, N, n, q).delta
+        a = thin_invariants(M, zero).delta
+        b = thin_invariants(N, zero).delta
+        c = thin_invariants(M, N).delta
         if a > b + c or b > a + c or c > a + b:
             etr["violations"].append((N, M))
     eg = entry("gap")
     for K, L in pairs:
-        if (len(L) - len(K)) % 2:
+        if (dim(L, n) - dim(K, n)) % 2:
             continue
-        d = (len(L) - len(K)) // 2
+        d = (dim(L, n) - dim(K, n)) // 2
         for M in above[L]:
             eg["instances"] += 1
-            a_holds = thin_invariants(L, K, n, q).delta == 0
-            b_holds = (thin_invariants(L, zero, n, q).beta >= d
-                       and t_power_image(L, d, n, q) == K)
-            tdK = intersect(t_power_preimage(K, d, n, q), M, 2 * n, q)
-            c_holds = thin_invariants(M, K, n, q).beta >= d and tdK == L
+            a_holds = thin_invariants(L, K).delta == 0
+            b_holds = (thin_invariants(L, zero).beta >= d
+                       and t_image(L, n, q, d) == K)
+            tdK = intersect(t_preimage(K, n, q, d), M, n, q)
+            c_holds = thin_invariants(M, K).beta >= d and tdK == L
             ok = a_holds == b_holds == c_holds
             if a_holds and ok:
-                Md = intersect(t_power_preimage(zero, d, n, q), M, 2 * n, q)
-                tdM = t_power_image(M, d, n, q)
-                ok = (thin_invariants(M, zero, n, q).beta >= d
-                      and contains(L, Md, q) and contains(tdM, K, q)
-                      and thin_invariants(M, zero, n, q).delta
-                      == thin_invariants(tdM, zero, n, q).delta
-                      == thin_invariants(M, Md, n, q).delta
-                      and thin_invariants(K, zero, n, q).delta
-                      == thin_invariants(L, zero, n, q).delta
-                      == thin_invariants(L, Md, n, q).delta
-                      and thin_invariants(M, L, n, q).delta
-                      == thin_invariants(M, K, n, q).delta
-                      == thin_invariants(tdM, K, n, q).delta)
+                Md = intersect(t_preimage(zero, n, q, d), M, n, q)
+                tdM = t_image(M, n, q, d)
+                ok = (thin_invariants(M, zero).beta >= d
+                      and contains(L, Md, n, q) and contains(tdM, K, n, q)
+                      and thin_invariants(M, zero).delta
+                      == thin_invariants(tdM, zero).delta
+                      == thin_invariants(M, Md).delta
+                      and thin_invariants(K, zero).delta
+                      == thin_invariants(L, zero).delta
+                      == thin_invariants(L, Md).delta
+                      and thin_invariants(M, L).delta
+                      == thin_invariants(M, K).delta
+                      == thin_invariants(tdM, K).delta)
             if not ok:
                 eg["violations"].append((K, L, M))
 
@@ -500,26 +427,26 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
         d = len(chain) - 1
         ea["instances"] += 1
         top = chain[-1]
-        cyclic = dim(intersect(t_preimage(zero, n, q), top, 2 * n, q)) <= 1
+        cyclic = dim(intersect(t_preimage(zero, n, q), top, n, q), n) <= 1
         if not cyclic:
             found = any(
-                thin_invariants(chain[i + 1], chain[i - 1], n, q).delta == 0
+                thin_invariants(chain[i + 1], chain[i - 1]).delta == 0
                 and t_image(chain[i + 1], n, q) == chain[i - 1]
                 for i in range(1, d))
             if not found:
                 ea["violations"].append(chain)
-        dl = thin_invariants(top, zero, n, q).delta
+        dl = thin_invariants(top, zero).delta
         for k in range(dl + 1):
             eb["instances"] += 1
-            hit = any(thin_invariants(chain[i], zero, n, q).delta == k
-                      and thin_invariants(top, chain[i], n, q).delta == dl - k
+            hit = any(thin_invariants(chain[i], zero).delta == k
+                      and thin_invariants(top, chain[i]).delta == dl - k
                       for i in range(d + 1))
             if not hit:
                 eb["violations"].append((chain, k))
         if dl == 1 and d > 1:
             eb["instances"] += 1
-            hit = any(thin_invariants(chain[i], zero, n, q).delta == 0
-                      or thin_invariants(top, chain[i], n, q).delta == 0
+            hit = any(thin_invariants(chain[i], zero).delta == 0
+                      or thin_invariants(top, chain[i]).delta == 0
                       for i in range(1, d))
             if not hit:
                 eb["violations"].append((chain, "part_b"))

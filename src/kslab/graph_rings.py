@@ -99,16 +99,14 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
 
 
 def graded_structure(G: BiGraph | GraphRingPresentation,
-                     max_degree: int | None = None,
                      extra_relations: list[ExtElement] | None = None
                      ) -> list[tuple[int, list[int]]]:
     """Per-degree (free rank, torsion) of S(G); degree k means x-degree 2k."""
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
     m = len(pres.positive_edges)
     relations = pres.relations + list(extra_relations or [])
-    top = m if max_degree is None else max_degree
     out = []
-    for k in range(top + 1):
+    for k in range(m + 1):
         monomials = list(combinations(range(1, m + 1), k))
         col = {J: i for i, J in enumerate(monomials)}
         rows = []
@@ -182,7 +180,7 @@ def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
         relations=relations,
         provenance=[()] * len(relations),
     )
-    return graded_structure(pres, max_degree=two_n)
+    return graded_structure(pres)
 
 
 def fold_relation_image(n: int, A, k: int) -> ExtElement:

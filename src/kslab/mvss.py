@@ -67,15 +67,6 @@ class TSElement:
                 del terms[key]
         return TSElement(self.n, terms)
 
-    def scale(self, c: int) -> "TSElement":
-        if c == 0:
-            return TSElement(self.n)
-        return TSElement(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def bidegrees(self) -> set[tuple[int, int]]:
-        """The set of (|A|, |J|) bidegrees with a nonzero term."""
-        return {(len(A), len(J)) for J, A in self.terms}
-
     @staticmethod
     def basis_element(J, A, n: int) -> "TSElement":
         return TSElement(n, {(tuple(sorted(J)), tuple(sorted(A))): 1})
@@ -155,7 +146,7 @@ def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int,
     one to show that the exactness check notices.
     """
     two_n = 2 * n
-    out = TSElement(n)
+    terms: dict[tuple[Subset, Subset], int] = {}
     for (J, A), c in raw.items():
         if c == 0:
             continue
@@ -171,17 +162,15 @@ def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int,
         h = _hedgehog(n, A)
         body = set(h.body_indices)
         for Jf, cf in folded.terms.items():
+            # E(I) is commutative: x_Jf = x_spine x_body, with no sign
             spine_part = tuple(j for j in Jf if j not in body)
             body_part = tuple(j for j in Jf if j in body)
-            # x_Jf = sign * x_spine x_body; the product recomputes the sign
-            spine_mono = ExtElement.monomial(spine_part, two_n)
-            split = spine_mono * ExtElement.monomial(body_part, two_n)
-            sign = split.coefficient(Jf)
-            reduced = spine_mono * reduce_in(
+            reduced = ExtElement.monomial(spine_part, two_n) * reduce_in(
                 ExtElement.monomial(body_part, two_n), h.body_indices)
             for Jr, cr in reduced.terms.items():
-                out += TSElement(n, {(Jr, A): c * cf * sign * cr})
-    return out
+                key = (Jr, A)
+                terms[key] = terms.get(key, 0) + c * cf * cr
+    return TSElement(n, {key: v for key, v in terms.items() if v})
 
 
 def d1(a: TSElement, substitution=pinch_substitution) -> TSElement:

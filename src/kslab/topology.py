@@ -207,26 +207,20 @@ def coboundary_rows(simplices, k: int):
     return rows, len(simplices[k + 1])
 
 
-def _cohomology_from_coboundaries(levels, coboundary):
+def integral_cohomology(simplices) -> list[tuple[int, list[int]]]:
+    """H^k over Z per degree: (free rank, torsion divisors)."""
     out = []
     prev_divisors: list[int] = []
     prev_rank = 0
-    for k in range(len(levels)):
-        rows, ncols = coboundary(k)
-        divisors = snf_invariants(rows, ncols)
+    for k in range(len(simplices)):
+        divisors = snf_invariants(*coboundary_rows(simplices, k))
         rank_out = len(divisors)
-        free = len(levels[k]) - rank_out - prev_rank
+        free = len(simplices[k]) - rank_out - prev_rank
         torsion = [d for d in prev_divisors if d > 1]
         out.append((free, torsion))
         prev_divisors = divisors
         prev_rank = rank_out
     return out
-
-
-def integral_cohomology(simplices) -> list[tuple[int, list[int]]]:
-    """H^k over Z per degree: (free rank, torsion divisors)."""
-    return _cohomology_from_coboundaries(
-        simplices, lambda k: coboundary_rows(simplices, k))
 
 
 @lru_cache(maxsize=None)

@@ -206,9 +206,9 @@ def test_criterion_11_flag_lab():
         assert not rep["uncovered_by_xni"] and not rep["uncovered_by_xnk"]
     for n in (1, 2, 3):
         for F in enumerate_flags(n, 2):
-            metric = unrolled_metric(F, n, 2)
+            metric = unrolled_metric(F, n)
             assert metric["pseudometric_ok"]
-            _, tree_rep = tree_from_flag(F, n, 2)
+            _, tree_rep = tree_from_flag(F, n)
             assert tree_rep["is_tree"]
             assert tree_rep["path_metric_matches"]
     for n in (2, 3):
