@@ -218,7 +218,7 @@ def cmd_cohomology(args):
     model = "small" if args.large else "octahedron"
     if args.large:
         print("large run: union-of-sphere-products over the 4-vertex "
-              "sphere model; expect minutes of exact SNF", file=sys.stderr)
+              "sphere model; exact SNF with clearing", file=sys.stderr)
     complex_ = topology.y_complex(G, _budget(args), model) \
         if args.export else None
     rep = topology.compare_with_S(G, budget=_budget(args), model=model,

@@ -368,6 +368,12 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
 # dotted matchings and the standard/costandard conjecture
 # ---------------------------------------------------------------------------
 
+def _is_standard(tau: Tau, lam: Subset, dots) -> bool:
+    """No pair i < j < tau(j) < tau(i) with j dotted, lam = lambda(tau)."""
+    return not any(i < j and tau[j - 1] < tau[i - 1]
+                   for j in dots for i in lam)
+
+
 def classify_dotted(tau: Tau, dots: Subset) -> dict[str, bool]:
     """Flags for a dotted matching (tau, S), S a set of left endpoints.
 
@@ -382,11 +388,7 @@ def classify_dotted(tau: Tau, dots: Subset) -> dict[str, bool]:
         raise ValueError(f"dots {dots} not contained in left endpoints {lam}")
     dotset = set(dots)
 
-    standard = True
-    for j in dotset:
-        for i in lam:
-            if i < j and tau[j - 1] < tau[i - 1]:
-                standard = False
+    standard = _is_standard(tau, lam, dotset)
     J = tuple(x for x in lam if x not in dotset)
     costandard = is_sparse(J, two_n) and sparse_closure(J, two_n, "bar") == lam
     return {"standard": standard, "costandard": costandard}
@@ -421,7 +423,7 @@ def conjecture_scan(n: int) -> dict:
         for r in range(len(lam) + 1):
             for dots in combinations(lam, r):
                 scanned += 1
-                std = classify_dotted(tau, dots)["standard"]
+                std = _is_standard(tau, lam, dots)
                 if std:
                     n_standard += 1
                 if std != ((tau, dots) in star_set):

@@ -125,12 +125,20 @@ def enumerate_flags(n: int, q: int = 2):
             lines.append(tuple((b[i] + c * a[i]) % q for i in range(len(a))))
         return lines
 
+    # a space W recurs at many nodes of the search, so its children are
+    # computed once per W; the memo lives only as long as this call
+    children: dict[Lattice, list[Lattice]] = {}
+
     def walk(chain):
         if len(chain) == 2 * n + 1:
             yield tuple(chain)
             return
-        for v in extensions(chain[-1]):
-            chain.append(hermite(generators(chain[-1], n) + (v,), n, q))
+        W = chain[-1]
+        if W not in children:
+            children[W] = [hermite(generators(W, n) + (v,), n, q)
+                           for v in extensions(W)]
+        for child in children[W]:
+            chain.append(child)
             yield from walk(chain)
             chain.pop()
 
@@ -168,9 +176,13 @@ def in_xni(F, i: int, n: int, q: int) -> bool:
     return t_image(F[i + 1], n, q) == F[i - 1]
 
 
-def in_xnk(F, K, n: int) -> bool:
-    """W in X(n,K): W_i/W_{tau(i)-1} balanced for every i not in K."""
-    tau = mu_of(tuple(K), 2 * n)
+def in_xnk(F, K, n: int, tau=None) -> bool:
+    """W in X(n,K): W_i/W_{tau(i)-1} balanced for every i not in K.
+
+    ``tau`` is mu(K); scans over many flags pass it in precomputed.
+    """
+    if tau is None:
+        tau = mu_of(tuple(K), 2 * n)
     for i in range(1, 2 * n + 1):
         if i in K:
             continue
@@ -184,11 +196,12 @@ def cover_scan(n: int, q: int = 2) -> dict:
     sparse_sets = enumerate_sparse(2 * n, n)
     xni_counts = {i: 0 for i in range(1, n + 1)}
     xnk_counts = {K: 0 for K in sparse_sets}
+    taus = {K: mu_of(K, 2 * n) for K in sparse_sets}
     uncovered_i, uncovered_k, total = [], [], 0
     for F in enumerate_flags(n, q):
         total += 1
         hit_i = [i for i in xni_counts if in_xni(F, i, n, q)]
-        hit_k = [K for K in sparse_sets if in_xnk(F, K, n)]
+        hit_k = [K for K, tau in taus.items() if in_xnk(F, K, n, tau)]
         for i in hit_i:
             xni_counts[i] += 1
         for K in hit_k:
@@ -311,10 +324,11 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
     def entry(name):
         return report.setdefault(name, {"instances": 0, "violations": []})
 
+    taus = {K: mu_of(K, 2 * n) for K in enumerate_sparse(2 * n, n)}
+
     # --- combinatorial counting lemma over sparse K --------------------
     e = entry("count_K")
-    for K in enumerate_sparse(2 * n, n):
-        tau = mu_of(K, 2 * n)
+    for K, tau in taus.items():
         for mm in range(1, 2 * n + 1):
             if mm in K:
                 continue
@@ -335,14 +349,12 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
 
     # --- flag-based lemmas ---------------------------------------------
     flags = list(enumerate_flags(n, q))
-    sparse_sets = enumerate_sparse(2 * n, n)
     ew = entry("W_exponent")
     ei = entry("interval")
     for F in flags:
-        for K in sparse_sets:
-            if not in_xnk(F, K, n):
+        for K, tau in taus.items():
+            if not in_xnk(F, K, n, tau):
                 continue
-            tau = mu_of(K, 2 * n)
             for mm in range(1, 2 * n + 1):
                 ew["instances"] += 1
                 r = sum(1 for k in K if k <= mm)

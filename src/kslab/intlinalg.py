@@ -11,6 +11,22 @@ The workhorse is a two-phase Smith normal form:
 2. a dense classical SNF on whatever small core survives, with
    arbitrary-precision integers.
 
+The columns of the +-1 pivots of the sparse phase can be handed back to
+the caller, which is what lets a chain complex be reduced with
+*clearing* (Chen-Kerber, "Persistent homology computation with a twist",
+2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Each pivot
+row is an integer combination of the input rows, and it is 0 at the
+columns of all earlier pivots: the elimination cleared them from every
+live row.  Restricted to the pivot columns, the pivot rows therefore form
+a triangular matrix with +-1 on the diagonal, and back substitution over
+Z puts into the row lattice, for every pivot column c, a vector
+e_c + (terms off the pivot columns).  If the rows are the coboundary
+delta_k, this vector lies in the image of delta_k, so delta_(k+1) kills
+it: the row of delta_(k+1) at c is an integer combination of the rows
+at the other columns.  Leaving those rows out of delta_(k+1) keeps its
+row lattice, hence its invariant factors, exactly.  Pivots of the dense
+core need not be units, so they clear nothing.
+
 Matrices are given as lists of rows; a row is either a list of ints of
 length ncols or a dict {col: nonzero int} (0-based columns).
 """
@@ -95,8 +111,13 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
     return divisors
 
 
-def snf_invariants(rows, ncols: int) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of the matrix."""
+def snf_invariants(rows, ncols: int,
+                   unit_pivots: list[int] | None = None) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of the matrix.
+
+    When ``unit_pivots`` is a list, the column of every +-1 pivot of the
+    sparse phase is appended to it (see the module docstring).
+    """
     sparse = _to_sparse_rows(rows, ncols)
     live_rows: dict[int, dict[int, int]] = {i: r for i, r in enumerate(sparse) if r}
     col_index: dict[int, set[int]] = {}
@@ -151,6 +172,8 @@ def snf_invariants(rows, ncols: int) -> list[int]:
                 del live_rows[j]
         col_index.pop(pc, None)
         ones += 1
+        if unit_pivots is not None:
+            unit_pivots.append(pc)
 
     divisors = [1] * ones
     if live_rows:

@@ -32,11 +32,21 @@ with every diagonal, so the two unions are homotopy equivalent and have
 the same cohomology.
 
 Cohomology is computed from the simplices: the coboundary matrices are
-fed to the exact Smith-normal-form engine.  For a tree T with k positive
-edges, Y(T) is the full power (S^2)^k, whose cohomology is obtained from
-the octahedron by the graded tensor product, which is exact over the
-integers because every factor is free.  Other graphs are computed
-directly, subject to a configurable simplex budget.
+fed to the exact Smith-normal-form engine, in increasing degree and
+with clearing.  The SNF of delta_k reports the (k+1)-simplices at which
+its sparse phase pivoted on a unit; their rows are left out of
+delta_(k+1).  Over Z this is exact: the unit pivots put e_tau + (terms
+at (k+1)-simplices that are not pivots) into im delta_k for each such
+tau, and delta_(k+1) delta_k = 0 makes the row of tau an integer
+combination of the rows that are kept (see ``intlinalg``).  The row
+lattice, and with it every invariant factor, rank and torsion group, is
+unchanged.
+
+For a tree T with k positive edges, Y(T) is the full power (S^2)^k,
+whose cohomology is obtained from the octahedron by the graded tensor
+product, which is exact over the integers because every factor is free.
+Other graphs are computed directly, subject to a configurable simplex
+budget.
 """
 
 from __future__ import annotations
@@ -193,33 +203,46 @@ def euler_characteristic(simplices) -> int:
     return sum((-1) ** k * len(s) for k, s in enumerate(simplices))
 
 
-def coboundary_rows(simplices, k: int):
-    """Matrix of delta: C^k -> C^(k+1) as rows over the (k+1)-simplex basis."""
+def coboundary_rows(simplices, k: int, cleared=()):
+    """Matrix of delta: C^k -> C^(k+1) as rows over the (k+1)-simplex basis.
+
+    The rows of the k-simplices whose indices are in ``cleared`` are left
+    out; the other rows keep their order.
+    """
     if k + 1 >= len(simplices):
         return [], 0
-    col = {s: i for i, s in enumerate(simplices[k + 1])}
-    index = {s: i for i, s in enumerate(simplices[k])}
-    rows: list[dict[int, int]] = [dict() for _ in simplices[k]]
-    for tau, j in col.items():
+    skip = set(cleared)
+    rows: dict[tuple, dict[int, int]] = {
+        s: {} for i, s in enumerate(simplices[k]) if i not in skip}
+    for j, tau in enumerate(simplices[k + 1]):
         for i in range(len(tau)):
-            face = tau[:i] + tau[i + 1:]
-            rows[index[face]][j] = rows[index[face]].get(j, 0) + (-1) ** i
-    return rows, len(simplices[k + 1])
+            row = rows.get(tau[:i] + tau[i + 1:])
+            if row is not None:
+                row[j] = row.get(j, 0) + (-1) ** i
+    return list(rows.values()), len(simplices[k + 1])
 
 
 def integral_cohomology(simplices) -> list[tuple[int, list[int]]]:
-    """H^k over Z per degree: (free rank, torsion divisors)."""
+    """H^k over Z per degree: (free rank, torsion divisors).
+
+    Each delta_k is reduced without the rows that the unit pivots of
+    delta_(k-1) clear (see the module docstring).
+    """
     out = []
     prev_divisors: list[int] = []
     prev_rank = 0
+    cleared: list[int] = []
     for k in range(len(simplices)):
-        divisors = snf_invariants(*coboundary_rows(simplices, k))
+        pivots: list[int] = []
+        divisors = snf_invariants(*coboundary_rows(simplices, k, cleared),
+                                  pivots)
         rank_out = len(divisors)
         free = len(simplices[k]) - rank_out - prev_rank
         torsion = [d for d in prev_divisors if d > 1]
         out.append((free, torsion))
         prev_divisors = divisors
         prev_rank = rank_out
+        cleared = pivots
     return out
 
 

@@ -1,9 +1,11 @@
 import os
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from kslab import topology
 from kslab.graphs import make_standard
+from kslab.intlinalg import snf_invariants
 from kslab.topology import (
     OCT_ELEMENTS,
     compare_with_S,
@@ -225,3 +227,108 @@ def test_c3_comparison_large():
     assert rep["cohomology"][:7] == [(1, []), (0, []), (5, []), (0, []),
                                      (9, []), (0, []), (5, [])]
     assert all(h == (0, []) for h in rep["cohomology"][7:])
+
+
+# --- clearing against the unreduced coboundaries -------------------------
+
+# the 6-vertex real projective plane: every edge of K_6 lies in exactly
+# two of these triangles
+RP2_FACETS = ((1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+              (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6))
+
+
+def _closure(facets):
+    """A simplicial complex by dimension, from its facets (sorted tuples)."""
+    faces = {face for f in facets for r in range(1, len(f) + 1)
+             for face in combinations(f, r)}
+    top = max(map(len, faces))
+    return [sorted(f for f in faces if len(f) == d) for d in range(1, top + 1)]
+
+
+def _rp2():
+    return _closure(RP2_FACETS)
+
+
+def _rp2_subdivided():
+    faces = [f for level in _rp2() for f in level]
+    return order_complex(faces, lambda a, b: set(a) <= set(b))
+
+
+def _rp2_suspension():
+    return _closure([f + (apex,) for f in RP2_FACETS for apex in (7, 8)])
+
+
+def _rp2_cylinder():
+    """RP^2 x [0, 1], as the order complex of the product of face posets.
+
+    Its Z/2 sits below the top degree, so delta_1 has a dense core whose
+    columns carry nonzero rows of delta_2: the one case here where
+    clearing on a non-unit pivot would change an answer.
+    """
+    faces = [f for level in _rp2() for f in level]
+    cells = [(f, e) for f in faces for e in ((0,), (1,), (0, 1))]
+    return order_complex(cells, lambda a, b: set(a[0]) <= set(b[0])
+                         and set(a[1]) <= set(b[1]))
+
+
+def _unreduced_divisors(cx):
+    """The oracle: every coboundary's invariant factors, with no clearing."""
+    return [snf_invariants(*coboundary_rows(cx, k)) for k in range(len(cx))]
+
+
+def _oracle_cohomology(divisors, cx):
+    out, prev = [], []
+    for k, divs in enumerate(divisors):
+        out.append((len(cx[k]) - len(divs) - len(prev),
+                    [d for d in prev if d > 1]))
+        prev = divs
+    return out
+
+
+CLEARING_CASES = {
+    "octahedron": lambda: order_complex(OCT_ELEMENTS, oct_leq),
+    "oct-C1": lambda: y_complex(make_standard("C", 1)),
+    "oct-B": lambda: y_complex(make_standard("B")),
+    "oct-C2": lambda: y_complex(make_standard("C", 2)),
+    "small-C2": lambda: y_small_complex(make_standard("C", 2)),
+    "staircase-1": lambda: staircase_product_complex(1),
+    "staircase-2": lambda: staircase_product_complex(2),
+    "rp2": _rp2,
+    "rp2-subdivided": _rp2_subdivided,
+    "rp2-suspension": _rp2_suspension,
+    "rp2-cylinder": _rp2_cylinder,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLEARING_CASES))
+def test_clearing_matches_unreduced_coboundaries(name, monkeypatch):
+    cx = CLEARING_CASES[name]()
+    oracle = _unreduced_divisors(cx)
+    seen = []
+
+    def recording(rows, ncols, unit_pivots=None):
+        divs = snf_invariants(rows, ncols, unit_pivots)
+        seen.append(divs)
+        return divs
+
+    monkeypatch.setattr(topology, "snf_invariants", recording)
+    assert integral_cohomology(cx) == _oracle_cohomology(oracle, cx)
+    assert seen == oracle
+
+
+def test_rp2_cases_have_two_torsion():
+    assert integral_cohomology(_rp2()) == [(1, []), (0, []), (0, [2])]
+    assert integral_cohomology(_rp2_subdivided()) == \
+        [(1, []), (0, []), (0, [2])]
+    assert integral_cohomology(_rp2_suspension()) == \
+        [(1, []), (0, []), (0, []), (0, [2])]
+    assert integral_cohomology(_rp2_cylinder()) == \
+        [(1, []), (0, []), (0, [2]), (0, [])]
+
+
+def test_clearing_leaves_out_rows_and_keeps_order():
+    cx = y_small_complex(make_standard("C", 2))
+    full, ncols = coboundary_rows(cx, 1)
+    kept, kept_ncols = coboundary_rows(cx, 1, [0, 5, 7])
+    assert kept_ncols == ncols
+    assert kept == [r for i, r in enumerate(full) if i not in (0, 5, 7)]

@@ -38,3 +38,22 @@ def test_every_traced_name_exists_in_kslab():
         if not callable(getattr(module, attr, None)):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_tracer_counts_the_cleared_snf_rows():
+    # small C(2) has f-vector (28, 162, 428, 480, 192): 1,098 coboundary
+    # rows, less the 27 + 135 + 290 that the unit pivots of delta_0,
+    # delta_1 and delta_2 clear
+    from kslab.graphs import make_standard
+    from kslab.topology import integral_cohomology, y_small_complex
+
+    spans = _load_spans()
+    cx = y_small_complex(make_standard("C", 2))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        integral_cohomology(cx)
+    finally:
+        tracer.restore()
+    assert spans.leftover_wrappers() == []
+    assert tracer.counts["intlinalg.snf.rows_in"] == 646
