@@ -335,8 +335,9 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
     * ``plus``: J + {min(J^c)}; stays sparse, size grows by one.
     * ``bar``:  iterate plus up to size n -- the lexicographically smallest
       sparse size-n superset of J.
-    * ``star``: the lexicographically largest sparse size-n superset of J,
-      found by search over all sparse size-n sets.
+    * ``star``: the lexicographically largest sparse size-n superset of J:
+      the first superset met scanning the lex-sorted sparse size-n sets
+      from the end.
     """
     n = two_n // 2
     if not is_sparse(J, two_n):
@@ -357,10 +358,10 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
         return out
     if kind == "star":
         Jset = set(J)
-        candidates = [K for K in enumerate_sparse(two_n, n) if Jset <= set(K)]
-        if not candidates:
-            raise RuntimeError(f"no sparse size-{n} superset of {J}")
-        return max(candidates)
+        for K in reversed(enumerate_sparse(two_n, n)):
+            if Jset.issubset(K):
+                return K
+        raise RuntimeError(f"no sparse size-{n} superset of {J}")
     raise ValueError(f"unknown closure kind {kind!r}")
 
 

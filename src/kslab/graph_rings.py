@@ -18,10 +18,20 @@ of basis r's and their inverses (a reversed traversal gives r^-1); and
 r1 r2 - 1 = (r1 - 1) r2 + (r2 - 1), r^-1 - 1 = -(r - 1) r^-1.
 
 The graded structure (free rank and torsion per degree) is obtained degree
-by degree: the degree-k piece of the relation ideal inside E(E_+) is spanned
-by {monomial * relation}, and a Smith normal form of that span gives the
-quotient's abelian-group structure.  No Groebner machinery is needed because
-E(E_+) has finite rank and all relations are homogeneous.
+by degree: the degree-k piece I_k of the relation ideal inside E(E_+) is
+spanned by {M * r : |M| = k - deg r}, and a Smith normal form of that span
+gives the quotient's abelian-group structure.  No Groebner machinery is
+needed because E(E_+) has finite rank and all relations are homogeneous.
+
+The reduction stops at the first degree k whose piece is (0, []), i.e.
+I_k = E_k, and reports (0, []) for every later degree.  This is exact:
+every monomial of degree k+1 is x_i times one of degree k, and x_i (M r)
+= (x_i M) r is a spanning element of I_(k+1), so I_(k+1) = E_(k+1), and by
+induction every later piece is 0.  A piece with free rank 0 but torsion
+does not stop the reduction.  Monomials are bitmasks (bit j-1 for x_j);
+M * r is read off the (mask, coefficient) terms of r as the row
+{col[M | J]: c for J with M & J = 0}, whose supports are distinct, so no
+term cancels.
 
 S(C(n)) recovers R(n); for a hedgehog H(A) the ring is R(body) tensor
 E(spines), which this module verifies against the independent presentation
@@ -101,24 +111,40 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
 def graded_structure(G: BiGraph | GraphRingPresentation,
                      extra_relations: list[ExtElement] | None = None
                      ) -> list[tuple[int, list[int]]]:
-    """Per-degree (free rank, torsion) of S(G); degree k means x-degree 2k."""
+    """Per-degree (free rank, torsion) of S(G); degree k means x-degree 2k.
+
+    Zero relations are skipped; a nonzero relation of mixed degree raises
+    ``ValueError``.
+    """
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
     m = len(pres.positive_edges)
-    relations = pres.relations + list(extra_relations or [])
+    relations = []                         # (degree, [(mask, coeff)])
+    for rel in pres.relations + list(extra_relations or []):
+        if rel.is_zero():
+            continue
+        d = rel.homogeneous_degree()
+        if d is None:
+            raise ValueError(f"relation {rel!r} is not homogeneous")
+        relations.append((d, [(sum(1 << (j - 1) for j in J), c)
+                              for J, c in rel.terms.items()]))
+    masks: list[list[int]] = []            # masks[k]: the degree-k monomials
     out = []
     for k in range(m + 1):
-        monomials = list(combinations(range(1, m + 1), k))
-        col = {J: i for i, J in enumerate(monomials)}
+        masks.append([sum(1 << i for i in S)
+                      for S in combinations(range(m), k)])
+        col = {M: i for i, M in enumerate(masks[k])}
         rows = []
-        for rel in relations:
-            d = rel.homogeneous_degree()
-            if d is None or d > k:
+        for d, terms in relations:
+            if d > k:
                 continue
-            for M in combinations(range(1, m + 1), k - d):
-                prod = ExtElement.monomial(M, m) * rel
-                if not prod.is_zero():
-                    rows.append({col[J]: c for J, c in prod.terms.items()})
-        out.append(quotient_structure(rows, len(monomials)))
+            for M in masks[k - d]:
+                row = {col[M | J]: c for J, c in terms if not M & J}
+                if row:
+                    rows.append(row)
+        out.append(quotient_structure(rows, len(masks[k])))
+        if out[-1] == (0, []):
+            out.extend((0, []) for _ in range(k + 1, m + 1))
+            break
     return out
 
 

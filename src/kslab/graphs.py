@@ -403,14 +403,13 @@ def hedgehog_analyze(n: int, A) -> Hedgehog:
 # ---------------------------------------------------------------------------
 
 def canonical_form(G: BiGraph):
-    """A label-independent certificate, adequate for the tiny graphs here.
+    """A label-independent isomorphism invariant (not a canonical form).
 
-    BFS layering from every vertex; the certificate is the multiset of
-    (parity, sorted degree sequence per BFS layer) profiles together with
-    the sorted edge multiset under the best relabeling found.  For the
-    trees, cycles and hedgehogs in this package this distinguishes all
-    non-isomorphic cases (cross-checked in tests against brute force on
-    small instances).
+    Returns (vertex count, edge count, sorted multiset of profiles), where
+    the profile of a vertex v is its parity and, for each BFS layer from
+    v, the sorted (parity, degree) pairs of that layer.  Isomorphic graphs
+    get equal values; unequal values prove non-isomorphism, but equal
+    values do not prove isomorphism.
     """
     profiles = []
     for v in G.vertices:

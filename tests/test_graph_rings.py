@@ -1,7 +1,9 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from kslab import graph_rings
 from kslab.exterior import ExtElement, r_poly
 from kslab.graph_rings import (
     GraphRingPresentation,
@@ -9,10 +11,12 @@ from kslab.graph_rings import (
     graded_structure,
     has_torsion,
     hedgehog_ring,
+    pinched_ring_structure,
     structure_ranks,
     tensor_ranks,
 )
 from kslab.graphs import BiGraph, make_standard, quotient
+from kslab.intlinalg import quotient_structure
 from kslab.springer import hilbert_ranks
 
 
@@ -68,6 +72,35 @@ def all_cycle_relations(G: BiGraph) -> list[ExtElement]:
             for rel in walk_relations(G, cyc)]
 
 
+def oracle_graded_structure(G, extra_relations=None):
+    """Every degree reduced, rows built as ExtElement products (oracle)."""
+    pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
+    m = len(pres.positive_edges)
+    relations = pres.relations + list(extra_relations or [])
+    out = []
+    for k in range(m + 1):
+        monomials = list(combinations(range(1, m + 1), k))
+        col = {J: i for i, J in enumerate(monomials)}
+        rows = []
+        for rel in relations:
+            d = rel.homogeneous_degree()
+            if d is None or d > k:
+                continue
+            for M in combinations(range(1, m + 1), k - d):
+                prod = ExtElement.monomial(M, m) * rel
+                if not prod.is_zero():
+                    rows.append({col[J]: c for J, c in prod.terms.items()})
+        out.append(quotient_structure(rows, len(monomials)))
+    return out
+
+
+def presentation(m: int, relations) -> GraphRingPresentation:
+    """A bare presentation over E(1..m); the graph is bookkeeping only."""
+    return GraphRingPresentation(
+        graph=make_standard("B"), positive_edges=[(i, i) for i in range(1, m + 1)],
+        relations=list(relations), provenance=[()] * len(relations))
+
+
 ORACLE_GRAPHS = {"C2": make_standard("C", 2), "C3": make_standard("C", 3),
                  "theta": make_standard("theta"), "K23": make_standard("K23"),
                  "K33": make_standard("K33")}
@@ -106,7 +139,9 @@ def test_cycle_basis_generates_all_cycle_relations(name):
     ideals are equal."""
     G = ORACLE_GRAPHS[name]
     basis = graded_structure(G)
-    assert graded_structure(G, extra_relations=all_cycle_relations(G)) == basis
+    extra = all_cycle_relations(G)
+    assert graded_structure(G, extra_relations=extra) == basis == \
+        oracle_graded_structure(G, extra_relations=extra)
 
 
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)
@@ -116,7 +151,8 @@ def test_reversed_basis_cycles_add_nothing(name):
     reversed_walks = {tuple(reversed(p)) for p in pres.provenance}
     extra = [rel for walk in reversed_walks for rel in walk_relations(G, walk)]
     assert graded_structure(pres, extra_relations=extra) == \
-        graded_structure(pres)
+        graded_structure(pres) == \
+        oracle_graded_structure(pres, extra_relations=extra)
 
 
 def test_s_of_cycle_equals_r():
@@ -183,7 +219,8 @@ def test_degenerate_cycles_add_nothing():
         doubled = r_poly(variables * 2, m, signs=signs * 2)
         extra.extend(c for c in doubled[1:] if not c.is_zero())
     with_extra = graded_structure(pres, extra_relations=extra)
-    assert with_extra == graded_structure(pres)
+    assert with_extra == graded_structure(pres) == \
+        oracle_graded_structure(pres, extra_relations=extra)
 
 
 def test_hedgehog_ring_examples():
@@ -210,3 +247,55 @@ def test_theta_graph_structure_reported():
     # a well-defined graded structure with rank 1 in degree 0
     assert gs[0] == (1, [])
     assert len(gs) == 8
+
+
+STOP_GRAPHS = {**ORACLE_GRAPHS, "C4": make_standard("C", 4),
+               "cube": make_standard("cube")}
+
+
+@pytest.mark.parametrize("name", STOP_GRAPHS)
+def test_graded_structure_matches_the_oracle(name):
+    G = STOP_GRAPHS[name]
+    assert graded_structure(G) == oracle_graded_structure(G)
+
+
+def sparse_pinch_sets(n: int):
+    """Subsets of {1..2n-1} with no two consecutive elements."""
+    return [A for r in range(n + 1) for A in combinations(range(1, 2 * n), r)
+            if all(b - a > 1 for a, b in zip(A, A[1:]))]
+
+
+def test_pinched_rings_match_the_oracle(monkeypatch):
+    pinches = [(n, A) for n in range(1, 5) for A in sparse_pinch_sets(n)]
+    fast = [pinched_ring_structure(n, A) for n, A in pinches]
+    monkeypatch.setattr(graph_rings, "graded_structure",
+                        oracle_graded_structure)
+    assert fast == [pinched_ring_structure(n, A) for n, A in pinches]
+
+
+def test_torsion_does_not_stop_the_reduction():
+    """Z[x1, x2, x3]/(x_i^2, 2 x_i): no degree above 0 is (0, [])."""
+    pres = presentation(3, [ExtElement.variable(i, 3).scale(2)
+                            for i in (1, 2, 3)])
+    expect = [(1, []), (0, [2, 2, 2]), (0, [2, 2, 2]), (0, [2])]
+    assert oracle_graded_structure(pres) == expect
+    assert graded_structure(pres) == expect
+
+
+def test_unit_relation_stops_at_degree_zero():
+    pres = presentation(3, [ExtElement.one(3)])
+    assert graded_structure(pres) == [(0, [])] * 4 == \
+        oracle_graded_structure(pres)
+
+
+def test_zero_relations_are_skipped():
+    G = make_standard("C", 2)
+    assert graded_structure(G, extra_relations=[ExtElement.zero(4)]) == \
+        graded_structure(G)
+
+
+def test_mixed_degree_relation_is_refused():
+    G = make_standard("C", 2)
+    mixed = ExtElement.variable(1, 4) + ExtElement.monomial((2, 3), 4)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        graded_structure(G, extra_relations=[mixed])

@@ -57,3 +57,23 @@ def test_tracer_counts_the_cleared_snf_rows():
         tracer.restore()
     assert spans.leftover_wrappers() == []
     assert tracer.counts["intlinalg.snf.rows_in"] == 646
+
+
+def test_tracer_counts_the_graded_snf_rows():
+    # K_{3,3}: degrees 0-4 of E(9) are reduced; degree 4 is (0, []), so
+    # degrees 5-9 are not (reducing every degree took 4,096 rows)
+    from kslab.graph_rings import graded_structure
+    from kslab.graphs import make_standard
+
+    spans = _load_spans()
+    for mod_name in spans.SPANS:           # install() wraps every module
+        importlib.import_module(f"kslab.{mod_name}")
+    G = make_standard("K33")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        graded_structure(G)
+    finally:
+        tracer.restore()
+    assert spans.leftover_wrappers() == []
+    assert tracer.counts["intlinalg.snf.rows_in"] == 748
