@@ -7,10 +7,15 @@ directed count as twice the undirected count.  Every edge joins opposite
 parities, so each undirected edge has a canonical positive orientation
 (even endpoint -> odd endpoint).
 
-A folding is a parity-respecting partition of the vertices whose quotient is
+A folding is a parity-respecting partition of the vertices; its quotient is
 again a graph (no loops can arise: identified vertices share parity, and
-edges join opposite parities); quotient maps are automatically surjective on
-vertices and edges.  A tree folding is one with a tree quotient.
+edges join opposite parities), and quotient maps are automatically
+surjective on vertices and edges.  A tree folding is one with a tree
+quotient.  The quotient of a connected graph is connected, and its edges
+are the distinct (even class, odd class) pairs met by the positive edges,
+so a partition is a tree folding iff that pair count is the number of
+classes minus one; ``enumerate_tree_foldings`` tests exactly this and
+builds no quotient graph.
 
 Standard graphs:
 
@@ -30,12 +35,10 @@ rolling (0 = 2n) folds C(n) onto a body cycle C(m) with attached spines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .combinatorics import (
     Tau,
     check_matching,
-    enumerate_matchings,
     is_noncrossing,
     matching_from_pairs,
 )
@@ -319,26 +322,33 @@ def _set_partitions(items: list):
 
 
 def enumerate_tree_foldings(G: BiGraph, edge_count="any") -> list[Partition]:
-    """All parity-respecting partitions whose quotient is a tree.
+    """All parity-respecting partitions whose quotient is a tree, sorted.
 
-    Brute force over (partition of even vertices) x (partition of odd
-    vertices); partitions that merge adjacent vertices are discarded.
+    Runs over (partition of even vertices) x (partition of odd vertices).
+    No class holds two adjacent vertices, since edges join opposite
+    parities, and the quotient is connected because G is.  So a partition
+    into m classes is a tree folding iff the positive edges meet exactly
+    m - 1 distinct (even class, odd class) pairs, the quotient's edges;
+    ``edge_count`` (an int, or "any") asks for that many.  The odd-side
+    class of every edge is computed once per odd partition.
     """
     evens = sorted(v for v in G.vertices if G.parity[v] == 0)
     odds = sorted(v for v in G.vertices if G.parity[v] == 1)
+    edges = G.positive_edges()
+    odd_sides = []
+    for po in _set_partitions(odds):
+        cls = {v: j for j, c in enumerate(po) for v in c}
+        odd_sides.append((po, [cls[o] for _, o in edges]))
     out = []
     for pe in _set_partitions(evens):
-        for po in _set_partitions(odds):
-            partition = normalise_partition(pe + po)
-            try:
-                T, _ = quotient(G, partition)
-            except ValueError:
+        cls = {v: j for j, c in enumerate(pe) for v in c}
+        even_side = [cls[e] for e, _ in edges]
+        for po, odd_side in odd_sides:
+            tree_edges = len(pe) + len(po) - 1
+            if edge_count != "any" and tree_edges != edge_count:
                 continue
-            if not is_tree(T):
-                continue
-            if edge_count != "any" and len(T.edges) != edge_count:
-                continue
-            out.append(partition)
+            if len(set(zip(even_side, odd_side))) == tree_edges:
+                out.append(normalise_partition(pe + po))
     return sorted(out)
 
 

@@ -46,6 +46,12 @@ For a tree T with k positive edges, Y(T) is the full power (S^2)^k,
 whose cohomology is obtained from the octahedron by the graded tensor
 product, which is exact over the integers because every factor is free.
 Other graphs are computed directly, subject to a configurable simplex
+budget.  The budget is checked before anything is built, on an exact
+count: the c-fold power has sum_{j<=L} (-1)^j C(L, j) a(L-j)^c simplices
+of dimension L, where a(m) = sum_{d<=3} chains_d(P) C(m, d-1) and
+chains_d(P) is the number of d-element chains of P (6, 12, 8 for the
+octahedron; 4, 6, 4 for the small model); see ``staircase_f_vector``.
+Y(G) is refused when these counts, summed over all foldings, pass the
 budget.
 """
 
@@ -54,6 +60,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from .graph_rings import graded_structure, structure_ranks, tensor_ranks
 from .graphs import BiGraph, enumerate_tree_foldings, is_tree, partition_map
@@ -86,7 +93,37 @@ SPHERE_MODELS = {
 
 def _refuse(what: str, total: int, budget: int):
     raise ValueError(f"{what} exceeds the simplex budget "
-                     f"({total}+ > {budget})")
+                     f"({total} > {budget})")
+
+
+@lru_cache(maxsize=None)
+def _model_chains(model: str) -> tuple[int, ...]:
+    """(chains of 1, 2 and 3 elements) of a sphere model's vertex poset."""
+    if model not in SPHERE_MODELS:
+        raise ValueError(f"unknown sphere model {model!r}")
+    return f_vector(order_complex(*SPHERE_MODELS[model]))[:3]
+
+
+def staircase_f_vector(c: int, model: str = "small") -> tuple[int, ...]:
+    """The f-vector of ``staircase_product_complex(c, model)``, exactly,
+    without building it.
+
+    A coordinate of an L-simplex is a weakly increasing sequence of L + 1
+    vertices.  Its values form a chain of d <= 3 elements, which the
+    sequence climbs in one of C(L, d-1) ways, so there are
+    a(L) = sum_d chains_d * C(L, d-1) such sequences.  The L steps of the
+    simplex must not be equalities in every coordinate; inclusion-exclusion
+    over the steps that are gives sum_j (-1)^j C(L, j) a(L-j)^c L-simplices.
+    """
+    chains = _model_chains(model)
+
+    def a(m: int) -> int:
+        return sum(count * comb(m, d - 1)
+                   for d, count in enumerate(chains, 1))
+
+    return tuple(sum((-1) ** j * comb(L, j) * a(L - j) ** c
+                     for j in range(L + 1))
+                 for L in range(2 * c + 1))
 
 
 @lru_cache(maxsize=None)
@@ -96,21 +133,20 @@ def staircase_product_complex(c: int, model: str = "small",
 
     Simplices are the chains of vertex c-tuples, strictly increasing in
     the componentwise order, that take at most three distinct values in
-    every coordinate (see the module docstring).  Refuses as soon as the
-    running count of chains passes ``budget``.
+    every coordinate (see the module docstring).  Refuses, before
+    building anything, when the exact simplex count of
+    ``staircase_f_vector`` is above ``budget``.
 
     Memoised, since ``y_complex`` asks for it once per folding; the
     levels are tuples so that no caller can alter the cached value.
     """
-    if model not in SPHERE_MODELS:
-        raise ValueError(f"unknown sphere model {model!r}")
+    total = sum(staircase_f_vector(c, model))
+    if total > budget:
+        _refuse("product complex", total, budget)
     elements, leq = SPHERE_MODELS[model]
     vertices = list(product(elements, repeat=c))
     above = {v: [w for w in vertices if w != v and all(map(leq, v, w))]
              for v in vertices}
-    total = len(vertices)
-    if total > budget:
-        _refuse("product complex", total, budget)
     levels: list[tuple[tuple, ...]] = []
     frontier = [(v,) for v in vertices]
     while frontier:
@@ -120,9 +156,6 @@ def staircase_product_complex(c: int, model: str = "small",
             used = [set(col) for col in zip(*chain)]
             for w in above[chain[-1]]:
                 if all(len(u | {x}) <= 3 for u, x in zip(used, w)):
-                    total += 1
-                    if total > budget:
-                        _refuse("product complex", total, budget)
                     nxt.append(chain + (w,))
         frontier = nxt
     return tuple(levels)
@@ -134,26 +167,30 @@ def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET,
 
     Each tree folding contributes its sphere power, pulled back along
     the map from positive edges to folding classes; the model is the
-    union of these subcomplexes.  Refuses once the running count of
-    pulled-back simplices passes ``budget``.
+    union of these subcomplexes.  Refuses, before building anything,
+    when the sphere powers hold more than ``budget`` simplices in all
+    (``staircase_f_vector``).  Each power is pulled back through a map
+    on its vertices, so a chain maps vertex by vertex.
     """
     edges = G.positive_edges()
-    levels: list[set[tuple]] = []
-    total = 0
+    pulls = []  # per folding: its class count, and each edge's class
     for p in enumerate_tree_foldings(G, "any"):
         pmap = partition_map(p)
         fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
         classes = sorted(set(fibre_key))
-        pull = [classes.index(k) for k in fibre_key]
-        power = staircase_product_complex(len(classes), model, budget)
+        pulls.append((len(classes), [classes.index(k) for k in fibre_key]))
+    total = sum(sum(staircase_f_vector(c, model)) for c, _ in pulls)
+    if total > budget:
+        _refuse("Y-complex", total, budget)
+    levels: list[set[tuple]] = []
+    for c, pull in pulls:
+        power = staircase_product_complex(c, model, budget)
+        vmap = {v: tuple(v[i] for i in pull) for (v,) in power[0]}
         for k, level in enumerate(power):
             if k == len(levels):
                 levels.append(set())
-            levels[k].update(tuple(tuple(v[i] for i in pull) for v in chain)
+            levels[k].update(tuple(map(vmap.__getitem__, chain))
                              for chain in level)
-            total += len(level)
-            if total > budget:
-                _refuse("Y-complex", total, budget)
     return [sorted(level) for level in levels]
 
 

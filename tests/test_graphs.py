@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -103,11 +104,63 @@ def test_ncm_folding_round_trip():
 
 
 def test_enumerate_tree_foldings_catalan():
-    for n in range(1, 5):
+    for n in range(1, 7):
         found = enumerate_tree_foldings(make_standard("C", n), n)
         catalan = math.comb(2 * n, n) // (n + 1)
         assert len(found) == catalan
         assert set(found) == {ncm_to_folding(t) for t in enumerate_matchings(n)}
+
+
+def _tree_foldings_by_quotient(G):
+    """The oracle: every parity-respecting partition whose quotient graph
+    is a tree, with that tree's edge count, found by building the
+    quotient of each partition."""
+    evens = sorted(v for v in G.vertices if G.parity[v] == 0)
+    odds = sorted(v for v in G.vertices if G.parity[v] == 1)
+    out = []
+    for pe in graphs._set_partitions(evens):
+        for po in graphs._set_partitions(odds):
+            partition = graphs.normalise_partition(pe + po)
+            try:
+                T, _ = quotient(G, partition)
+            except ValueError:
+                continue
+            if is_tree(T):
+                out.append((partition, len(T.edges)))
+    return sorted(out)
+
+
+def _relabelled(G, rng):
+    """G with seeded string vertex ids, vertex order and parity flip."""
+    names = {v: f"v{i:02d}" for v, i in
+             zip(G.vertices, rng.sample(range(100), len(G.vertices)))}
+    flip = rng.random() < 0.5
+    vertices = [names[v] for v in G.vertices]
+    rng.shuffle(vertices)
+    return BiGraph(tuple(vertices),
+                   {names[v]: G.parity[v] ^ flip for v in G.vertices},
+                   frozenset(frozenset(names[v] for v in e) for e in G.edges))
+
+
+FOLDING_ORACLE_GRAPHS = {
+    **{f"C{n}": make_standard("C", n) for n in range(1, 6)},
+    **{f"L{n}": make_standard("L", n) for n in (2, 3)},
+    **{name: make_standard(name) for name in ("theta", "K23", "K33", "cube")},
+}
+FOLDING_ORACLE_GRAPHS.update({
+    f"{name}-relabelled": _relabelled(FOLDING_ORACLE_GRAPHS[name],
+                                      random.Random(seed))
+    for seed, name in enumerate(("C2", "C5", "theta", "cube"))})
+
+
+@pytest.mark.parametrize("name", sorted(FOLDING_ORACLE_GRAPHS))
+def test_enumerate_tree_foldings_matches_quotient_oracle(name):
+    G = FOLDING_ORACLE_GRAPHS[name]
+    oracle = _tree_foldings_by_quotient(G)
+    assert enumerate_tree_foldings(G, "any") == [p for p, _ in oracle]
+    for k in range(len(G.edges) + 1):
+        assert enumerate_tree_foldings(G, k) == \
+            [p for p, edges in oracle if edges == k]
 
 
 def test_folding_to_ncm_rejects_bad_fibres():

@@ -4,7 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from kslab import topology
-from kslab.graphs import make_standard
+from kslab.cli import main
+from kslab.graphs import BiGraph, enumerate_tree_foldings, make_standard, \
+    partition_map
 from kslab.intlinalg import snf_invariants
 from kslab.topology import (
     OCT_ELEMENTS,
@@ -17,6 +19,7 @@ from kslab.topology import (
     oct_leq,
     octahedron_cohomology,
     order_complex,
+    staircase_f_vector,
     staircase_product_complex,
     tree_y_cohomology,
     y_complex,
@@ -140,6 +143,76 @@ def test_sphere_power_budget_and_model_checks():
         staircase_product_complex(1, "cube")
 
 
+def test_staircase_f_vector_counts_without_building():
+    # chains of the vertex posets: 6, 12, 8 (octahedron), 4, 6, 4 (small)
+    assert staircase_f_vector(1, "octahedron") == (6, 12, 8)
+    assert staircase_f_vector(1, "small") == (4, 6, 4)
+    for model, top in (("small", 3), ("octahedron", 3 if run_large else 2)):
+        for c in range(top + 1):
+            assert staircase_f_vector(c, model) == \
+                f_vector(staircase_product_complex(c, model))
+    assert sum(staircase_f_vector(4, "small")) == 18080944
+    with pytest.raises(ValueError, match="sphere model"):
+        staircase_f_vector(1, "cube")
+
+
+def test_y_complex_budget_edge():
+    # the exact up-front count refuses iff the pull-backs of all sphere
+    # powers, summed over the foldings, hold more than the budget
+    G = make_standard("C", 2)
+    total = sum(sum(staircase_f_vector(len(p) - 1, "small"))
+                for p in enumerate_tree_foldings(G, "any"))
+    assert total == 14 + 2 * 652  # one fold onto B, two onto L(1)
+    assert y_complex(G, total, "small") == y_small_complex(G)
+    with pytest.raises(ValueError, match="budget"):
+        y_complex(G, total - 1, "small")
+
+
+def test_c4_large_refusal_builds_no_sphere_power(capsys):
+    # no sphere power is asked for, not even one that is refused
+    before = staircase_product_complex.cache_info()
+    assert main(["cohomology", "--graph", "C4", "--large"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert staircase_product_complex.cache_info() == before
+
+
+def _y_complex_per_chain(G, model):
+    """The oracle: each folding's sphere power pulled back chain by chain,
+    with no budget."""
+    edges = G.positive_edges()
+    levels = []
+    for p in enumerate_tree_foldings(G, "any"):
+        pmap = partition_map(p)
+        fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
+        classes = sorted(set(fibre_key))
+        pull = [classes.index(k) for k in fibre_key]
+        power = staircase_product_complex.__wrapped__(len(classes), model)
+        for k, level in enumerate(power):
+            if k == len(levels):
+                levels.append(set())
+            levels[k].update(tuple(tuple(v[i] for i in pull) for v in chain)
+                             for chain in level)
+    return [sorted(level) for level in levels]
+
+
+def _c2_relabelled():
+    """C(2) with string ids, flipped parities and a shuffled vertex order,
+    which reorders its positive edges."""
+    names = {0: "d", 1: "b", 2: "a", 3: "c"}
+    C2 = make_standard("C", 2)
+    return BiGraph(("c", "a", "d", "b"),
+                   {names[v]: 1 - C2.parity[v] for v in C2.vertices},
+                   frozenset(frozenset(names[v] for v in e)
+                             for e in C2.edges))
+
+
+@pytest.mark.parametrize("model", ["octahedron", "small"])
+@pytest.mark.parametrize("graph", ["C2", "C2-relabelled"])
+def test_y_complex_matches_per_chain_pull_back(graph, model):
+    G = make_standard("C", 2) if graph == "C2" else _c2_relabelled()
+    assert y_complex(G, model=model) == _y_complex_per_chain(G, model)
+
+
 def test_small_model_agrees_on_c2():
     cx = y_small_complex(make_standard("C", 2))
     assert f_vector(cx) == (28, 162, 428, 480, 192)
@@ -153,8 +226,6 @@ def test_folding_subcomplexes_embed():
     # each tree folding contributes an order-preserving pullback whose
     # chains all appear in the union complex
     from itertools import product as iproduct
-
-    from kslab.graphs import enumerate_tree_foldings, partition_map
 
     G = make_standard("C", 2)
     union = [set(level) for level in y_complex(G)]
