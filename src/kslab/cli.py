@@ -5,7 +5,9 @@ Exit codes: 0 when all assertions pass, 1 when a falsifier was found
 budget errors, 3 for an internal error (the traceback goes to standard
 error).  Results go to ``--out`` or standard output; progress notes go
 to standard error.  ``KRL_BUDGET`` overrides the default simplex budget;
-``--budget`` overrides both.
+``--budget`` overrides both.  JSON reports are written byte for byte as
+``json.dumps(report, indent=2, default=str)`` writes them, with tuple
+dict keys turned into their ``str``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ def graph_parse(source: str) -> BiGraph:
 def _parse_pinch(text: str) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(sorted(int(x) for x in text.split(",")))
+    pinch = tuple(sorted(int(x) for x in text.split(",")))
+    if len(set(pinch)) != len(pinch):
+        raise ValueError(f"pinch set {text!r} repeats an index")
+    return pinch
 
 
 def _flatten(prefix: str, value, rows: list):
@@ -56,15 +61,66 @@ def _flatten(prefix: str, value, rows: list):
         rows.append((prefix, value))
 
 
+_KEY_TYPES = (str, int, float, bool, type(None))
+
+
 def _jsonable(value):
     """Stringify non-JSON dict keys (tuples) recursively."""
     if isinstance(value, dict):
-        return {str(k) if not isinstance(k, (str, int, float, bool,
-                                             type(None))) else k:
-                _jsonable(v) for k, v in value.items()}
+        return {k if isinstance(k, _KEY_TYPES) else str(k): _jsonable(v)
+                for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+# C-backed (no indent): encodes one leaf, with str() for unknown objects
+_encode_leaf = json.JSONEncoder(default=str).encode
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` spells it before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float) or key is None or key is True or key is False:
+        return _encode_leaf(key)
+    return int.__repr__(key)
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append to ``out`` the chunks of ``json.dumps(_jsonable(value),
+    indent=2, default=str)`` with ``indent`` as the current margin."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(type(k) is str for k in value):
+            value = {k if isinstance(k, _KEY_TYPES) else str(k): v
+                     for k, v in value.items()}
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in value.items():
+            out.append(sep + _encode_leaf(_json_key(k)) + ": ")
+            _write_json(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            out.append("[\n" + inner + (",\n" + inner).join(map(repr, value))
+                       + "\n" + indent + "]")
+            return
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_encode_leaf(value))
 
 
 def _emit(report, args) -> None:
@@ -77,7 +133,9 @@ def _emit(report, args) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(report), indent=2, default=str) + "\n"
+        chunks: list[str] = []
+        _write_json(report, chunks, "")
+        text = "".join(chunks) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -40,14 +40,13 @@ def check_subset(J: Subset, two_n: int) -> None:
 
 
 def is_sparse(J: Subset, two_n: int) -> bool:
-    """True iff for every j in J, |J^c_{>j}| > |J_{>j}|."""
+    """True iff for every j in J, |J^c_{>j}| > |J_{>j}|.
+
+    One downward pass: the t-th largest j has |J_{>j}| = t members and
+    (2n - j) - t non-members above it.
+    """
     check_subset(J, two_n)
-    for j in J:
-        above_in = sum(1 for x in J if x > j)
-        above_out = (two_n - j) - above_in
-        if above_out <= above_in:
-            return False
-    return True
+    return all(two_n - j > 2 * t for t, j in enumerate(reversed(J)))
 
 
 def is_sparse_tail_criterion(J: Subset, two_n: int) -> bool:
@@ -303,6 +302,7 @@ def lambda_of(tau: Tau) -> Subset:
     return tuple(i for i in range(1, len(tau) + 1) if tau[i - 1] > i)
 
 
+@lru_cache(maxsize=None)
 def mu_of(J: Subset, two_n: int) -> Tau:
     """The unique non-crossing matching with left-endpoint set J.
 
@@ -401,7 +401,8 @@ def star_dotted_set(n: int) -> set[tuple[Tau, Subset]]:
     out: set[tuple[Tau, Subset]] = set()
     for J in enumerate_sparse(two_n, "all"):
         Jstar = sparse_closure(J, two_n, "star")
-        dots = tuple(x for x in Jstar if x not in set(J))
+        Jset = set(J)
+        dots = tuple(x for x in Jstar if x not in Jset)
         out.add((mu_of(Jstar, two_n), dots))
     return out
 

@@ -32,7 +32,7 @@ from .combinatorics import is_sparse_in
 from .exterior import ExtElement
 from .graph_rings import pinch_substitution
 from .graphs import Hedgehog, hedgehog_analyze
-from .intlinalg import rank, snf_invariants
+from .intlinalg import snf_invariants
 from .springer import reduce_in
 
 Subset = tuple[int, ...]
@@ -253,18 +253,21 @@ def _bidegree_exactness(groups, image) -> dict[tuple[int, int], dict]:
     (p + 1, j).  With d_in the matrix from (p-1, j) and d_out the matrix
     from (p, j), the complex is exact at (p, j) over the integers iff
     rank(d_in) + rank(d_out) = dim and every elementary divisor of d_in
-    equals 1.
+    equals 1.  Each matrix is reduced once: its invariants give rank(d_out)
+    at its source and the divisors of d_in at its target.
     """
-    matrices = {}
+    invariants = {}
     for (p, j), source in groups.items():
-        col = {key: i for i, key in enumerate(groups.get((p + 1, j), []))}
-        matrices[(p, j)] = [{col[key]: c for key, c in image(J, A).terms.items()}
-                            for J, A in source]
+        target = groups.get((p + 1, j), [])
+        col = {key: i for i, key in enumerate(target)}
+        matrix = [{col[key]: c for key, c in image(J, A).terms.items()}
+                  for J, A in source]
+        invariants[(p, j)] = snf_invariants(matrix, len(target))
     out = {}
     for (p, j) in sorted(groups):
         dim = len(groups[(p, j)])
-        rank_out = rank(matrices[(p, j)], len(groups.get((p + 1, j), [])))
-        divisors = snf_invariants(matrices.get((p - 1, j), []), dim)
+        rank_out = len(invariants[(p, j)])
+        divisors = invariants.get((p - 1, j), [])
         rank_in = len(divisors)
         out[(p, j)] = {
             "dim": dim, "rank_in": rank_in, "rank_out": rank_out,
@@ -279,7 +282,8 @@ def exactness_check(n: int) -> dict:
     Exactness per bidegree is decided by ``_bidegree_exactness``.  The
     report also verifies d1 o d1 = 0 on the whole basis and the
     triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
-    for every extendable element.
+    for every extendable element.  The three checks share one d1 image
+    per basis element.
     """
     if n < 2:
         raise ValueError("the double complex is set up for n >= 2")
@@ -287,39 +291,41 @@ def exactness_check(n: int) -> dict:
               "triangular_failures": [], "counterexamples": [],
               "all_exact": True}
 
-    for J, A in enumerate_bts(n):
-        once = d1(TSElement.basis_element(J, A, n))
+    images = {(J, A): d1(TSElement.basis_element(J, A, n))
+              for J, A in enumerate_bts(n)}
+    for (J, A), once in images.items():
         if not d1(once).is_zero():
             report["d1_squared_zero"] = False
             report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
 
     report["bidegrees"] = _bidegree_exactness(
-        bts_by_bidegree(n),
-        lambda J, A: d1(TSElement.basis_element(J, A, n)))
+        bts_by_bidegree(n), lambda J, A: images[(J, A)])
     for (p, j), info in report["bidegrees"].items():
         if not info["exact"]:
             report["all_exact"] = False
             report["counterexamples"].append({"kind": "homology", "bidegree": (p, j)})
 
-    report["triangular_failures"] = triangular_failures(n)
+    report["triangular_failures"] = triangular_failures(n, images)
     if report["triangular_failures"] or not report["d1_squared_zero"]:
         report["all_exact"] = False
     return report
 
 
-def triangular_failures(n: int) -> list[dict]:
+def triangular_failures(n: int, images=None) -> list[dict]:
     """Extendable elements whose d1 image is not +-partner plus lower terms.
 
     Lower is with respect to the order x_J e_A < x_K e_B iff J < K, or
     J = K and A > B.  An empty list certifies the triangularity that,
-    together with the eta bijection, forces H(TS**, d1) = 0.
+    together with the eta bijection, forces H(TS**, d1) = 0.  ``images``
+    maps (J, A) to d1(x_J e_A); when it is None they are computed here.
     """
     failures = []
     for J, A in enumerate_bts(n):
         cls = classify_bts(J, A, n)
         if cls.status != "extendable":
             continue
-        img = d1(TSElement.basis_element(J, A, n))
+        img = (images[(J, A)] if images is not None
+               else d1(TSElement.basis_element(J, A, n)))
         lead = cls.partner
         ok = img.terms.get(lead, 0) in (1, -1)
         bound = _order_key(*lead)

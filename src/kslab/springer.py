@@ -92,6 +92,12 @@ def reduce_in(a: ExtElement, ambient: Subset) -> ExtElement:
 
 @lru_cache(maxsize=None)
 def _rho_mapping(K: Subset, two_n: int) -> dict:
+    """The relabelling of rho_K, after checking that K is sparse of size n.
+
+    ``lru_cache`` keeps no exceptions, so a bad K raises on every call.
+    """
+    if len(K) != two_n // 2 or not is_sparse(K, two_n):
+        raise ValueError(f"{K} is not a size-n sparse subset")
     tau = mu_of(K, two_n)
     mapping: dict[int, tuple[int, int]] = {}
     for k in K:
@@ -101,10 +107,7 @@ def _rho_mapping(K: Subset, two_n: int) -> dict:
 
 def rho_K(a: ExtElement, K: Subset) -> ExtElement:
     """Evaluation into E(K): x_k -> x_k for k in K, x_{tau(k)} -> -x_k."""
-    two_n = a.nvars
-    if len(K) != two_n // 2 or not is_sparse(K, two_n):
-        raise ValueError(f"{K} is not a size-n sparse subset")
-    return a.relabel_signed(_rho_mapping(K, two_n))
+    return a.relabel_signed(_rho_mapping(K, a.nvars))
 
 
 def rho_all(a: ExtElement) -> dict[Subset, ExtElement]:
@@ -140,21 +143,22 @@ def leading_check(n: int, do_snf: bool = True) -> dict:
     sparse_all = enumerate_sparse(two_n, "all")
     failures = []
     rows = []
-    cols = q_basis(n)
+    cols = q_basis(n) if do_snf else ()
     col_index = {c: i for i, c in enumerate(cols)}
     for J in sparse_all:
         comps = rho_all(ExtElement.monomial(J, two_n))
-        row: dict[int, int] = {}
         best = None  # (J', K) maximal: larger J' wins, then smaller K
         best_coeff = 0
         for K, comp in comps.items():
+            neg_K = tuple(-k for k in K)
             for T, c in comp.terms.items():
-                row[col_index[(K, T)]] = c
-                key = (T, tuple(-k for k in K))
+                key = (T, neg_K)
                 if best is None or key > best:
                     best = key
                     best_coeff = c
-        rows.append(row)
+        if do_snf:
+            rows.append({col_index[(K, T)]: c for K, comp in comps.items()
+                         for T, c in comp.terms.items()})
         lead_support = best[0] if best else None
         lead_K = tuple(-k for k in best[1]) if best else None
         if lead_support != J or lead_K != sparse_closure(J, two_n, "bar") \
@@ -164,7 +168,8 @@ def leading_check(n: int, do_snf: bool = True) -> dict:
     report = {
         "n": n,
         "basis_size": len(sparse_all),
-        "q_dimension": len(cols),
+        # len(q_basis(n)): 2^n subsets T of each sparse size-n K
+        "q_dimension": len(enumerate_sparse(two_n, n)) * 2 ** n,
         "leading_failures": failures,
     }
     if do_snf:

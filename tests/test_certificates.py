@@ -47,3 +47,17 @@ def test_reports_match_frozen_certificates(workload, tmp_path):
         assert op.cert in CERTS, op.cert
         assert workloads.certificate(report, op.fields) == CERTS[op.cert], \
             op.id
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_report_writer_matches_json_dumps(workload, tmp_path):
+    # each report, as the handler returns it, written by cli._write_json
+    # and by json.dumps(indent=2) after _jsonable: the same bytes
+    parser = cli.build_parser()
+    for op in workloads.generate(workload, SEED, tmp_path / "inputs"):
+        args = parser.parse_args(op.argv)
+        report, _ = args.handler(args)
+        chunks: list = []
+        cli._write_json(report, chunks, "")
+        assert "".join(chunks) == json.dumps(
+            cli._jsonable(report), indent=2, default=str), op.id

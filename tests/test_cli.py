@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -229,3 +231,100 @@ def test_cli_import_does_not_load_networkx():
     done = subprocess.run([sys.executable, "-c", probe], cwd=src,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_repeated_pinch_index_exits_two(capsys):
+    code, out, err = run(capsys, "fold", "--n", "3", "--pinch", "2,2")
+    assert code == 2
+    assert out == "" and "repeats an index" in err
+    code, out, _ = run(capsys, "fold", "--n", "3", "--pinch", "2,4")
+    assert code == 0 and json.loads(out)["pinch"] == [2, 4]
+
+
+def dumps_oracle(report) -> str:
+    """The report text as ``json.dumps`` writes it, after ``_jsonable``."""
+    return json.dumps(cli._jsonable(report), indent=2, default=str) + "\n"
+
+
+def write_json(report) -> str:
+    chunks: list = []
+    cli._write_json(report, chunks, "")
+    return "".join(chunks) + "\n"
+
+
+@dataclass(frozen=True)
+class Leaf:
+    x: int
+
+
+class Num(int):
+    """An int whose str and repr are not its digits (json uses neither)."""
+
+    def __repr__(self):
+        return "Num"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize("report", [
+    {},
+    [],
+    (),
+    0,
+    "plain",
+    None,
+    {(1, 2): "tuple key", 3: "int", 1.5: "float", True: "bool",
+     False: "bool", None: "none", "s": "str"},
+    {"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+     float("nan"): 1, float("-inf"): 2, 2.0: 3},
+    {"ünïcode": "snow ☃ and \U0001f600", "esc": "quote \" slash \\ \n\t"},
+    {"empty": [{}, [], (), {"a": []}], "nested": [[[]], [{}]]},
+    [1, 2, True, 3],
+    [True, False],
+    [1, None, 2],
+    [10 ** 40, -(10 ** 40), 0, -1],
+    {Num(7): [Num(8), 9], "n": Num(10)},
+    [1.0, 2, 0.1, -0.0, 1e300],
+    {"leaf": Leaf(3), "leaves": [Leaf(1), (Leaf(2), 4)], Leaf(5): "key"},
+    {"set": {1, 2}, "frozen": frozenset(), (1, (2, 3)): [(4, 5), []]},
+    {(1, 2): "tuple first", "(1, 2)": "string later"},
+    {"(1, 2)": "string first", (1, 2): "tuple later", 1: "a", "1": "b"},
+])
+def test_writer_matches_json_dumps(report):
+    assert write_json(report) == dumps_oracle(report)
+
+
+def test_emitted_report_matches_json_dumps(capsys):
+    # the text main writes: a Hedgehog dataclass leaf, a bare-list report
+    parser = cli.build_parser()
+    for argv in (["fold", "--n", "3", "--pinch", "1,3"],
+                 ["ring", "--n", "2", "--ranks"]):
+        args = parser.parse_args(argv)
+        report, _ = args.handler(args)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == dumps_oracle(report), argv
+
+
+# Under ``python -O`` asserts are stripped; no certificate may depend on one.
+OPTIMISED_RUNS = [
+    ["ring", "--n", "3"],
+    ["ring", "--n", "4"],
+    ["mvss", "--n", "2"],
+    ["conjecture", "--n", "4"],
+    ["fold", "--n", "4", "--pinch", "1,4"],
+    ["fold", "--n", "3", "--pinch", "2,2"],
+    ["flags", "--n", "2", "--op", "cover"],
+]
+
+
+def test_certificates_do_not_depend_on_assert():
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for argv in OPTIMISED_RUNS:
+        plain, optimised = [
+            subprocess.run([sys.executable, *flag, "-m", "kslab.cli", *argv],
+                           env=env, capture_output=True)
+            for flag in ([], ["-O"])]
+        assert plain.returncode == optimised.returncode, argv
+        assert plain.stdout == optimised.stdout, argv
+        assert plain.returncode == (2 if "2,2" in argv else 0), argv

@@ -42,6 +42,36 @@ def test_sparsity_criteria_agree_exhaustively():
                 assert a == b == c, (J, two_n)
 
 
+def _is_sparse_quadratic(J, two_n):
+    """The old O(|J|^2) test: count J_{>j} afresh for every j in J."""
+    comb.check_subset(J, two_n)
+    for j in J:
+        above_in = sum(1 for x in J if x > j)
+        if (two_n - j) - above_in <= above_in:
+            return False
+    return True
+
+
+def test_one_pass_sparsity_matches_quadratic_oracle():
+    # every subset of {1..2n}, 2n <= 12, against the counting definition
+    for two_n in range(0, 13, 2):
+        for k in range(two_n + 1):
+            for J in all_subsets(two_n, k):
+                want = _is_sparse_quadratic(J, two_n)
+                assert comb.is_sparse(J, two_n) == want, (J, two_n)
+                assert comb.is_sparse_tail_criterion(J, two_n) == want
+                assert comb.is_sparse_halfcount_criterion(J, two_n) == want
+
+
+def test_mu_of_refuses_every_time():
+    # lru_cache keeps no exceptions: a bad J raises on each call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            comb.mu_of((2, 3), 4)
+        with pytest.raises(ValueError):
+            comb.mu_of((1,), 4)
+
+
 def test_out_of_range_subset_rejected():
     with pytest.raises(ValueError):
         comb.is_sparse((5,), 4)

@@ -1,6 +1,8 @@
 import pytest
 
-from kslab.graph_rings import expected_hedgehog_structure
+from kslab import mvss
+from kslab.graph_rings import expected_hedgehog_structure, pinch_substitution
+from kslab.intlinalg import rank, snf_invariants
 from kslab.graphs import hedgehog_analyze
 from kslab.mvss import (
     TSElement,
@@ -127,6 +129,89 @@ def test_row_euler_characteristics_vanish():
 
 def test_triangularity_n4():
     assert triangular_failures(4) == []
+
+
+def _bidegree_exactness_oracle(groups, image):
+    """The old per-bidegree check: d1 recomputed on demand, and each
+    matrix reduced twice (rank for its source, SNF for its target)."""
+    matrices = {}
+    for (p, j), source in groups.items():
+        col = {key: i for i, key in enumerate(groups.get((p + 1, j), []))}
+        matrices[(p, j)] = [{col[key]: c for key, c in image(J, A).terms.items()}
+                            for J, A in source]
+    out = {}
+    for (p, j) in sorted(groups):
+        dim = len(groups[(p, j)])
+        rank_out = rank(matrices[(p, j)], len(groups.get((p + 1, j), [])))
+        divisors = snf_invariants(matrices.get((p - 1, j), []), dim)
+        out[(p, j)] = {
+            "dim": dim, "rank_in": len(divisors), "rank_out": rank_out,
+            "exact": len(divisors) + rank_out == dim
+            and all(d == 1 for d in divisors),
+        }
+    return out
+
+
+def _exactness_check_oracle(n):
+    """exactness_check recomputing d1 for each of its three checks."""
+    report = {"n": n, "bidegrees": {}, "d1_squared_zero": True,
+              "triangular_failures": [], "counterexamples": [],
+              "all_exact": True}
+    for J, A in enumerate_bts(n):
+        if not d1(d1(TSElement.basis_element(J, A, n))).is_zero():
+            report["d1_squared_zero"] = False
+            report["counterexamples"].append(
+                {"kind": "d1_squared", "J": J, "A": A})
+    report["bidegrees"] = _bidegree_exactness_oracle(
+        bts_by_bidegree(n), lambda J, A: d1(TSElement.basis_element(J, A, n)))
+    for (p, j), info in report["bidegrees"].items():
+        if not info["exact"]:
+            report["all_exact"] = False
+            report["counterexamples"].append(
+                {"kind": "homology", "bidegree": (p, j)})
+    report["triangular_failures"] = triangular_failures(n)
+    if report["triangular_failures"] or not report["d1_squared_zero"]:
+        report["all_exact"] = False
+    return report
+
+
+def _two_sets_oracle(corrupt):
+    substitution = (mvss._broken_pinch_substitution if corrupt
+                    else pinch_substitution)
+    basis = [(J, A) for J, A in enumerate_bts(2) if set(A) <= {1, 2}]
+    groups = {}
+    for J, A in basis:
+        groups.setdefault((len(A), len(J)), []).append((J, A))
+    span = set(basis)
+
+    def image(J, A):
+        img = d1(TSElement.basis_element(J, A, 2), substitution)
+        return TSElement(2, {k: c for k, c in img.terms.items() if k in span})
+
+    columns = _bidegree_exactness_oracle(groups, image)
+    return {"columns": columns,
+            "exact_everywhere": all(c["exact"] for c in columns.values()),
+            "corrupted": corrupt}
+
+
+def test_exactness_check_matches_recomputing_oracle():
+    for n in (2, 3):
+        assert exactness_check(n) == _exactness_check_oracle(n)
+    for corrupt in (False, True):
+        assert mv_two_sets_demo(corrupt) == _two_sets_oracle(corrupt)
+
+
+def test_triangular_failures_with_and_without_images():
+    n = 3
+    images = {(J, A): d1(TSElement.basis_element(J, A, n))
+              for J, A in enumerate_bts(n)}
+    assert triangular_failures(n, images) == triangular_failures(n) == []
+    # a wrong image is reported, so the images are really read
+    J, A = next(key for key in enumerate_bts(n)
+                if classify_bts(*key, n).status == "extendable")
+    images[(J, A)] = TSElement(n)
+    assert triangular_failures(n, images) == [
+        {"J": J, "A": A, "image": {}}]
 
 
 def test_mv_two_sets_demo():

@@ -147,6 +147,28 @@ def test_leading_check_small():
         assert rep["snf_rank"] == rep["basis_size"]
 
 
+def test_leading_check_without_snf_matches():
+    # the scan without the SNF gives the same leading data and q_dimension
+    for n in range(1, 4):
+        full = springer.leading_check(n)
+        bare = springer.leading_check(n, do_snf=False)
+        assert bare == {k: v for k, v in full.items()
+                        if not k.startswith("snf_")}
+        assert bare["q_dimension"] == len(springer.q_basis(n))
+    assert springer.leading_check(4, do_snf=False)["q_dimension"] == \
+        len(springer.q_basis(4))
+
+
+def test_rho_refuses_bad_K_on_every_call():
+    x = ExtElement.variable(1, 6)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not a size-n sparse subset"):
+            springer.rho_K(x, (1, 3))          # wrong size
+        with pytest.raises(ValueError, match="not a size-n sparse subset"):
+            springer.rho_K(x, (1, 4, 5))       # size n, not sparse
+    assert springer.rho_K(x, (1, 2, 3)) == mono((1,), 6)
+
+
 def test_leading_term_value_example():
     # n=2, J={3}: highest term of rho(x_3) is +x_3 eps_{(1,3)}, and (1,3)=bar({3})
     assert sparse_closure((3,), 4, "bar") == (1, 3)
