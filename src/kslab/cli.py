@@ -22,7 +22,7 @@ import traceback
 
 from . import combinatorics, flags, graph_rings, mvss, springer, topology
 from .graphs import FIXED_GRAPHS, BiGraph, enumerate_tree_foldings, \
-    graph_from_json, hedgehog_analyze, make_standard
+    graph_from_json, hedgehog_analyze, is_tree, make_standard
 
 
 def graph_parse(source: str) -> BiGraph:
@@ -274,7 +274,7 @@ def cmd_flags(args):
 def cmd_cohomology(args):
     G = graph_parse(args.graph)
     model = "small" if args.large else "octahedron"
-    if args.large:
+    if args.large and not is_tree(G):      # trees take the product route
         print("large run: union-of-sphere-products over the 4-vertex "
               "sphere model; exact SNF with clearing", file=sys.stderr)
     complex_ = topology.y_complex(G, _budget(args), model) \

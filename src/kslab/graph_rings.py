@@ -33,6 +33,25 @@ M * r is read off the (mask, coefficient) terms of r as the row
 {col[M | J]: c for J with M & J = 0}, whose supports are distinct, so no
 term cancels.
 
+Before the degree loop, unit linear relations are eliminated.  Each basis
+cycle gives a degree-1 relation with +-1 coefficients, and so does each
+pinch x_i + x_{i+1}, so the ring needs only about |V| - 1 of its |E_+|
+generators, and the SNFs over E(E_+) are larger than they need be.
+While some degree-1 relation l = c_j x_j + sum_{i != j} c_i x_i has
+c_j = +-1, x_j is replaced by L = -c_j sum_{i != j} c_i x_i in every other
+relation (E is commutative, so no signs arise; a monomial that repeats a
+variable dies), and l and every relation that became zero are dropped.
+This is exact: the substitution psi: Z[x] -> Z[x'], x' = x minus x_j,
+is onto with kernel (l), so
+
+    Z[x]/(x_i^2, l, R) = Z[x']/(x_i^2 for i != j, psi(x_j^2), psi(R)),
+
+a graded isomorphism, and every (rank, torsion) piece is unchanged.  The
+square psi(x_j^2) = L^2 = 2 sum_{i<k} c_i c_k x_i x_k is not 0 in E(x')
+once L has two terms, and is kept as a degree-2 relation: E(3)/(x1 + x2 +
+x3) has Z/2 in degree 2, from 2 x1 x2.  The survivors are renumbered in
+order, and the degrees above their number m' are 0.
+
 S(C(n)) recovers R(n); for a hedgehog H(A) the ring is R(body) tensor
 E(spines), which this module verifies against the independent presentation
 R(n)/(x_i + x_{i+1} : i in A).
@@ -108,13 +127,53 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
     return GraphRingPresentation(G, G.positive_edges(), relations, provenance)
 
 
+def _eliminate_unit_relations(relations):
+    """Substitute away the variables that unit linear relations solve for.
+
+    ``relations`` is a list of (degree, [(mask, coeff)]); the substitution
+    and the appended L^2 are those of the module docstring.  Returns the
+    remaining relations and the mask of the eliminated bits.
+    """
+    gone = 0
+    while True:
+        unit = next(((pos, bit, c) for pos, (d, terms) in enumerate(relations)
+                     if d == 1 for bit, c in terms if c in (1, -1)), None)
+        if unit is None:
+            return relations, gone
+        pos, bit, cj = unit
+        L = [(b, -cj * c) for b, c in relations[pos][1] if b != bit]
+        gone |= bit
+        out = []
+        for d, terms in relations[:pos] + relations[pos + 1:]:
+            if any(M & bit for M, _ in terms):
+                acc: dict[int, int] = {}
+                for M, c in terms:
+                    if M & bit:
+                        rest = M ^ bit
+                        for b, a in L:
+                            if not rest & b:
+                                acc[rest | b] = acc.get(rest | b, 0) + c * a
+                    else:
+                        acc[M] = acc.get(M, 0) + c
+                terms = [(M, c) for M, c in acc.items() if c]
+            if terms:
+                out.append((d, terms))
+        if len(L) > 1:
+            out.append((2, [(a | b, 2 * ca * cb)
+                            for (a, ca), (b, cb) in combinations(L, 2)]))
+        relations = out
+
+
 def graded_structure(G: BiGraph | GraphRingPresentation,
                      extra_relations: list[ExtElement] | None = None
                      ) -> list[tuple[int, list[int]]]:
     """Per-degree (free rank, torsion) of S(G); degree k means x-degree 2k.
 
     Zero relations are skipped; a nonzero relation of mixed degree raises
-    ``ValueError``.
+    ``ValueError``.  Each variable that a degree-1 relation with a +-1
+    coefficient solves for is substituted away first, L^2 kept (see the
+    module docstring); the degree loop then runs over E of the m'
+    survivors, and degrees m'+1..m are (0, []).
     """
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
     m = len(pres.positive_edges)
@@ -127,11 +186,15 @@ def graded_structure(G: BiGraph | GraphRingPresentation,
             raise ValueError(f"relation {rel!r} is not homogeneous")
         relations.append((d, [(sum(1 << (j - 1) for j in J), c)
                               for J, c in rel.terms.items()]))
+    relations, gone = _eliminate_unit_relations(relations)
+    keep = [1 << b for b in range(m) if not gone >> b & 1]
+    relations = [(d, [(sum(1 << i for i, bit in enumerate(keep) if M & bit), c)
+                      for M, c in terms]) for d, terms in relations]
     masks: list[list[int]] = []            # masks[k]: the degree-k monomials
     out = []
-    for k in range(m + 1):
+    for k in range(len(keep) + 1):
         masks.append([sum(1 << i for i in S)
-                      for S in combinations(range(m), k)])
+                      for S in combinations(range(len(keep)), k)])
         col = {M: i for i, M in enumerate(masks[k])}
         rows = []
         for d, terms in relations:
@@ -143,8 +206,8 @@ def graded_structure(G: BiGraph | GraphRingPresentation,
                     rows.append(row)
         out.append(quotient_structure(rows, len(masks[k])))
         if out[-1] == (0, []):
-            out.extend((0, []) for _ in range(k + 1, m + 1))
             break
+    out.extend((0, []) for _ in range(len(out), m + 1))
     return out
 
 

@@ -128,6 +128,15 @@ def test_cohomology_and_fold(capsys):
     assert json.loads(out)["count"] == 11
 
 
+def test_large_note_only_on_the_simplicial_route(capsys):
+    code, out, err = run(capsys, "cohomology", "--graph", "L2", "--large")
+    assert code == 0 and json.loads(out)["route"] == "product"
+    assert err == ""
+    code, out, err = run(capsys, "cohomology", "--graph", "C2", "--large")
+    assert code == 0 and json.loads(out)["route"] == "direct-small"
+    assert "union-of-sphere-products" in err
+
+
 def test_complex_export(tmp_path, capsys):
     out_file = tmp_path / "complex.txt"
     code, _, _ = run(capsys, "cohomology", "--graph", "C1",

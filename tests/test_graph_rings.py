@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -156,7 +157,7 @@ def test_reversed_basis_cycles_add_nothing(name):
 
 
 def test_s_of_cycle_equals_r():
-    for n in range(1, 5):
+    for n in range(1, 6):
         gs = graded_structure(make_standard("C", n))
         assert not has_torsion(gs)
         ranks = structure_ranks(gs)
@@ -232,8 +233,8 @@ def test_hedgehog_ring_examples():
     assert r2["match"] and r2["relation_image_ok"]
 
 
-def test_hedgehog_ring_all_pinches_n_le_3():
-    for n in (1, 2, 3):
+def test_hedgehog_ring_all_pinches_n_le_4():
+    for n in (1, 2, 3, 4):
         for mask in range(1 << (2 * n - 1)):
             A = tuple(i + 1 for i in range(2 * n - 1) if mask >> i & 1)
             r = hedgehog_ring(n, A)
@@ -299,3 +300,54 @@ def test_mixed_degree_relation_is_refused():
     mixed = ExtElement.variable(1, 4) + ExtElement.monomial((2, 3), 4)
     with pytest.raises(ValueError, match="not homogeneous"):
         graded_structure(G, extra_relations=[mixed])
+
+
+def test_pinch_of_three_variables_keeps_the_square_of_the_substitute():
+    """E(3)/(x1+x2+x3): x3 = -(x1+x2), and x3^2 = 0 becomes 2 x1 x2 = 0."""
+    pres = presentation(3, [ExtElement(3, {(1,): 1, (2,): 1, (3,): 1})])
+    expect = [(1, []), (2, []), (0, [2]), (0, [])]
+    assert oracle_graded_structure(pres) == expect
+    assert graded_structure(pres) == expect
+
+
+def test_substitution_keeps_a_non_unit_linear_relation():
+    """E(2)/(x1+x2, x1-x2): x2 = -x1 turns x1 - x2 into 2 x1, which stays."""
+    pres = presentation(2, [ExtElement(2, {(1,): 1, (2,): 1}),
+                            ExtElement(2, {(1,): 1, (2,): -1})])
+    expect = [(1, []), (0, [2]), (0, [])]
+    assert oracle_graded_structure(pres) == expect
+    assert graded_structure(pres) == expect
+
+
+def test_bare_variable_relation_kills_its_variable():
+    """E(3)/(-x2, x1 x2 + x2 x3 + x1 x3) = E(x1, x3)/(x1 x3)."""
+    pres = presentation(3, [ExtElement(3, {(2,): -1}),
+                            ExtElement(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})])
+    expect = [(1, []), (2, []), (0, []), (0, [])]
+    assert oracle_graded_structure(pres) == expect
+    assert graded_structure(pres) == expect
+
+
+def relabelled(G: BiGraph, rng: random.Random) -> BiGraph:
+    """G with string vertex ids in a random order, parities flipped with
+    probability 1/2; the positive edges, and so the variables that the
+    unit relations eliminate, come in a different order."""
+    ids = rng.sample(range(len(G.vertices)), len(G.vertices))
+    name = {v: f"v{ids[i]}" for i, v in enumerate(G.vertices)}
+    flip = rng.random() < 0.5
+    vertices = [name[v] for v in G.vertices]
+    rng.shuffle(vertices)
+    return BiGraph(tuple(vertices),
+                   {name[v]: G.parity[v] ^ flip for v in G.vertices},
+                   frozenset(frozenset(name[v] for v in e) for e in G.edges))
+
+
+RELABEL_GRAPHS = {"C2": make_standard("C", 2), "theta": make_standard("theta"),
+                  "K33": make_standard("K33"), "cube": make_standard("cube")}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("name", RELABEL_GRAPHS)
+def test_relabelled_graphs_match_the_oracle(name, seed):
+    G = relabelled(RELABEL_GRAPHS[name], random.Random(seed))
+    assert graded_structure(G) == oracle_graded_structure(G)

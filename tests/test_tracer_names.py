@@ -60,8 +60,10 @@ def test_tracer_counts_the_cleared_snf_rows():
 
 
 def test_tracer_counts_the_graded_snf_rows():
-    # K_{3,3}: degrees 0-4 of E(9) are reduced; degree 4 is (0, []), so
-    # degrees 5-9 are not (reducing every degree took 4,096 rows)
+    # K_{3,3}: its four unit linear relations eliminate 4 of the 9 edge
+    # variables; degrees 0-4 of E(5) take 0 + 0 + 8 + 44 + 81 rows, and
+    # degree 4 is (0, []), so degree 5 is not reduced (over E(9), degrees
+    # 0-4 took 748 rows and every degree 4,096)
     from kslab.graph_rings import graded_structure
     from kslab.graphs import make_standard
 
@@ -76,4 +78,4 @@ def test_tracer_counts_the_graded_snf_rows():
     finally:
         tracer.restore()
     assert spans.leftover_wrappers() == []
-    assert tracer.counts["intlinalg.snf.rows_in"] == 748
+    assert tracer.counts["intlinalg.snf.rows_in"] == 133
