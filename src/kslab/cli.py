@@ -31,7 +31,8 @@ def graph_parse(source: str) -> BiGraph:
     Standard names: C<n>, L<n> and those of ``graphs.FIXED_GRAPHS``
     (B, theta, K23, K33, cube).  The JSON format is {"vertices": [{"id":
     ..., "parity": 0|1}, ...], "edges": [[u, v], ...]}; parity,
-    connectivity and loop checks are enforced by the graph constructor.
+    connectivity, loop and repeated-id checks are enforced by the graph
+    constructor.
     """
     if source in FIXED_GRAPHS:
         return make_standard(source)
@@ -208,18 +209,21 @@ def cmd_ring(args):
 
 def cmd_fold(args):
     if args.graph:
+        if args.n is not None or args.pinch is not None:
+            raise ValueError("fold --graph reads neither --n nor --pinch")
         G = graph_parse(args.graph)
         folds = enumerate_tree_foldings(G, "any")
         report = {"graph_vertices": list(G.vertices),
                   "tree_foldings": [[list(c) for c in p] for p in folds],
                   "count": len(folds)}
         return report, True
-    A = _parse_pinch(args.pinch)
-    h = hedgehog_analyze(args.n, A)
-    report = {"n": args.n, "pinch": list(A),
+    n = 2 if args.n is None else args.n
+    A = _parse_pinch(args.pinch or "")
+    h = hedgehog_analyze(n, A)
+    report = {"n": n, "pinch": list(A),
               "spine_indices": list(h.spine_indices),
               "body_indices": list(h.body_indices),
-              "ring": graph_rings.hedgehog_ring(args.n, A)}
+              "ring": graph_rings.hedgehog_ring(n, A)}
     return report, report["ring"]["match"]
 
 
@@ -273,6 +277,9 @@ def cmd_flags(args):
 
 def cmd_cohomology(args):
     G = graph_parse(args.graph)
+    if args.export and is_tree(G):
+        raise ValueError("--export: a tree takes the product route, which "
+                         "builds no complex")
     model = "small" if args.large else "octahedron"
     if args.large and not is_tree(G):      # trees take the product route
         print("large run: union-of-sphere-products over the 4-vertex "
@@ -316,14 +323,16 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if name in ("sparse", "ncm", "ring", "fold", "mvss", "flags",
                 "conjecture"):
-        p.add_argument("--n", type=_int_at_least(1), default=2)
+        # fold reads --n only without --graph, so it must see if it was given
+        p.add_argument("--n", type=_int_at_least(1),
+                       default=None if name == "fold" else 2)
     if name in ("fold", "sgring", "cohomology"):
         p.add_argument("--graph", default="",
                        help="graph JSON file or standard name (C<n>, L<n>, "
                             "B, theta, K23, K33, cube)")
     if name == "fold":
-        p.add_argument("--pinch", default="",
-                       help="comma-separated pinch set")
+        p.add_argument("--pinch", default=None,
+                       help="comma-separated pinch set (not with --graph)")
     if name == "ring":
         p.add_argument("--ranks", action="store_true",
                        help="print the graded ranks only")
@@ -339,7 +348,7 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--export", default="",
                        help="write the simplicial complex of Y(G) in "
                             "the sphere model of the report, one "
-                            "simplex per line")
+                            "simplex per line (not for trees)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,10 +59,14 @@ class BiGraph:
 
     def __post_init__(self):
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            twice = [v for i, v in enumerate(self.vertices)
+                     if v in self.vertices[:i]]
+            raise ValueError(f"vertex {twice[0]!r} is listed twice")
         for e in self.edges:
+            if len(e) == 1:                # frozenset({u, u}) == {u}
+                raise ValueError(f"loop at {next(iter(e))!r}")
             u, v = tuple(e)
-            if u == v:
-                raise ValueError(f"loop at {u}")
             if u not in vs or v not in vs:
                 raise ValueError(f"edge {set(e)} leaves the vertex set")
             if self.parity[u] == self.parity[v]:
@@ -132,7 +136,9 @@ def graph_from_json(data: dict) -> BiGraph:
         for key in ("id", "parity"):
             if not isinstance(item, dict) or key not in item:
                 raise ValueError(f"graph JSON vertex {item!r} has no {key!r}")
+        # a bool id would collide with 0 or 1
         if not isinstance(item["id"], (int, str)) \
+                or isinstance(item["id"], bool) \
                 or item["parity"] not in (0, 1):
             raise ValueError(f"graph JSON vertex {item!r} needs an int or "
                              f"string 'id' and a 'parity' of 0 or 1")

@@ -11,10 +11,12 @@ basis BTS of pairs x_J e_A where
     * the body part of J is sparse inside the body index set of the
       hedgehog for A.
 
-This module builds the basis, normalizes arbitrary elements onto it,
-implements d_1, classifies basis elements as extendable/unextendable with
-the eta/zeta pairing, and certifies integrally that (TS**, d_1) is exact
-in every bidegree by direct Smith-normal-form computation.
+Elements of TS** are plain dicts {(J, A): c}, the sum of c x_J e_A over
+sorted tuples J and A with nonzero c.  This module builds the basis,
+normalizes arbitrary elements onto it, implements d_1, classifies basis
+elements as extendable/unextendable with the eta/zeta pairing, and
+certifies integrally that (TS**, d_1) is exact in every bidegree by
+direct Smith-normal-form computation.
 
 Sign convention: multiplying e_A by e_t uses the insertion count, i.e.
 e_A e_t = (-1)^{|{a in A : a < t}|} e_{A u {t}} (and zero when t is in A).
@@ -24,11 +26,10 @@ so that matrices from different bidegrees can be composed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .combinatorics import is_sparse_in
+from .combinatorics import enumerate_sparse, is_sparse_in
 from .exterior import ExtElement
 from .graph_rings import pinch_substitution
 from .graphs import Hedgehog, hedgehog_analyze
@@ -36,51 +37,12 @@ from .intlinalg import snf_invariants
 from .springer import reduce_in
 
 Subset = tuple[int, ...]
+TS = dict[tuple[Subset, Subset], int]     # {(J, A): c}: sum of c x_J e_A
 
 
 @lru_cache(maxsize=None)
 def _hedgehog(n: int, A: Subset) -> Hedgehog:
     return hedgehog_analyze(n, A)
-
-
-@dataclass
-class TSElement:
-    """An element of TS**: integer combination of monomials x_J e_A."""
-
-    n: int
-    terms: dict[tuple[Subset, Subset], int] = field(default_factory=dict)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TSElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __add__(self, other: "TSElement") -> "TSElement":
-        if self.n != other.n:
-            raise ValueError("mixed ambient sizes")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-            if terms[key] == 0:
-                del terms[key]
-        return TSElement(self.n, terms)
-
-    @staticmethod
-    def basis_element(J, A, n: int) -> "TSElement":
-        return TSElement(n, {(tuple(sorted(J)), tuple(sorted(A))): 1})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (J, A), c in sorted(self.terms.items()):
-            xs = "".join(f"x{j}" for j in J) or ""
-            es = "".join(f"e{a}" for a in A) or ""
-            body = (xs + es) or "1"
-            bits.append(f"{'+' if c >= 0 else '-'}{abs(c) if abs(c) != 1 or body == '1' else ''}{body}")
-        return "".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +70,8 @@ def enumerate_bts(n: int) -> tuple[tuple[Subset, Subset], ...]:
         A = tuple(i + 1 for i in range(2 * n - 1) if mask >> i & 1)
         h = _hedgehog(n, A)
         body = h.body_indices
-        sparse_bodies = [K for r in range(len(body) + 1)
-                         for K in combinations(body, r)
-                         if is_sparse_in(K, body)]
+        sparse_bodies = [tuple(body[i - 1] for i in K)
+                         for K in enumerate_sparse(len(body))]
         spine_parts = [()]
         for s in h.spine_indices:
             spine_parts = spine_parts + [t + (s,) for t in spine_parts]
@@ -133,8 +94,7 @@ def bts_by_bidegree(n: int) -> dict[tuple[int, int], list[tuple[Subset, Subset]]
 # normal form and the differential
 # ---------------------------------------------------------------------------
 
-def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int,
-                   substitution=pinch_substitution) -> TSElement:
+def ts_normal_form(raw: TS, n: int, substitution=pinch_substitution) -> TS:
     """Rewrite an integer combination of monomials x_J e_A onto BTS.
 
     Per term: the pinch relations e_a (x_a + x_{a+1}) replace each x_j by
@@ -146,7 +106,7 @@ def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int,
     one to show that the exactness check notices.
     """
     two_n = 2 * n
-    terms: dict[tuple[Subset, Subset], int] = {}
+    terms: TS = {}
     for (J, A), c in raw.items():
         if c == 0:
             continue
@@ -157,27 +117,24 @@ def ts_normal_form(raw: dict[tuple[Subset, Subset], int], n: int,
             raise ValueError(f"e-index out of range in {A}")
         folded = ExtElement.monomial(J, two_n).relabel_signed(
             substitution(A))
-        if folded.is_zero():
-            continue
         h = _hedgehog(n, A)
         body = set(h.body_indices)
         for Jf, cf in folded.terms.items():
-            # E(I) is commutative: x_Jf = x_spine x_body, with no sign
+            # E(I) is commutative and the spine and body supports are
+            # disjoint: x_Jf = x_spine x_body, with no sign
             spine_part = tuple(j for j in Jf if j not in body)
-            body_part = tuple(j for j in Jf if j in body)
-            reduced = ExtElement.monomial(spine_part, two_n) * reduce_in(
-                ExtElement.monomial(body_part, two_n), h.body_indices)
+            reduced = reduce_in(ExtElement.monomial(
+                [j for j in Jf if j in body], two_n), h.body_indices)
             for Jr, cr in reduced.terms.items():
-                key = (Jr, A)
+                key = (tuple(sorted(spine_part + Jr)), A)
                 terms[key] = terms.get(key, 0) + c * cf * cr
-    return TSElement(n, {key: v for key, v in terms.items() if v})
+    return {key: v for key, v in terms.items() if v}
 
 
-def d1(a: TSElement, substitution=pinch_substitution) -> TSElement:
+def d1(a: TS, n: int, substitution=pinch_substitution) -> TS:
     """Right multiplication by u = e_1 + ... + e_{2n-1}, renormalized."""
-    n = a.n
-    raw: dict[tuple[Subset, Subset], int] = {}
-    for (J, A), c in a.terms.items():
+    raw: TS = {}
+    for (J, A), c in a.items():
         for t in range(1, 2 * n):
             if t in A:
                 continue
@@ -260,7 +217,7 @@ def _bidegree_exactness(groups, image) -> dict[tuple[int, int], dict]:
     for (p, j), source in groups.items():
         target = groups.get((p + 1, j), [])
         col = {key: i for i, key in enumerate(target)}
-        matrix = [{col[key]: c for key, c in image(J, A).terms.items()}
+        matrix = [{col[key]: c for key, c in image(J, A).items()}
                   for J, A in source]
         invariants[(p, j)] = snf_invariants(matrix, len(target))
     out = {}
@@ -291,10 +248,9 @@ def exactness_check(n: int) -> dict:
               "triangular_failures": [], "counterexamples": [],
               "all_exact": True}
 
-    images = {(J, A): d1(TSElement.basis_element(J, A, n))
-              for J, A in enumerate_bts(n)}
+    images = {(J, A): d1({(J, A): 1}, n) for J, A in enumerate_bts(n)}
     for (J, A), once in images.items():
-        if not d1(once).is_zero():
+        if d1(once, n):
             report["d1_squared_zero"] = False
             report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
 
@@ -324,16 +280,15 @@ def triangular_failures(n: int, images=None) -> list[dict]:
         cls = classify_bts(J, A, n)
         if cls.status != "extendable":
             continue
-        img = (images[(J, A)] if images is not None
-               else d1(TSElement.basis_element(J, A, n)))
+        img = images[(J, A)] if images is not None else d1({(J, A): 1}, n)
         lead = cls.partner
-        ok = img.terms.get(lead, 0) in (1, -1)
+        ok = img.get(lead, 0) in (1, -1)
         bound = _order_key(*lead)
-        for key in img.terms:
+        for key in img:
             if key != lead and _order_key(*key) >= bound:
                 ok = False
         if not ok:
-            failures.append({"J": J, "A": A, "image": img.terms})
+            failures.append({"J": J, "A": A, "image": img})
     return failures
 
 
@@ -381,8 +336,8 @@ def mv_two_sets_demo(corrupt: bool = False) -> dict:
     span = set(basis)
 
     def image(J, A):
-        img = d1(TSElement.basis_element(J, A, n), substitution)
-        return TSElement(n, {k: c for k, c in img.terms.items() if k in span})
+        return {k: c for k, c in d1({(J, A): 1}, n, substitution).items()
+                if k in span}
 
     columns = _bidegree_exactness(groups, image)
     return {"columns": columns,

@@ -110,6 +110,23 @@ def test_misshapen_graph_json_exits_two(tmp_path, capsys, data, key):
     assert repr(key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("graph, message", [
+    ({"vertices": [{"id": 1, "parity": 0}, {"id": 2, "parity": 1}],
+      "edges": [[1, 1], [1, 2]]}, "loop at 1"),
+    ({"vertices": [{"id": 1, "parity": 0}, {"id": 2, "parity": 1},
+                   {"id": 1, "parity": 0}],
+      "edges": [[1, 2]]}, "vertex 1 is listed twice"),
+    ({"vertices": [{"id": True, "parity": 0}, {"id": 1, "parity": 1}],
+      "edges": [[True, 1]]}, "needs an int or string 'id'"),
+])
+def test_graph_input_errors_name_the_fault(tmp_path, capsys, graph, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "sgring", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert message in err and "connected" not in err and "unpack" not in err
+
+
 def test_budget_exit_two(capsys, monkeypatch):
     code, _, err = run(capsys, "cohomology", "--graph", "theta",
                        "--budget", "1000")
@@ -137,13 +154,30 @@ def test_large_note_only_on_the_simplicial_route(capsys):
     assert "union-of-sphere-products" in err
 
 
-def test_complex_export(tmp_path, capsys):
+@pytest.mark.parametrize("graph", ["B", "C1", "L1", "L2"])
+def test_export_is_refused_on_the_product_route(tmp_path, capsys, graph):
+    # a tree's report builds no complex, so there is none to export
+    before = topology.staircase_product_complex.cache_info()
     out_file = tmp_path / "complex.txt"
-    code, _, _ = run(capsys, "cohomology", "--graph", "C1",
+    code, out, err = run(capsys, "cohomology", "--graph", graph,
+                         "--export", str(out_file))
+    assert code == 2 and out == "" and "product route" in err
+    assert not out_file.exists()
+    assert topology.staircase_product_complex.cache_info() == before
+    code, out, _ = run(capsys, "cohomology", "--graph", graph)
+    assert code == 0 and json.loads(out)["route"] == "product"
+
+
+def test_complex_export(tmp_path, capsys):
+    # one line per simplex: the small-sphere C(2) has f-vector
+    # (28, 162, 428, 480, 192); C(1) is a tree, and refused above
+    out_file = tmp_path / "complex.txt"
+    code, _, _ = run(capsys, "cohomology", "--graph", "C2", "--large",
                      "--export", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert len(lines) == 6 + 12 + 8
+    assert [sum(1 for line in lines if line.count("(") == d)
+            for d in range(1, 6)] == [28, 162, 428, 480, 192]
 
 
 def test_export_writes_the_complex_of_the_report(tmp_path, capsys):
@@ -240,6 +274,23 @@ def test_cli_import_does_not_load_networkx():
     done = subprocess.run([sys.executable, "-c", probe], cwd=src,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("extra", [["--pinch", "1,3"], ["--n", "4"],
+                                   ["--pinch", ""]])
+def test_fold_graph_refuses_pinch_options(capsys, extra):
+    code, out, err = run(capsys, "fold", "--graph", "C2", *extra)
+    assert code == 2 and out == ""
+    assert "reads neither --n nor --pinch" in err
+
+
+def test_fold_pinch_mode_defaults(capsys):
+    code, out, _ = run(capsys, "fold")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["n"] == 2 and rep["pinch"] == []
+    code, out, _ = run(capsys, "fold", "--pinch", "1")
+    assert code == 0 and json.loads(out)["n"] == 2
 
 
 def test_repeated_pinch_index_exits_two(capsys):

@@ -5,13 +5,15 @@ from math import comb
 import pytest
 
 from kslab import graph_rings
-from kslab.exterior import ExtElement, r_poly
+from kslab.exterior import ExtElement, r_poly, sigma
 from kslab.graph_rings import (
     GraphRingPresentation,
     cycle_relations,
     graded_structure,
     has_torsion,
     hedgehog_ring,
+    pinch_substitution,
+    pinched_cycle_polynomial,
     pinched_ring_structure,
     structure_ranks,
     tensor_ranks,
@@ -96,9 +98,9 @@ def oracle_graded_structure(G, extra_relations=None):
 
 
 def presentation(m: int, relations) -> GraphRingPresentation:
-    """A bare presentation over E(1..m); the graph is bookkeeping only."""
+    """A bare presentation over E(1..m); the edges are bookkeeping only."""
     return GraphRingPresentation(
-        graph=make_standard("B"), positive_edges=[(i, i) for i in range(1, m + 1)],
+        positive_edges=[(i, i) for i in range(1, m + 1)],
         relations=list(relations), provenance=[()] * len(relations))
 
 
@@ -240,6 +242,23 @@ def test_hedgehog_ring_all_pinches_n_le_4():
             r = hedgehog_ring(n, A)
             assert r["match"], (n, A, r["expected"], r["direct"])
             assert r["relation_image_ok"], (n, A)
+
+
+def relabelled_sigma_image(n: int, A, k: int) -> ExtElement:
+    """sigma_k(x_1..x_2n) built over all 2n variables, then relabelled
+    through the pinch substitution term by term (oracle)."""
+    return sigma(k, range(1, 2 * n + 1), 2 * n).relabel_signed(
+        pinch_substitution(tuple(sorted(A))))
+
+
+def test_pinched_cycle_polynomial_matches_the_relabelled_sigmas():
+    cases = [(n, A) for n in (1, 2, 3)
+             for r in range(2 * n) for A in combinations(range(1, 2 * n), r)]
+    cases += [(4, A) for A in sparse_pinch_sets(4)]
+    assert len(cases) == 2 + 8 + 32 + 34
+    for n, A in cases:
+        assert pinched_cycle_polynomial(n, A) == \
+            [relabelled_sigma_image(n, A, k) for k in range(2 * n + 1)], A
 
 
 def test_theta_graph_structure_reported():

@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import pytest
 
 from kslab import mvss
+from kslab.combinatorics import is_sparse_in
+from kslab.exterior import ExtElement
 from kslab.graph_rings import expected_hedgehog_structure, pinch_substitution
 from kslab.intlinalg import rank, snf_invariants
 from kslab.graphs import hedgehog_analyze
+from kslab.springer import reduce_in
 from kslab.mvss import (
-    TSElement,
     bts_by_bidegree,
     classify_bts,
     d1,
@@ -26,10 +30,8 @@ def all_pinch_sets(n):
 
 
 def test_normal_form_examples():
-    assert ts_normal_form({((2,), (1,)): 1}, 2) == TSElement(
-        2, {((1,), (1,)): -1})
-    a = ts_normal_form({((), (1, 3)): 1}, 2)
-    assert a == TSElement(2, {((), (1, 3)): 1})
+    assert ts_normal_form({((2,), (1,)): 1}, 2) == {((1,), (1,)): -1}
+    assert ts_normal_form({((), (1, 3)): 1}, 2) == {((), (1, 3)): 1}
 
 
 def test_normal_form_lands_on_bts():
@@ -38,8 +40,36 @@ def test_normal_form_lands_on_bts():
         for mask in range(1 << (2 * n)):
             J = tuple(i + 1 for i in range(2 * n) if mask >> i & 1)
             out = ts_normal_form({(J, A): 1}, n)
-            for K, B in out.terms:
+            for K, B in out:
                 assert B == A and is_bts(K, B, n)
+
+
+def _ts_normal_form_oracle(raw, n):
+    """The normal form with x_spine x_body built as an ExtElement product."""
+    two_n = 2 * n
+    terms = {}
+    for (J, A), c in raw.items():
+        folded = ExtElement.monomial(J, two_n).relabel_signed(
+            pinch_substitution(A))
+        h = hedgehog_analyze(n, A)
+        for Jf, cf in folded.terms.items():
+            spine = ExtElement.monomial(
+                [j for j in Jf if j not in h.body_indices], two_n)
+            body = ExtElement.monomial(
+                [j for j in Jf if j in h.body_indices], two_n)
+            reduced = spine * reduce_in(body, h.body_indices)
+            for Jr, cr in reduced.terms.items():
+                terms[(Jr, A)] = terms.get((Jr, A), 0) + c * cf * cr
+    return {key: v for key, v in terms.items() if v}
+
+
+def test_normal_form_matches_the_product_oracle():
+    for n in (2, 3):
+        for A in all_pinch_sets(n):
+            for mask in range(1 << (2 * n)):
+                J = tuple(i + 1 for i in range(2 * n) if mask >> i & 1)
+                assert ts_normal_form({(J, A): 3}, n) == \
+                    _ts_normal_form_oracle({(J, A): 3}, n), (J, A)
 
 
 def test_normal_form_cross_checked_by_rank():
@@ -56,17 +86,16 @@ def test_normal_form_cross_checked_by_rank():
 
 
 def test_d1_examples():
-    u = d1(TSElement.basis_element((), (), 2))
-    assert u == TSElement(2, {((), (1,)): 1, ((), (2,)): 1, ((), (3,)): 1})
-    x1u = d1(TSElement.basis_element((1,), (), 2))
-    assert x1u == TSElement(2, {((1,), (1,)): 1, ((1,), (2,)): 1,
-                                ((1,), (3,)): 1})
+    u = d1({((), ()): 1}, 2)
+    assert u == {((), (1,)): 1, ((), (2,)): 1, ((), (3,)): 1}
+    x1u = d1({((1,), ()): 1}, 2)
+    assert x1u == {((1,), (1,)): 1, ((1,), (2,)): 1, ((1,), (3,)): 1}
 
 
 def test_d1_squared_zero_exhaustive():
     for n in (2, 3):
         for J, A in enumerate_bts(n):
-            assert d1(d1(TSElement.basis_element(J, A, n))).is_zero()
+            assert d1(d1({(J, A): 1}, n), n) == {}
 
 
 def test_classify_examples():
@@ -106,6 +135,25 @@ def test_bts_downward_closure():
                 assert (J, A[:i] + A[i + 1:]) in bts
 
 
+def _enumerate_bts_oracle(n):
+    """BTS with the sparse bodies filtered from every subset of the body."""
+    out = []
+    for A in all_pinch_sets(n):
+        h = hedgehog_analyze(n, A)
+        body = h.body_indices
+        bodies = [K for r in range(len(body) + 1)
+                  for K in combinations(body, r) if is_sparse_in(K, body)]
+        for r in range(len(h.spine_indices) + 1):
+            for S in combinations(h.spine_indices, r):
+                out += [(tuple(sorted(S + K)), A) for K in bodies]
+    return tuple(sorted(out))
+
+
+def test_enumerate_bts_matches_the_filtered_oracle():
+    for n in (1, 2, 3, 4):
+        assert enumerate_bts(n) == _enumerate_bts_oracle(n)
+
+
 def test_bts_counts():
     assert len(enumerate_bts(2)) == 28
     assert len(enumerate_bts(3)) == 212
@@ -137,7 +185,7 @@ def _bidegree_exactness_oracle(groups, image):
     matrices = {}
     for (p, j), source in groups.items():
         col = {key: i for i, key in enumerate(groups.get((p + 1, j), []))}
-        matrices[(p, j)] = [{col[key]: c for key, c in image(J, A).terms.items()}
+        matrices[(p, j)] = [{col[key]: c for key, c in image(J, A).items()}
                             for J, A in source]
     out = {}
     for (p, j) in sorted(groups):
@@ -158,12 +206,12 @@ def _exactness_check_oracle(n):
               "triangular_failures": [], "counterexamples": [],
               "all_exact": True}
     for J, A in enumerate_bts(n):
-        if not d1(d1(TSElement.basis_element(J, A, n))).is_zero():
+        if d1(d1({(J, A): 1}, n), n):
             report["d1_squared_zero"] = False
             report["counterexamples"].append(
                 {"kind": "d1_squared", "J": J, "A": A})
     report["bidegrees"] = _bidegree_exactness_oracle(
-        bts_by_bidegree(n), lambda J, A: d1(TSElement.basis_element(J, A, n)))
+        bts_by_bidegree(n), lambda J, A: d1({(J, A): 1}, n))
     for (p, j), info in report["bidegrees"].items():
         if not info["exact"]:
             report["all_exact"] = False
@@ -185,8 +233,8 @@ def _two_sets_oracle(corrupt):
     span = set(basis)
 
     def image(J, A):
-        img = d1(TSElement.basis_element(J, A, 2), substitution)
-        return TSElement(2, {k: c for k, c in img.terms.items() if k in span})
+        img = d1({(J, A): 1}, 2, substitution)
+        return {k: c for k, c in img.items() if k in span}
 
     columns = _bidegree_exactness_oracle(groups, image)
     return {"columns": columns,
@@ -203,13 +251,12 @@ def test_exactness_check_matches_recomputing_oracle():
 
 def test_triangular_failures_with_and_without_images():
     n = 3
-    images = {(J, A): d1(TSElement.basis_element(J, A, n))
-              for J, A in enumerate_bts(n)}
+    images = {(J, A): d1({(J, A): 1}, n) for J, A in enumerate_bts(n)}
     assert triangular_failures(n, images) == triangular_failures(n) == []
     # a wrong image is reported, so the images are really read
     J, A = next(key for key in enumerate_bts(n)
                 if classify_bts(*key, n).status == "extendable")
-    images[(J, A)] = TSElement(n)
+    images[(J, A)] = {}
     assert triangular_failures(n, images) == [
         {"J": J, "A": A, "image": {}}]
 
@@ -220,5 +267,4 @@ def test_mv_two_sets_demo():
 
 
 def test_empty_element_trivially_closed():
-    z = TSElement(2)
-    assert d1(z).is_zero() and z + z == z
+    assert d1({}, 2) == {} == ts_normal_form({((1,), (2,)): 0}, 2)
