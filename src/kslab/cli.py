@@ -208,11 +208,11 @@ def cmd_ring(args):
 
 
 def cmd_fold(args):
-    if args.graph:
+    if args.graph is not None:
         if args.n is not None or args.pinch is not None:
             raise ValueError("fold --graph reads neither --n nor --pinch")
         G = graph_parse(args.graph)
-        folds = enumerate_tree_foldings(G, "any")
+        folds = enumerate_tree_foldings(G)
         report = {"graph_vertices": list(G.vertices),
                   "tree_foldings": [[list(c) for c in p] for p in folds],
                   "count": len(folds)}
@@ -327,7 +327,7 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--n", type=_int_at_least(1),
                        default=None if name == "fold" else 2)
     if name in ("fold", "sgring", "cohomology"):
-        p.add_argument("--graph", default="",
+        p.add_argument("--graph", default=None, required=name != "fold",
                        help="graph JSON file or standard name (C<n>, L<n>, "
                             "B, theta, K23, K33, cube)")
     if name == "fold":

@@ -64,13 +64,6 @@ class ExtElement:
     def coefficient(self, J) -> int:
         return self.terms.get(tuple(sorted(J)), 0)
 
-    def leading_term(self) -> tuple[Subset, int]:
-        """(support, coefficient) of the lexicographically largest support."""
-        if not self.terms:
-            raise ValueError("zero element has no leading term")
-        J = max(self.terms)
-        return J, self.terms[J]
-
     def homogeneous_degree(self) -> int | None:
         """|J| common to all supports, or None if mixed/zero."""
         sizes = {len(J) for J in self.terms}
@@ -114,13 +107,13 @@ class ExtElement:
 
     __rmul__ = __mul__
 
-    def relabel_signed(self, mapping: dict[int, tuple[int, int] | None],
+    def relabel_signed(self, mapping: dict[int, tuple[int, int]],
                        nvars_out: int | None = None) -> "ExtElement":
-        """Apply the monomial substitution x_i -> sign * x_j (or 0).
+        """Apply the monomial substitution x_i -> sign * x_j.
 
-        ``mapping[i] = (sign, j)`` sends x_i to sign*x_j; ``mapping[i] = None``
-        sends it to zero; unmapped variables are kept as themselves.  Any
-        monomial whose image has a repeated variable dies (x_j^2 = 0).
+        ``mapping[i] = (sign, j)`` sends x_i to sign*x_j; unmapped variables
+        are kept as themselves.  Any monomial whose image has a repeated
+        variable dies (x_j^2 = 0).
         """
         m = nvars_out if nvars_out is not None else self.nvars
         out: dict[Subset, int] = {}
@@ -128,16 +121,12 @@ class ExtElement:
             sign = 1
             image = []
             for i in J:
-                tgt = mapping.get(i, (1, i))
-                if tgt is None:
-                    break
-                s, j = tgt
+                s, j = mapping.get(i, (1, i))
                 sign *= s
                 image.append(j)
-            else:
-                if len(set(image)) == len(image):
-                    M = tuple(sorted(image))
-                    out[M] = out.get(M, 0) + sign * c
+            if len(set(image)) == len(image):
+                M = tuple(sorted(image))
+                out[M] = out.get(M, 0) + sign * c
         return ExtElement(m, out)
 
     def __repr__(self) -> str:

@@ -176,13 +176,11 @@ def in_xni(F, i: int, n: int, q: int) -> bool:
     return t_image(F[i + 1], n, q) == F[i - 1]
 
 
-def in_xnk(F, K, n: int, tau=None) -> bool:
+def in_xnk(F, K, n: int, tau) -> bool:
     """W in X(n,K): W_i/W_{tau(i)-1} balanced for every i not in K.
 
-    ``tau`` is mu(K); scans over many flags pass it in precomputed.
+    ``tau`` is mu(K), which scans over many flags compute once per K.
     """
-    if tau is None:
-        tau = mu_of(tuple(K), 2 * n)
     for i in range(1, 2 * n + 1):
         if i in K:
             continue

@@ -163,8 +163,7 @@ def _eliminate_unit_relations(relations):
         relations = out
 
 
-def graded_structure(G: BiGraph | GraphRingPresentation,
-                     extra_relations: list[ExtElement] | None = None
+def graded_structure(G: BiGraph | GraphRingPresentation
                      ) -> list[tuple[int, list[int]]]:
     """Per-degree (free rank, torsion) of S(G); degree k means x-degree 2k.
 
@@ -177,7 +176,7 @@ def graded_structure(G: BiGraph | GraphRingPresentation,
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
     m = len(pres.positive_edges)
     relations = []                         # (degree, [(mask, coeff)])
-    for rel in pres.relations + list(extra_relations or []):
+    for rel in pres.relations:
         if rel.is_zero():
             continue
         d = rel.homogeneous_degree()

@@ -91,12 +91,6 @@ class BiGraph:
                     stack.append(u)
         return len(seen) == len(self.vertices)
 
-    def undirected_edge_count(self) -> int:
-        return len(self.edges)
-
-    def directed_edge_count(self) -> int:
-        return 2 * len(self.edges)
-
     def positive_orientation(self, e: Edge) -> tuple:
         """(even vertex, odd vertex) of an undirected edge."""
         u, v = tuple(e)
@@ -136,9 +130,11 @@ def graph_from_json(data: dict) -> BiGraph:
         for key in ("id", "parity"):
             if not isinstance(item, dict) or key not in item:
                 raise ValueError(f"graph JSON vertex {item!r} has no {key!r}")
-        # a bool id would collide with 0 or 1
+        # a bool id would collide with 0 or 1; false, true and 1.0 equal
+        # a parity of 0 or 1 but are not one
         if not isinstance(item["id"], (int, str)) \
                 or isinstance(item["id"], bool) \
+                or type(item["parity"]) is not int \
                 or item["parity"] not in (0, 1):
             raise ValueError(f"graph JSON vertex {item!r} needs an int or "
                              f"string 'id' and a 'parity' of 0 or 1")
@@ -327,16 +323,15 @@ def _set_partitions(items: list):
         yield [[first]] + smaller
 
 
-def enumerate_tree_foldings(G: BiGraph, edge_count="any") -> list[Partition]:
+def enumerate_tree_foldings(G: BiGraph) -> list[Partition]:
     """All parity-respecting partitions whose quotient is a tree, sorted.
 
     Runs over (partition of even vertices) x (partition of odd vertices).
     No class holds two adjacent vertices, since edges join opposite
     parities, and the quotient is connected because G is.  So a partition
     into m classes is a tree folding iff the positive edges meet exactly
-    m - 1 distinct (even class, odd class) pairs, the quotient's edges;
-    ``edge_count`` (an int, or "any") asks for that many.  The odd-side
-    class of every edge is computed once per odd partition.
+    m - 1 distinct (even class, odd class) pairs, the quotient's edges.
+    The odd-side class of every edge is computed once per odd partition.
     """
     evens = sorted(v for v in G.vertices if G.parity[v] == 0)
     odds = sorted(v for v in G.vertices if G.parity[v] == 1)
@@ -350,10 +345,7 @@ def enumerate_tree_foldings(G: BiGraph, edge_count="any") -> list[Partition]:
         cls = {v: j for j, c in enumerate(pe) for v in c}
         even_side = [cls[e] for e, _ in edges]
         for po, odd_side in odd_sides:
-            tree_edges = len(pe) + len(po) - 1
-            if edge_count != "any" and tree_edges != edge_count:
-                continue
-            if len(set(zip(even_side, odd_side))) == tree_edges:
+            if len(set(zip(even_side, odd_side))) == len(pe) + len(po) - 1:
                 out.append(normalise_partition(pe + po))
     return sorted(out)
 

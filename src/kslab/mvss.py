@@ -94,16 +94,13 @@ def bts_by_bidegree(n: int) -> dict[tuple[int, int], list[tuple[Subset, Subset]]
 # normal form and the differential
 # ---------------------------------------------------------------------------
 
-def ts_normal_form(raw: TS, n: int, substitution=pinch_substitution) -> TS:
+def ts_normal_form(raw: TS, n: int) -> TS:
     """Rewrite an integer combination of monomials x_J e_A onto BTS.
 
     Per term: the pinch relations e_a (x_a + x_{a+1}) replace each x_j by
     +-x_rep(j) with rep(j) the bottom of its pinch block; squares die; the
     body part of the surviving monomial is reduced to its sparse normal
     form inside the body ring, while spine variables pass through freely.
-    ``substitution(A)`` gives the relabelling {j: (sign, rep(j))} that
-    the relations impose on e_A; ``mv_two_sets_demo`` swaps in a wrong
-    one to show that the exactness check notices.
     """
     two_n = 2 * n
     terms: TS = {}
@@ -116,7 +113,7 @@ def ts_normal_form(raw: TS, n: int, substitution=pinch_substitution) -> TS:
         if any(a < 1 or a >= two_n for a in A):
             raise ValueError(f"e-index out of range in {A}")
         folded = ExtElement.monomial(J, two_n).relabel_signed(
-            substitution(A))
+            pinch_substitution(A))
         h = _hedgehog(n, A)
         body = set(h.body_indices)
         for Jf, cf in folded.terms.items():
@@ -131,7 +128,7 @@ def ts_normal_form(raw: TS, n: int, substitution=pinch_substitution) -> TS:
     return {key: v for key, v in terms.items() if v}
 
 
-def d1(a: TS, n: int, substitution=pinch_substitution) -> TS:
+def d1(a: TS, n: int) -> TS:
     """Right multiplication by u = e_1 + ... + e_{2n-1}, renormalized."""
     raw: TS = {}
     for (J, A), c in a.items():
@@ -141,7 +138,7 @@ def d1(a: TS, n: int, substitution=pinch_substitution) -> TS:
             sign = (-1) ** sum(1 for x in A if x < t)
             key = (J, tuple(sorted(A + (t,))))
             raw[key] = raw.get(key, 0) + c * sign
-    return ts_normal_form(raw, n, substitution)
+    return ts_normal_form(raw, n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,10 @@ def _order_key(J: Subset, A: Subset):
     return (J, tuple(-a for a in reversed(A)))
 
 
-def _bidegree_exactness(groups, image) -> dict[tuple[int, int], dict]:
+def _bidegree_exactness(groups, images) -> dict[tuple[int, int], dict]:
     """Integral exactness of a differential in each bidegree (p, j).
 
-    ``groups`` maps (p, j) to its sorted basis, and ``image(J, A)`` is
+    ``groups`` maps (p, j) to its sorted basis, and ``images[(J, A)]`` is
     the differential of x_J e_A, with every term in the basis of
     (p + 1, j).  With d_in the matrix from (p-1, j) and d_out the matrix
     from (p, j), the complex is exact at (p, j) over the integers iff
@@ -217,7 +214,7 @@ def _bidegree_exactness(groups, image) -> dict[tuple[int, int], dict]:
     for (p, j), source in groups.items():
         target = groups.get((p + 1, j), [])
         col = {key: i for i, key in enumerate(target)}
-        matrix = [{col[key]: c for key, c in image(J, A).items()}
+        matrix = [{col[key]: c for key, c in images[(J, A)].items()}
                   for J, A in source]
         invariants[(p, j)] = snf_invariants(matrix, len(target))
     out = {}
@@ -254,8 +251,7 @@ def exactness_check(n: int) -> dict:
             report["d1_squared_zero"] = False
             report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
 
-    report["bidegrees"] = _bidegree_exactness(
-        bts_by_bidegree(n), lambda J, A: images[(J, A)])
+    report["bidegrees"] = _bidegree_exactness(bts_by_bidegree(n), images)
     for (p, j), info in report["bidegrees"].items():
         if not info["exact"]:
             report["all_exact"] = False
@@ -290,56 +286,3 @@ def triangular_failures(n: int, images=None) -> list[dict]:
         if not ok:
             failures.append({"J": J, "A": A, "image": img})
     return failures
-
-
-def row_euler_characteristics(n: int) -> dict[int, int]:
-    """For each x-degree j, the alternating sum of BTS dimensions over p."""
-    out: dict[int, int] = {}
-    for (p, j), basis in bts_by_bidegree(n).items():
-        out[j] = out.get(j, 0) + (-1) ** p * len(basis)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the two-set Mayer-Vietoris demonstration
-# ---------------------------------------------------------------------------
-
-def _broken_pinch_substitution(A: Subset) -> dict[int, tuple[int, int]]:
-    """The pinch substitution with the relation at the pinch 1 replaced by
-    e_1 (x_3 + x_2): x_2 goes to -x_3 instead of -x_1."""
-    mapping = dict(pinch_substitution(A))
-    if 2 in mapping:
-        mapping[2] = (-1, 3)
-    return mapping
-
-
-def mv_two_sets_demo(corrupt: bool = False) -> dict:
-    """The three-column complex of a two-set cover, over n = 2.
-
-    Columns p = 0, 1, 2 are spanned by the BTS elements with A a subset of
-    {1, 2}; the differential is d1 with the terms outside those columns
-    dropped, i.e. multiplication by e_1 + e_2 (the wrong relation below
-    also yields monomials outside BTS, which are dropped as well).  With the correct
-    relations the complex is exact everywhere (the second page of the
-    corresponding spectral sequence vanishes identically, matching the
-    two-set Mayer-Vietoris identification).  Setting ``corrupt=True``
-    replaces the relation e_1 (x_1 + x_2) by e_1 (x_3 + x_2), which the
-    rank check then detects.
-    """
-    n = 2
-    substitution = (_broken_pinch_substitution if corrupt
-                    else pinch_substitution)
-    basis = [(J, A) for J, A in enumerate_bts(n) if set(A) <= {1, 2}]
-    groups: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
-    for J, A in basis:
-        groups.setdefault((len(A), len(J)), []).append((J, A))
-    span = set(basis)
-
-    def image(J, A):
-        return {k: c for k, c in d1({(J, A): 1}, n, substitution).items()
-                if k in span}
-
-    columns = _bidegree_exactness(groups, image)
-    return {"columns": columns,
-            "exact_everywhere": all(c["exact"] for c in columns.values()),
-            "corrupted": corrupt}

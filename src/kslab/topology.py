@@ -76,10 +76,6 @@ def oct_leq(u: int, v: int) -> bool:
     return u == v or abs(u) < abs(v)
 
 
-def oct_chi(u: int) -> int:
-    return -u
-
-
 # sphere model -> (vertex poset, its order)
 SPHERE_MODELS = {
     "octahedron": (OCT_ELEMENTS, oct_leq),
@@ -174,7 +170,7 @@ def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET,
     """
     edges = G.positive_edges()
     pulls = []  # per folding: its class count, and each edge's class
-    for p in enumerate_tree_foldings(G, "any"):
+    for p in enumerate_tree_foldings(G):
         pmap = partition_map(p)
         fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
         classes = sorted(set(fibre_key))

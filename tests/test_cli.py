@@ -118,6 +118,12 @@ def test_misshapen_graph_json_exits_two(tmp_path, capsys, data, key):
       "edges": [[1, 2]]}, "vertex 1 is listed twice"),
     ({"vertices": [{"id": True, "parity": 0}, {"id": 1, "parity": 1}],
       "edges": [[True, 1]]}, "needs an int or string 'id'"),
+    ({"vertices": [{"id": 0, "parity": False}, {"id": 1, "parity": 1}],
+      "edges": [[0, 1]]}, "a 'parity' of 0 or 1"),
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": True}],
+      "edges": [[0, 1]]}, "a 'parity' of 0 or 1"),
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1.0}],
+      "edges": [[0, 1]]}, "a 'parity' of 0 or 1"),
 ])
 def test_graph_input_errors_name_the_fault(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"
@@ -282,6 +288,20 @@ def test_fold_graph_refuses_pinch_options(capsys, extra):
     code, out, err = run(capsys, "fold", "--graph", "C2", *extra)
     assert code == 2 and out == ""
     assert "reads neither --n nor --pinch" in err
+
+
+def test_empty_graph_name_is_not_the_pinch_mode(capsys):
+    code, out, err = run(capsys, "fold", "--graph", "")
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize("command", ["sgring", "cohomology"])
+def test_graph_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "required: --graph" in capsys.readouterr().err
 
 
 def test_fold_pinch_mode_defaults(capsys):

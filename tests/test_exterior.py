@@ -49,11 +49,6 @@ def test_r_poly_examples():
     assert r_poly((1, 2, 3, 4), 4)[2] == sigma(2, (1, 2, 3, 4), 4)
 
 
-def test_leading_term_uses_lex_order():
-    a = ExtElement.monomial((1, 3), 4) + ExtElement.monomial((2,), 4, 5)
-    assert a.leading_term() == ((2,), 5)  # (2,) > (1,3) in lex order
-
-
 def test_relabel_signed():
     a = ExtElement.monomial((1, 2), 4)
     # x_2 -> -x_1 collapses the monomial

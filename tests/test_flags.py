@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kslab import flags, fqlin
-from kslab.combinatorics import enumerate_sparse
+from kslab.combinatorics import enumerate_sparse, mu_of
 from kslab.flags import (
     chain_lemma_scan,
     cover_scan,
@@ -430,7 +430,7 @@ def test_xni_equivalent_characterisations():
 
 def test_x1k_is_everything():
     for F in enumerate_flags(1, 2):
-        assert in_xnk(F, (1,), 1)
+        assert in_xnk(F, (1,), 1, mu_of((1,), 2))
 
 
 def test_cover_scans():

@@ -75,11 +75,11 @@ def all_cycle_relations(G: BiGraph) -> list[ExtElement]:
             for rel in walk_relations(G, cyc)]
 
 
-def oracle_graded_structure(G, extra_relations=None):
+def oracle_graded_structure(G):
     """Every degree reduced, rows built as ExtElement products (oracle)."""
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
     m = len(pres.positive_edges)
-    relations = pres.relations + list(extra_relations or [])
+    relations = pres.relations
     out = []
     for k in range(m + 1):
         monomials = list(combinations(range(1, m + 1), k))
@@ -102,6 +102,15 @@ def presentation(m: int, relations) -> GraphRingPresentation:
     return GraphRingPresentation(
         positive_edges=[(i, i) for i in range(1, m + 1)],
         relations=list(relations), provenance=[()] * len(relations))
+
+
+def adjoin(G, extra) -> GraphRingPresentation:
+    """The presentation of S(G) (or ``G`` itself) with ``extra`` appended."""
+    pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
+    return GraphRingPresentation(
+        positive_edges=pres.positive_edges,
+        relations=pres.relations + list(extra),
+        provenance=pres.provenance + [()] * len(extra))
 
 
 ORACLE_GRAPHS = {"C2": make_standard("C", 2), "C3": make_standard("C", 3),
@@ -142,9 +151,9 @@ def test_cycle_basis_generates_all_cycle_relations(name):
     ideals are equal."""
     G = ORACLE_GRAPHS[name]
     basis = graded_structure(G)
-    extra = all_cycle_relations(G)
-    assert graded_structure(G, extra_relations=extra) == basis == \
-        oracle_graded_structure(G, extra_relations=extra)
+    extended = adjoin(G, all_cycle_relations(G))
+    assert graded_structure(extended) == basis == \
+        oracle_graded_structure(extended)
 
 
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)
@@ -152,10 +161,10 @@ def test_reversed_basis_cycles_add_nothing(name):
     G = ORACLE_GRAPHS[name]
     pres = cycle_relations(G)
     reversed_walks = {tuple(reversed(p)) for p in pres.provenance}
-    extra = [rel for walk in reversed_walks for rel in walk_relations(G, walk)]
-    assert graded_structure(pres, extra_relations=extra) == \
-        graded_structure(pres) == \
-        oracle_graded_structure(pres, extra_relations=extra)
+    extended = adjoin(pres, [rel for walk in reversed_walks
+                             for rel in walk_relations(G, walk)])
+    assert graded_structure(extended) == graded_structure(pres) == \
+        oracle_graded_structure(extended)
 
 
 def test_s_of_cycle_equals_r():
@@ -221,9 +230,9 @@ def test_degenerate_cycles_add_nothing():
             signs.append(1 if positive else -1)
         doubled = r_poly(variables * 2, m, signs=signs * 2)
         extra.extend(c for c in doubled[1:] if not c.is_zero())
-    with_extra = graded_structure(pres, extra_relations=extra)
-    assert with_extra == graded_structure(pres) == \
-        oracle_graded_structure(pres, extra_relations=extra)
+    extended = adjoin(pres, extra)
+    assert graded_structure(extended) == graded_structure(pres) == \
+        oracle_graded_structure(extended)
 
 
 def test_hedgehog_ring_examples():
@@ -310,7 +319,7 @@ def test_unit_relation_stops_at_degree_zero():
 
 def test_zero_relations_are_skipped():
     G = make_standard("C", 2)
-    assert graded_structure(G, extra_relations=[ExtElement.zero(4)]) == \
+    assert graded_structure(adjoin(G, [ExtElement.zero(4)])) == \
         graded_structure(G)
 
 
@@ -318,7 +327,7 @@ def test_mixed_degree_relation_is_refused():
     G = make_standard("C", 2)
     mixed = ExtElement.variable(1, 4) + ExtElement.monomial((2, 3), 4)
     with pytest.raises(ValueError, match="not homogeneous"):
-        graded_structure(G, extra_relations=[mixed])
+        graded_structure(adjoin(G, [mixed]))
 
 
 def test_pinch_of_three_variables_keeps_the_square_of_the_substitute():

@@ -15,7 +15,6 @@ from kslab.topology import (
     euler_characteristic,
     f_vector,
     integral_cohomology,
-    oct_chi,
     oct_leq,
     octahedron_cohomology,
     order_complex,
@@ -33,15 +32,14 @@ def test_octahedron_poset():
     # the antipodal involution preserves the order and is fixed-point
     # free; u and -u are never comparable
     for u in OCT_ELEMENTS:
-        assert oct_chi(oct_chi(u)) == u
-        assert oct_chi(u) != u
+        assert -u != u
         assert oct_leq(u, u)
-        assert not oct_leq(u, oct_chi(u))
+        assert not oct_leq(u, -u)
         for v in OCT_ELEMENTS:
             if oct_leq(u, v) and oct_leq(v, u):
                 assert u == v
             if oct_leq(u, v):
-                assert oct_leq(oct_chi(u), oct_chi(v))
+                assert oct_leq(-u, -v)
 
 
 def test_octahedron_complex_is_a_two_sphere():
@@ -161,7 +159,7 @@ def test_y_complex_budget_edge():
     # powers, summed over the foldings, hold more than the budget
     G = make_standard("C", 2)
     total = sum(sum(staircase_f_vector(len(p) - 1, "small"))
-                for p in enumerate_tree_foldings(G, "any"))
+                for p in enumerate_tree_foldings(G))
     assert total == 14 + 2 * 652  # one fold onto B, two onto L(1)
     assert y_complex(G, total, "small") == y_small_complex(G)
     with pytest.raises(ValueError, match="budget"):
@@ -181,7 +179,7 @@ def _y_complex_per_chain(G, model):
     with no budget."""
     edges = G.positive_edges()
     levels = []
-    for p in enumerate_tree_foldings(G, "any"):
+    for p in enumerate_tree_foldings(G):
         pmap = partition_map(p)
         fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
         classes = sorted(set(fibre_key))
@@ -230,7 +228,7 @@ def test_folding_subcomplexes_embed():
     G = make_standard("C", 2)
     union = [set(level) for level in y_complex(G)]
     edges = G.positive_edges()
-    for p in enumerate_tree_foldings(G, "any"):
+    for p in enumerate_tree_foldings(G):
         pmap = partition_map(p)
         key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
         classes = sorted(set(key))
