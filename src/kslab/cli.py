@@ -4,10 +4,10 @@ Exit codes: 0 when all assertions pass, 1 when a falsifier was found
 (the report carries a minimal counterexample object), 2 for input or
 budget errors, 3 for an internal error (the traceback goes to standard
 error).  Results go to ``--out`` or standard output; progress notes go
-to standard error.  ``KRL_BUDGET`` overrides the default simplex budget;
-``--budget`` overrides both.  JSON reports are written byte for byte as
-``json.dumps(report, indent=2, default=str)`` writes them, with tuple
-dict keys turned into their ``str``.
+to standard error.  ``cohomology --budget`` sets the simplex budget
+(default ``topology.SIMPLEX_BUDGET``).  JSON reports are written byte
+for byte as ``json.dumps(report, indent=2, default=str)`` writes them,
+with tuple dict keys turned into their ``str``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import traceback
 
@@ -144,15 +143,6 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("KRL_BUDGET")
-    if env is not None:
-        return int(env)
-    return topology.SIMPLEX_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (report dict, ok flag)
 # ---------------------------------------------------------------------------
@@ -253,7 +243,8 @@ def cmd_flags(args):
                 for F in flags.enumerate_flags(args.n, args.q)]
         report = {"n": args.n, "q": args.q, "count": len(flat),
                   "flags": flat,
-                  "point_count": flags.point_count_report(args.n, args.q)}
+                  "point_count": flags.point_count_report(args.n, args.q,
+                                                          len(flat))}
         return report, True
     if op == "cover":
         report = flags.cover_scan(args.n, args.q)
@@ -284,9 +275,9 @@ def cmd_cohomology(args):
     if args.large and not is_tree(G):      # trees take the product route
         print("large run: union-of-sphere-products over the 4-vertex "
               "sphere model; exact SNF with clearing", file=sys.stderr)
-    complex_ = topology.y_complex(G, _budget(args), model) \
+    complex_ = topology.y_complex(G, args.budget, model) \
         if args.export else None
-    rep = topology.compare_with_S(G, budget=_budget(args), model=model,
+    rep = topology.compare_with_S(G, budget=args.budget, model=model,
                                   complex_=complex_)
     if complex_ is not None:
         with open(args.export, "w") as fh:
@@ -341,8 +332,9 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--op", default="cover",
                        choices=("enumerate", "cover", "lemmas", "tree"))
     if name == "cohomology":
-        p.add_argument("--budget", type=int, default=None,
-                       help="simplex budget (overrides KRL_BUDGET)")
+        p.add_argument("--budget", type=int,
+                       default=topology.SIMPLEX_BUDGET,
+                       help="simplex budget (default %(default)s)")
         p.add_argument("--large", action="store_true",
                        help="compute Y(G) over the 4-vertex sphere model")
         p.add_argument("--export", default="",

@@ -32,10 +32,6 @@ class ExtElement:
         return cls(nvars)
 
     @classmethod
-    def one(cls, nvars: int) -> "ExtElement":
-        return cls(nvars, {(): 1})
-
-    @classmethod
     def monomial(cls, J, nvars: int, coeff: int = 1) -> "ExtElement":
         J = tuple(sorted(J))
         if len(set(J)) != len(J):
@@ -43,10 +39,6 @@ class ExtElement:
         if any(j < 1 or j > nvars for j in J):
             raise ValueError(f"support {J} outside 1..{nvars}")
         return cls(nvars, {J: coeff})
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "ExtElement":
-        return cls.monomial((i,), nvars)
 
     # -- basic structure ----------------------------------------------------
 
@@ -63,11 +55,6 @@ class ExtElement:
 
     def coefficient(self, J) -> int:
         return self.terms.get(tuple(sorted(J)), 0)
-
-    def homogeneous_degree(self) -> int | None:
-        """|J| common to all supports, or None if mixed/zero."""
-        sizes = {len(J) for J in self.terms}
-        return sizes.pop() if len(sizes) == 1 else None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -149,21 +136,3 @@ def sigma(k: int, variables, nvars: int) -> ExtElement:
         return ExtElement.zero(nvars)
     return ExtElement(nvars, {J: 1 for J in combinations(variables, k)})
 
-
-def r_poly(variables, nvars: int, signs=None) -> list[ExtElement]:
-    """Coefficient list of r(t) = prod_i (1 + t * sign_i * x_i) in E(I)[t].
-
-    Entry k is the t^k coefficient, i.e. sigma_k of the signed variables.
-    ``signs`` is a parallel sequence of +-1 (default all +1); variables may
-    repeat, which is how traversals that use an edge in both directions
-    contribute (1 + t x)(1 - t x) = 1.
-    """
-    variables = tuple(variables)
-    if signs is None:
-        signs = [1] * len(variables)
-    out = [ExtElement.one(nvars)]
-    for i, s in zip(variables, signs):
-        xi = ExtElement.monomial((i,), nvars, s)
-        out = [out[0]] + [out[k] + out[k - 1] * xi
-                          for k in range(1, len(out))] + [out[-1] * xi]
-    return out

@@ -156,9 +156,12 @@ def flag_is_valid(F, n: int, q: int) -> bool:
     return True
 
 
-def point_count_report(n: int, q: int) -> dict:
-    """|X(n)(F_q)| next to sum_i rank H^{2i} q^i.  Data only, not asserted."""
-    count = sum(1 for _ in enumerate_flags(n, q))
+def point_count_report(n: int, q: int, count: int) -> dict:
+    """|X(n)(F_q)| = ``count`` next to sum_i rank H^{2i} q^i.
+
+    The caller enumerates the flags and passes their number.  Data only,
+    not asserted.
+    """
     ranks = hilbert_ranks(n)
     poincare = sum(r * q ** i for i, r in enumerate(ranks))
     return {"n": n, "q": q, "flags": count, "poincare_value": poincare,

@@ -28,10 +28,11 @@ I_k = E_k, and reports (0, []) for every later degree.  This is exact:
 every monomial of degree k+1 is x_i times one of degree k, and x_i (M r)
 = (x_i M) r is a spanning element of I_(k+1), so I_(k+1) = E_(k+1), and by
 induction every later piece is 0.  A piece with free rank 0 but torsion
-does not stop the reduction.  Monomials are bitmasks (bit j-1 for x_j);
-M * r is read off the (mask, coefficient) terms of r as the row
-{col[M | J]: c for J with M & J = 0}, whose supports are distinct, so no
-term cancels.
+does not stop the reduction.  Every relation is a {mask: coefficient}
+polynomial from the start (bit j-1 for x_j; a product of masks that share
+a bit is 0): ``r_masks`` builds the cycle relations in that form, and
+M * r is read off the terms of r as the row {col[M | J]: c for J with
+M & J = 0}, whose supports are distinct, so no term cancels.
 
 Before the degree loop, unit linear relations are eliminated.  Each basis
 cycle gives a degree-1 relation with +-1 coefficients, and so does each
@@ -65,20 +66,37 @@ from itertools import combinations
 from math import comb
 
 from .combinatorics import sparse_count
-from .exterior import ExtElement, r_poly, sigma
 from .graphs import BiGraph, Hedgehog, hedgehog_analyze
 from .intlinalg import quotient_structure
 
 
 @dataclass
 class GraphRingPresentation:
-    positive_edges: list[tuple]            # index i+1 <-> positive_edges[i]
-    relations: list[ExtElement]            # homogeneous, over E(E_+)
-    provenance: list[tuple]                # cycle vertex tuples, parallel
+    nvars: int                         # the variables x_1..x_nvars
+    relations: list[dict[int, int]]    # {mask: nonzero coeff}, homogeneous
+    provenance: list[tuple]            # cycle vertex tuples, parallel
 
 
-def _edge_index(G: BiGraph) -> dict[tuple, int]:
-    return {e: i + 1 for i, e in enumerate(G.positive_edges())}
+def r_masks(variables, signs) -> list[dict[int, int]]:
+    """t-coefficients of r(t) = prod_i (1 + t * sign_i * x_i) as masks.
+
+    Entry k is sigma_k of the signed variables, a {mask: coeff}
+    polynomial.  Variables may repeat, which is how traversals that use
+    an edge in both directions contribute (1 + t x)(1 - t x) = 1.  The
+    terms of entry k are those of the previous entry k, then the new
+    ones; this order decides which variable a unit linear relation is
+    solved for (``_eliminate_unit_relations``).
+    """
+    out = [{0: 1}]
+    for j, s in zip(variables, signs):
+        bit = 1 << (j - 1)
+        nxt = [dict(p) for p in out] + [{}]
+        for k, p in enumerate(out):
+            for M, c in p.items():
+                if not M & bit:
+                    nxt[k + 1][M | bit] = nxt[k + 1].get(M | bit, 0) + s * c
+        out = [{M: c for M, c in p.items() if c} for p in nxt]
+    return out
 
 
 def cycle_relations(G: BiGraph) -> GraphRingPresentation:
@@ -88,8 +106,7 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
     order.  Each non-tree edge {a, b} closes one cycle: the tree path from
     a to b, then the edge back to a.  Trees get no relations.
     """
-    idx = _edge_index(G)
-    m = len(idx)
+    idx = {e: i + 1 for i, e in enumerate(G.positive_edges())}
     neighbours = {v: [] for v in G.vertices}
     for a, b in idx:
         neighbours[a].append(b)
@@ -103,7 +120,7 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
             if w not in parent:
                 parent[w], depth[w] = v, depth[v] + 1
                 queue.append(w)
-    relations: list[ExtElement] = []
+    relations: list[dict[int, int]] = []
     provenance: list[tuple] = []
     for a, b in idx:
         if parent[a] == b or parent[b] == a:
@@ -118,12 +135,11 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
             positive = G.parity[u] == 0
             variables.append(idx[(u, v) if positive else (v, u)])
             signs.append(1 if positive else -1)
-        coeffs = r_poly(variables, m, signs=signs)
-        for k in range(1, len(coeffs)):
-            if not coeffs[k].is_zero():
-                relations.append(coeffs[k])
+        for rel in r_masks(variables, signs)[1:]:
+            if rel:
+                relations.append(rel)
                 provenance.append(tuple(walk))
-    return GraphRingPresentation(G.positive_edges(), relations, provenance)
+    return GraphRingPresentation(len(idx), relations, provenance)
 
 
 def _eliminate_unit_relations(relations):
@@ -174,16 +190,14 @@ def graded_structure(G: BiGraph | GraphRingPresentation
     survivors, and degrees m'+1..m are (0, []).
     """
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
-    m = len(pres.positive_edges)
+    m = pres.nvars
     relations = []                         # (degree, [(mask, coeff)])
     for rel in pres.relations:
-        if rel.is_zero():
-            continue
-        d = rel.homogeneous_degree()
-        if d is None:
+        degrees = {M.bit_count() for M in rel}
+        if len(degrees) > 1:
             raise ValueError(f"relation {rel!r} is not homogeneous")
-        relations.append((d, [(sum(1 << (j - 1) for j in J), c)
-                              for J, c in rel.terms.items()]))
+        if rel:
+            relations.append((degrees.pop(), list(rel.items())))
     relations, gone = _eliminate_unit_relations(relations)
     keep = [1 << b for b in range(m) if not gone >> b & 1]
     relations = [(d, [(sum(1 << i for i, bit in enumerate(keep) if M & bit), c)
@@ -257,24 +271,20 @@ def expected_hedgehog_structure(h: Hedgehog) -> list[tuple[int, list[int]]]:
 def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
     """Graded structure of R(n)/(x_i + x_{i+1} : i in A), degree by degree."""
     two_n = 2 * n
-    relations = [sigma(k, range(1, two_n + 1), two_n) for k in range(1, two_n + 1)]
-    for i in sorted(A):
-        relations.append(ExtElement.variable(i, two_n)
-                         + ExtElement.variable(i + 1, two_n))
-    pres = GraphRingPresentation(
-        positive_edges=[(i, i) for i in range(1, two_n + 1)],  # index bookkeeping only
-        relations=relations,
-        provenance=[()] * len(relations),
-    )
-    return graded_structure(pres)
+    relations = [{sum(1 << j for j in S): 1
+                  for S in combinations(range(two_n), k)}
+                 for k in range(1, two_n + 1)]        # sigma_1..sigma_2n
+    relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
+    return graded_structure(GraphRingPresentation(
+        two_n, relations, [()] * len(relations)))
 
 
-def pinched_cycle_polynomial(n: int, A) -> list[ExtElement]:
+def pinched_cycle_polynomial(n: int, A) -> list[dict[int, int]]:
     """Coefficients of prod_j (1 + t x_j), j = 1..2n, under the pinch
-    substitution: ``r_poly`` of the substituted variables and signs."""
+    substitution: ``r_masks`` of the substituted variables and signs."""
     mapping = pinch_substitution(tuple(sorted(A)))
     pairs = [mapping.get(j, (1, j)) for j in range(1, 2 * n + 1)]
-    return r_poly([r for _, r in pairs], 2 * n, signs=[s for s, _ in pairs])
+    return r_masks([r for _, r in pairs], [s for s, _ in pairs])
 
 
 def hedgehog_ring(n: int, A) -> dict:
@@ -298,10 +308,10 @@ def hedgehog_ring(n: int, A) -> dict:
     trimmed = direct[: top + 1]
     tail_trivial = all(rank == 0 and not tors for rank, tors in direct[top + 1:])
     image = pinched_cycle_polynomial(n, A)
-    signs = [-1 if image[1].coefficient((r,)) == -1 else 1
+    signs = [-1 if image[1].get(1 << (r - 1)) == -1 else 1
              for r in h.body_indices]
-    signed_body = r_poly(h.body_indices, 2 * n, signs=signs)
-    signed_body += [ExtElement.zero(2 * n)] * (len(image) - len(signed_body))
+    signed_body = r_masks(h.body_indices, signs)
+    signed_body += [{}] * (len(image) - len(signed_body))
     return {
         "n": n,
         "pinch": tuple(sorted(A)),

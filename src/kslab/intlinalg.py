@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: rank and Smith normal form.
+"""Exact integer linear algebra: the Smith normal form.
 
 Everything in the package that needs homology, quotient-group structure,
 integral exactness or split-injectivity funnels through these routines.
@@ -187,11 +187,6 @@ def snf_invariants(rows, ncols: int,
             dense.append(row)
         divisors += _dense_snf(dense)
     return divisors
-
-
-def rank(rows, ncols: int) -> int:
-    """Rank over Q (= number of nonzero invariant factors)."""
-    return len(snf_invariants(rows, ncols))
 
 
 def quotient_structure(rows, ncols: int) -> tuple[int, list[int]]:

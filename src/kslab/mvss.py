@@ -147,7 +147,6 @@ def d1(a: TS, n: int) -> TS:
 
 @dataclass
 class EtaClassification:
-    element: tuple[Subset, Subset]
     status: str                       # "extendable" | "unextendable"
     partner: tuple[Subset, Subset]    # eta(J,A) resp. zeta(J,A)
 
@@ -169,10 +168,8 @@ def classify_bts(J, A, n: int) -> EtaClassification:
     if q > p:
         raise AssertionError(f"q > p at ({J}, {A})")
     if q < p:
-        return EtaClassification((J, A), "extendable",
-                                 (J, tuple(sorted(A + (q,)))))
-    return EtaClassification((J, A), "unextendable",
-                             (J, tuple(a for a in A if a != p)))
+        return EtaClassification("extendable", (J, tuple(sorted(A + (q,)))))
+    return EtaClassification("unextendable", (J, tuple(a for a in A if a != p)))
 
 
 def extendable_by_search(J, A, n: int):
@@ -263,20 +260,20 @@ def exactness_check(n: int) -> dict:
     return report
 
 
-def triangular_failures(n: int, images=None) -> list[dict]:
+def triangular_failures(n: int, images) -> list[dict]:
     """Extendable elements whose d1 image is not +-partner plus lower terms.
 
     Lower is with respect to the order x_J e_A < x_K e_B iff J < K, or
     J = K and A > B.  An empty list certifies the triangularity that,
     together with the eta bijection, forces H(TS**, d1) = 0.  ``images``
-    maps (J, A) to d1(x_J e_A); when it is None they are computed here.
+    maps (J, A) to d1(x_J e_A).
     """
     failures = []
     for J, A in enumerate_bts(n):
         cls = classify_bts(J, A, n)
         if cls.status != "extendable":
             continue
-        img = images[(J, A)] if images is not None else d1({(J, A): 1}, n)
+        img = images[(J, A)]
         lead = cls.partner
         ok = img.get(lead, 0) in (1, -1)
         bound = _order_key(*lead)

@@ -46,13 +46,13 @@ For a tree T with k positive edges, Y(T) is the full power (S^2)^k,
 whose cohomology is obtained from the octahedron by the graded tensor
 product, which is exact over the integers because every factor is free.
 Other graphs are computed directly, subject to a configurable simplex
-budget.  The budget is checked before anything is built, on an exact
-count: the c-fold power has sum_{j<=L} (-1)^j C(L, j) a(L-j)^c simplices
-of dimension L, where a(m) = sum_{d<=3} chains_d(P) C(m, d-1) and
-chains_d(P) is the number of d-element chains of P (6, 12, 8 for the
-octahedron; 4, 6, 4 for the small model); see ``staircase_f_vector``.
-Y(G) is refused when these counts, summed over all foldings, pass the
-budget.
+budget.  The budget is checked once, by ``y_complex`` before anything
+is built, on an exact count: the c-fold power has
+sum_{j<=L} (-1)^j C(L, j) a(L-j)^c simplices of dimension L, where
+a(m) = sum_{d<=3} chains_d(P) C(m, d-1) and chains_d(P) is the number
+of d-element chains of P (6, 12, 8 for the octahedron; 4, 6, 4 for the
+small model); see ``staircase_f_vector``.  Y(G) is refused when these
+counts, summed over all foldings, pass the budget.
 """
 
 from __future__ import annotations
@@ -87,17 +87,16 @@ SPHERE_MODELS = {
 # sphere powers and their union Y(G)
 # ---------------------------------------------------------------------------
 
-def _refuse(what: str, total: int, budget: int):
-    raise ValueError(f"{what} exceeds the simplex budget "
-                     f"({total} > {budget})")
+def _sphere_model(model: str):
+    if model not in SPHERE_MODELS:
+        raise ValueError(f"unknown sphere model {model!r}")
+    return SPHERE_MODELS[model]
 
 
 @lru_cache(maxsize=None)
 def _model_chains(model: str) -> tuple[int, ...]:
     """(chains of 1, 2 and 3 elements) of a sphere model's vertex poset."""
-    if model not in SPHERE_MODELS:
-        raise ValueError(f"unknown sphere model {model!r}")
-    return f_vector(order_complex(*SPHERE_MODELS[model]))[:3]
+    return f_vector(order_complex(*_sphere_model(model)))[:3]
 
 
 def staircase_f_vector(c: int, model: str = "small") -> tuple[int, ...]:
@@ -123,23 +122,19 @@ def staircase_f_vector(c: int, model: str = "small") -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def staircase_product_complex(c: int, model: str = "small",
-                              budget: int = SIMPLEX_BUDGET):
+def staircase_product_complex(c: int, model: str = "small"):
     """The c-fold power of a sphere model, by dimension.
 
     Simplices are the chains of vertex c-tuples, strictly increasing in
     the componentwise order, that take at most three distinct values in
-    every coordinate (see the module docstring).  Refuses, before
-    building anything, when the exact simplex count of
-    ``staircase_f_vector`` is above ``budget``.
+    every coordinate (see the module docstring).  Its size is
+    ``staircase_f_vector(c, model)``, which ``y_complex`` checks against
+    the budget before it asks for any power.
 
     Memoised, since ``y_complex`` asks for it once per folding; the
     levels are tuples so that no caller can alter the cached value.
     """
-    total = sum(staircase_f_vector(c, model))
-    if total > budget:
-        _refuse("product complex", total, budget)
-    elements, leq = SPHERE_MODELS[model]
+    elements, leq = _sphere_model(model)
     vertices = list(product(elements, repeat=c))
     above = {v: [w for w in vertices if w != v and all(map(leq, v, w))]
              for v in vertices}
@@ -177,10 +172,11 @@ def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET,
         pulls.append((len(classes), [classes.index(k) for k in fibre_key]))
     total = sum(sum(staircase_f_vector(c, model)) for c, _ in pulls)
     if total > budget:
-        _refuse("Y-complex", total, budget)
+        raise ValueError("Y-complex exceeds the simplex budget "
+                         f"({total} > {budget})")
     levels: list[set[tuple]] = []
     for c, pull in pulls:
-        power = staircase_product_complex(c, model, budget)
+        power = staircase_product_complex(c, model)
         vmap = {v: tuple(v[i] for i in pull) for (v,) in power[0]}
         for k, level in enumerate(power):
             if k == len(levels):
@@ -199,31 +195,21 @@ def y_small_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET):
 # order complexes and cohomology
 # ---------------------------------------------------------------------------
 
-def order_complex(elements, leq, budget: int = SIMPLEX_BUDGET):
+def order_complex(elements, leq):
     """Chains of a finite poset, by dimension.
 
     Returns a list ``simplices`` where ``simplices[k]`` is the sorted
-    list of (k+1)-tuples of element indices forming chains.  Refuses
-    with an estimate when the total would exceed ``budget``.  This is
-    the generic poset builder; Y(G) is built by ``y_complex``.
+    list of (k+1)-tuples of element indices forming chains.  The package
+    builds it only for the small vertex posets of the sphere models;
+    Y(G) is built by ``y_complex``.
     """
     m = len(elements)
     above = [[j for j in range(m) if j != i
               and leq(elements[i], elements[j])] for i in range(m)]
     simplices: list[list[tuple[int, ...]]] = []
-    total = 0
     frontier = [(i,) for i in range(m)]
     while frontier:
-        total += len(frontier)
-        if total > budget:
-            _refuse("order complex", total, budget)
         simplices.append(sorted(frontier))
-        # estimate the next level before materializing it
-        nxt = sum(len(above[chain[-1]]) for chain in frontier)
-        if total + nxt > budget:
-            if nxt:
-                _refuse("order complex", total + nxt, budget)
-            break
         frontier = [chain + (j,) for chain in frontier for j in above[chain[-1]]]
     return simplices
 

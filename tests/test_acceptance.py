@@ -39,6 +39,7 @@ from kslab.graphs import (
 )
 from kslab.mvss import (
     classify_bts,
+    d1,
     enumerate_bts,
     exactness_check,
     triangular_failures,
@@ -123,7 +124,7 @@ def test_criterion_05_normal_form_soundness():
         for k in range(1, two_n + 1):
             assert reduce(sigma(k, xs, two_n) * mono).is_zero()
         for i in xs:
-            x = ExtElement.variable(i, two_n)
+            x = ExtElement.monomial((i,), two_n)
             assert reduce(x * (x * mono)).is_zero()
     rng = random.Random(20240823)
     for _ in range(10 ** 4):
@@ -169,7 +170,8 @@ def test_criterion_09_mvss():
         assert rep["d1_squared_zero"]
         assert rep["all_exact"], rep["counterexamples"]
     for n in (2, 3, 4):
-        assert triangular_failures(n) == []
+        images = {(J, A): d1({(J, A): 1}, n) for J, A in enumerate_bts(n)}
+        assert triangular_failures(n, images) == []
         # the pairing matches extendable and unextendable elements
         partner = {}
         for (J, A) in enumerate_bts(n):

@@ -133,12 +133,9 @@ def test_graph_input_errors_name_the_fault(tmp_path, capsys, graph, message):
     assert message in err and "connected" not in err and "unpack" not in err
 
 
-def test_budget_exit_two(capsys, monkeypatch):
+def test_budget_exit_two(capsys):
     code, _, err = run(capsys, "cohomology", "--graph", "theta",
                        "--budget", "1000")
-    assert code == 2 and "budget" in err
-    monkeypatch.setenv("KRL_BUDGET", "1000")
-    code, _, err = run(capsys, "cohomology", "--graph", "theta")
     assert code == 2 and "budget" in err
 
 

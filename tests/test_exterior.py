@@ -3,11 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslab.exterior import ExtElement, r_poly, sigma
+from kslab.exterior import ExtElement, sigma
 
 
 def x(i, n=4):
-    return ExtElement.variable(i, n)
+    return ExtElement.monomial((i,), n)
+
+
+def one(n):
+    return ExtElement.monomial((), n)
 
 
 def random_element(rng, nvars, max_terms=5, max_coeff=9):
@@ -27,26 +31,14 @@ def test_mul_basic():
 
 def test_mul_ambient_mismatch():
     with pytest.raises(ValueError):
-        ExtElement.one(2) * ExtElement.one(4)
+        one(2) * one(4)
 
 
 def test_sigma_examples():
-    assert sigma(0, (1, 2, 3), 4) == ExtElement.one(4)
+    assert sigma(0, (1, 2, 3), 4) == one(4)
     s2 = sigma(2, (1, 2, 3), 4)
     assert s2.terms == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
     assert sigma(4, (1, 2, 3), 4).is_zero()
-
-
-def test_r_poly_examples():
-    r = r_poly((1, 2), 4)
-    assert r[0] == ExtElement.one(4)
-    assert r[1] == x(1) + x(2)
-    assert r[2] == ExtElement.monomial((1, 2), 4)
-    # the same variable with both signs multiplies to 1
-    r2 = r_poly((1, 1), 4, signs=(1, -1))
-    assert r2[0] == ExtElement.one(4)
-    assert r2[1].is_zero() and r2[2].is_zero()
-    assert r_poly((1, 2, 3, 4), 4)[2] == sigma(2, (1, 2, 3, 4), 4)
 
 
 def test_relabel_signed():
@@ -69,35 +61,3 @@ def test_ring_axioms(seed, n):
     assert a * (b + c) == a * b + a * c
     assert (a + b) - b == a
 
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
-def test_r_poly_splitting_identity(seed, n):
-    """r_J(t) * r_{J^c}(t) = r_I(t) coefficientwise."""
-    rng = random.Random(seed)
-    nv = 2 * n
-    J = sorted(rng.sample(range(1, nv + 1), rng.randrange(nv + 1)))
-    Jc = [i for i in range(1, nv + 1) if i not in J]
-    rj, rjc, ri = r_poly(J, nv), r_poly(Jc, nv), r_poly(range(1, nv + 1), nv)
-    for k in range(nv + 1):
-        conv = ExtElement.zero(nv)
-        for a in range(k + 1):
-            if a < len(rj) and k - a < len(rjc):
-                conv = conv + rj[a] * rjc[k - a]
-        assert conv == ri[k]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
-def test_r_poly_inverse_identity(seed, n):
-    """r_J(t) * r_J(-t) = 1."""
-    rng = random.Random(seed)
-    nv = 2 * n
-    J = sorted(rng.sample(range(1, nv + 1), rng.randrange(nv + 1)))
-    plus = r_poly(J, nv)
-    minus = r_poly(J, nv, signs=[-1] * len(J))
-    for k in range(len(J) + 1):
-        conv = ExtElement.zero(nv)
-        for a in range(k + 1):
-            conv = conv + plus[a] * minus[k - a]
-        assert conv == (ExtElement.one(nv) if k == 0 else ExtElement.zero(nv))

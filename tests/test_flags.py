@@ -418,7 +418,8 @@ def test_enumeration_cap():
 def test_point_count_reports():
     # reported as data: the counts happen to match the Poincare values
     for n, q in ((2, 2), (3, 2), (2, 3)):
-        assert point_count_report(n, q)["equal"]
+        count = sum(1 for _ in enumerate_flags(n, q))
+        assert point_count_report(n, q, count)["equal"]
 
 
 def test_xni_equivalent_characterisations():
@@ -449,7 +450,8 @@ def test_cover_scans():
 def test_cover_scan_at_larger_sizes(n, q, count):
     r = cover_scan(n, q)
     assert r["covered"]
-    assert r["flags"] == point_count_report(n, q)["poincare_value"] == count
+    assert r["flags"] == point_count_report(n, q, r["flags"])["poincare_value"] \
+        == count
 
 
 def test_unrolled_metric_axioms_exhaustive_n2():

@@ -3,9 +3,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kslab import graph_rings
-from kslab.exterior import ExtElement, r_poly, sigma
+from kslab.exterior import ExtElement, sigma
 from kslab.graph_rings import (
     GraphRingPresentation,
     cycle_relations,
@@ -15,6 +16,7 @@ from kslab.graph_rings import (
     pinch_substitution,
     pinched_cycle_polynomial,
     pinched_ring_structure,
+    r_masks,
     structure_ranks,
     tensor_ranks,
 )
@@ -36,16 +38,31 @@ def join_with_edge(G0: BiGraph, G1: BiGraph, v0, v1) -> BiGraph:
     return BiGraph(vertices, parity, frozenset(edges))
 
 
-def walk_relations(G: BiGraph, walk) -> list[ExtElement]:
-    """Nonzero t-coefficients of r(t) - 1 along a closed walk of G."""
+def to_ext(poly: dict[int, int], nvars: int) -> ExtElement:
+    """A {mask: coeff} polynomial (bit j-1 for x_j) as an ExtElement."""
+    return ExtElement(nvars, {
+        tuple(j + 1 for j in range(nvars) if M >> j & 1): c
+        for M, c in poly.items()})
+
+
+def to_masks(elem: ExtElement) -> dict[int, int]:
+    return {sum(1 << (j - 1) for j in J): c for J, c in elem.terms.items()}
+
+
+def walk_variables(G: BiGraph, walk):
+    """The variables and signs of r(t) along a closed walk of G."""
     idx = {e: i + 1 for i, e in enumerate(G.positive_edges())}
     variables, signs = [], []
     for a, b in zip(walk, walk[1:] + walk[:1]):
         positive = G.parity[a] == 0
         variables.append(idx[(a, b) if positive else (b, a)])
         signs.append(1 if positive else -1)
-    coeffs = r_poly(variables, len(idx), signs=signs)
-    return [c for c in coeffs[1:] if not c.is_zero()]
+    return variables, signs
+
+
+def walk_relations(G: BiGraph, walk) -> list[dict[int, int]]:
+    """Nonzero t-coefficients of r(t) - 1 along a closed walk of G."""
+    return [c for c in r_masks(*walk_variables(G, walk))[1:] if c]
 
 
 def directed_simple_cycles(G: BiGraph) -> list[tuple]:
@@ -69,7 +86,7 @@ def directed_simple_cycles(G: BiGraph) -> list[tuple]:
     return out
 
 
-def all_cycle_relations(G: BiGraph) -> list[ExtElement]:
+def all_cycle_relations(G: BiGraph) -> list[dict[int, int]]:
     """The presentation by all simple cycles in both directions (oracle)."""
     return [rel for cyc in directed_simple_cycles(G)
             for rel in walk_relations(G, cyc)]
@@ -78,15 +95,16 @@ def all_cycle_relations(G: BiGraph) -> list[ExtElement]:
 def oracle_graded_structure(G):
     """Every degree reduced, rows built as ExtElement products (oracle)."""
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
-    m = len(pres.positive_edges)
-    relations = pres.relations
+    m = pres.nvars
+    relations = [to_ext(rel, m) for rel in pres.relations]
     out = []
     for k in range(m + 1):
         monomials = list(combinations(range(1, m + 1), k))
         col = {J: i for i, J in enumerate(monomials)}
         rows = []
         for rel in relations:
-            d = rel.homogeneous_degree()
+            sizes = {len(J) for J in rel.terms}
+            d = sizes.pop() if len(sizes) == 1 else None  # None: zero, mixed
             if d is None or d > k:
                 continue
             for M in combinations(range(1, m + 1), k - d):
@@ -98,24 +116,67 @@ def oracle_graded_structure(G):
 
 
 def presentation(m: int, relations) -> GraphRingPresentation:
-    """A bare presentation over E(1..m); the edges are bookkeeping only."""
-    return GraphRingPresentation(
-        positive_edges=[(i, i) for i in range(1, m + 1)],
-        relations=list(relations), provenance=[()] * len(relations))
+    """A bare presentation over E(1..m) of the ExtElements ``relations``."""
+    return GraphRingPresentation(m, [to_masks(rel) for rel in relations],
+                                 [()] * len(relations))
 
 
 def adjoin(G, extra) -> GraphRingPresentation:
     """The presentation of S(G) (or ``G`` itself) with ``extra`` appended."""
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
-    return GraphRingPresentation(
-        positive_edges=pres.positive_edges,
-        relations=pres.relations + list(extra),
-        provenance=pres.provenance + [()] * len(extra))
+    return GraphRingPresentation(pres.nvars, pres.relations + list(extra),
+                                 pres.provenance + [()] * len(extra))
 
 
 ORACLE_GRAPHS = {"C2": make_standard("C", 2), "C3": make_standard("C", 3),
                  "theta": make_standard("theta"), "K23": make_standard("K23"),
                  "K33": make_standard("K33")}
+
+
+def test_r_masks_examples():
+    r = r_masks((1, 2), (1, 1))
+    assert r == [{0: 1}, {0b01: 1, 0b10: 1}, {0b11: 1}]
+    # the same variable with both signs multiplies to 1
+    assert r_masks((1, 1), (1, -1)) == [{0: 1}, {}, {}]
+    assert to_ext(r_masks((1, 2, 3, 4), (1,) * 4)[2], 4) == \
+        sigma(2, (1, 2, 3, 4), 4)
+
+
+def t_product(p: list[dict[int, int]], q: list[dict[int, int]], nvars: int
+              ) -> list[ExtElement]:
+    """The t-coefficients of p(t) q(t), by ExtElement products (oracle)."""
+    out = [ExtElement.zero(nvars)] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            out[a + b] = out[a + b] + to_ext(pa, nvars) * to_ext(qb, nvars)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=5))
+def test_r_masks_splitting_identity(seed, n):
+    """r_J(t) * r_{J^c}(t) = r_I(t) coefficientwise."""
+    rng = random.Random(seed)
+    nv = 2 * n
+    J = sorted(rng.sample(range(1, nv + 1), rng.randrange(nv + 1)))
+    Jc = [i for i in range(1, nv + 1) if i not in J]
+    ri = r_masks(range(1, nv + 1), [1] * nv)
+    assert t_product(r_masks(J, [1] * len(J)), r_masks(Jc, [1] * len(Jc)),
+                     nv) == [to_ext(c, nv) for c in ri]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=5))
+def test_r_masks_inverse_identity(seed, n):
+    """r_J(t) * r_J(-t) = 1."""
+    rng = random.Random(seed)
+    nv = 2 * n
+    J = sorted(rng.sample(range(1, nv + 1), rng.randrange(nv + 1)))
+    conv = t_product(r_masks(J, [1] * len(J)), r_masks(J, [-1] * len(J)), nv)
+    assert conv[0] == ExtElement.monomial((), nv)
+    assert all(c.is_zero() for c in conv[1:])
 
 
 def test_tree_has_no_relations():
@@ -125,8 +186,8 @@ def test_tree_has_no_relations():
 
 def test_c2_relations_are_sigmas():
     pres = cycle_relations(make_standard("C", 2))
-    degs = sorted(r.homogeneous_degree() for r in pres.relations)
-    assert degs == [1, 2, 3, 4]  # the one basis cycle, one direction
+    degs = [{M.bit_count() for M in r} for r in pres.relations]
+    assert degs == [{1}, {2}, {3}, {4}]  # the one basis cycle, one direction
 
 
 def test_theta_graph_cycle_classes():
@@ -217,19 +278,10 @@ def test_degenerate_cycles_add_nothing():
     """Appending the relations of a doubled traversal changes no structure."""
     G = make_standard("C", 2)
     pres = cycle_relations(G)
-    m = len(pres.positive_edges)
     extra = []
     for cyc in {tuple(p) for p in pres.provenance}:
-        idx = {e: i + 1 for i, e in enumerate(pres.positive_edges)}
-        variables, signs = [], []
-        walk = list(cyc)
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            positive = G.parity[a] == 0
-            key = (a, b) if positive else (b, a)
-            variables.append(idx[key])
-            signs.append(1 if positive else -1)
-        doubled = r_poly(variables * 2, m, signs=signs * 2)
-        extra.extend(c for c in doubled[1:] if not c.is_zero())
+        variables, signs = walk_variables(G, list(cyc))
+        extra.extend(c for c in r_masks(variables * 2, signs * 2)[1:] if c)
     extended = adjoin(pres, extra)
     assert graded_structure(extended) == graded_structure(pres) == \
         oracle_graded_structure(extended)
@@ -266,8 +318,8 @@ def test_pinched_cycle_polynomial_matches_the_relabelled_sigmas():
     cases += [(4, A) for A in sparse_pinch_sets(4)]
     assert len(cases) == 2 + 8 + 32 + 34
     for n, A in cases:
-        assert pinched_cycle_polynomial(n, A) == \
-            [relabelled_sigma_image(n, A, k) for k in range(2 * n + 1)], A
+        assert [to_ext(c, 2 * n) for c in pinched_cycle_polynomial(n, A)] \
+            == [relabelled_sigma_image(n, A, k) for k in range(2 * n + 1)], A
 
 
 def test_theta_graph_structure_reported():
@@ -304,7 +356,7 @@ def test_pinched_rings_match_the_oracle(monkeypatch):
 
 def test_torsion_does_not_stop_the_reduction():
     """Z[x1, x2, x3]/(x_i^2, 2 x_i): no degree above 0 is (0, [])."""
-    pres = presentation(3, [ExtElement.variable(i, 3).scale(2)
+    pres = presentation(3, [ExtElement.monomial((i,), 3, 2)
                             for i in (1, 2, 3)])
     expect = [(1, []), (0, [2, 2, 2]), (0, [2, 2, 2]), (0, [2])]
     assert oracle_graded_structure(pres) == expect
@@ -312,20 +364,20 @@ def test_torsion_does_not_stop_the_reduction():
 
 
 def test_unit_relation_stops_at_degree_zero():
-    pres = presentation(3, [ExtElement.one(3)])
+    pres = presentation(3, [ExtElement.monomial((), 3)])
     assert graded_structure(pres) == [(0, [])] * 4 == \
         oracle_graded_structure(pres)
 
 
 def test_zero_relations_are_skipped():
     G = make_standard("C", 2)
-    assert graded_structure(adjoin(G, [ExtElement.zero(4)])) == \
+    assert graded_structure(adjoin(G, [{}])) == \
         graded_structure(G)
 
 
 def test_mixed_degree_relation_is_refused():
     G = make_standard("C", 2)
-    mixed = ExtElement.variable(1, 4) + ExtElement.monomial((2, 3), 4)
+    mixed = {0b0001: 1, 0b0110: 1}                 # x1 + x2 x3
     with pytest.raises(ValueError, match="not homogeneous"):
         graded_structure(adjoin(G, [mixed]))
 

@@ -69,7 +69,7 @@ def test_reduce_kills_ideal():
                 assert springer.reduce(sk * mono(m, two_n)).is_zero()
         # x_i^2 * m is literally zero in E(I) already
         for i in range(1, two_n + 1):
-            xi = ExtElement.variable(i, two_n)
+            xi = mono((i,), two_n)
             assert (xi * xi).is_zero()
 
 
@@ -108,13 +108,13 @@ def test_reduce_in_relative_ambient():
 # ---------------------------------------------------------------------------
 
 def test_rho_examples():
-    assert springer.rho_K(ExtElement.variable(2, 4), (1, 3)) == mono((1,), 4, -1)
+    assert springer.rho_K(mono((2,), 4), (1, 3)) == mono((1,), 4, -1)
     assert springer.rho_K(mono((1, 2), 4), (1, 3)).is_zero()
-    comps = springer.rho_all(ExtElement.variable(3, 4))
+    comps = springer.rho_all(mono((3,), 4))
     assert comps[(1, 2)] == mono((2,), 4, -1)
     assert comps[(1, 3)] == mono((3,), 4)
-    ones = springer.rho_all(ExtElement.one(4))
-    assert all(v == ExtElement.one(4) for v in ones.values())
+    ones = springer.rho_all(mono((), 4))
+    assert all(v == mono((), 4) for v in ones.values())
     comps2 = springer.rho_all(mono((1, 2), 4))
     assert comps2[(1, 2)] == mono((1, 2), 4)
     assert comps2[(1, 3)].is_zero()
@@ -160,7 +160,7 @@ def test_leading_check_without_snf_matches():
 
 
 def test_rho_refuses_bad_K_on_every_call():
-    x = ExtElement.variable(1, 6)
+    x = mono((1,), 6)
     for _ in range(3):
         with pytest.raises(ValueError, match="not a size-n sparse subset"):
             springer.rho_K(x, (1, 3))          # wrong size
@@ -172,7 +172,7 @@ def test_rho_refuses_bad_K_on_every_call():
 def test_leading_term_value_example():
     # n=2, J={3}: highest term of rho(x_3) is +x_3 eps_{(1,3)}, and (1,3)=bar({3})
     assert sparse_closure((3,), 4, "bar") == (1, 3)
-    comps = springer.rho_all(ExtElement.variable(3, 4))
+    comps = springer.rho_all(mono((3,), 4))
     assert comps[(1, 3)].coefficient((3,)) == 1
 
 
@@ -188,8 +188,8 @@ def test_hilbert_ranks():
 
 
 def test_dihedral_examples():
-    assert springer.dihedral_act(ExtElement.variable(4, 4), (False, 1)) \
-        == springer.reduce(ExtElement.variable(1, 4))
+    assert springer.dihedral_act(mono((4,), 4), (False, 1)) \
+        == springer.reduce(mono((1,), 4))
 
 
 def test_dihedral_relations():

@@ -3,20 +3,21 @@
 A top-level function or class of ``src/kslab``, or a public method of
 one of its classes, must be referenced by code outside its own
 definition: in ``src/kslab`` or in the benchmark's ``perfbench/*.py``.
-References are identifiers, attribute names and the words of string
-literals (the benchmark tracer names what it wraps in strings);
-docstrings, comments and imports do not count.  A name that only tests
-call stays only as a test oracle, listed in ``ORACLES`` with its reason.
+References are identifiers that are read, attribute names, and string
+literals equal to the name (the benchmark tracer names what it wraps by
+exact strings).  Docstrings, comments and imports do not count, and
+neither does a name bound locally: an argument, or an assignment, loop
+or comprehension target of the enclosing function, lambda or
+comprehension.  A name that only tests call stays only as a test
+oracle, listed in ``ORACLES`` with its reason.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "kslab").glob("*.py")) + \
-    sorted((ROOT / "perfbench").glob("*.py"))
 PACKAGE = ROOT / "src" / "kslab"
+PERFBENCH = ROOT / "perfbench"
 
 ORACLES = {
     "is_sparse_tail_criterion": "second definition of sparse, tested "
@@ -41,6 +42,8 @@ ORACLES = {
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
+_COMPS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = _FUNCS + _COMPS + (ast.Lambda,)
 
 
 def _docstrings(tree):
@@ -56,30 +59,50 @@ def _docstrings(tree):
     return out
 
 
-def _words(node, docstrings):
-    if isinstance(node, ast.Name):
-        return [node.id]
+def _local_names(scope):
+    """The names a function, lambda or comprehension binds locally."""
+    if isinstance(scope, _COMPS):
+        targets = [node for gen in scope.generators
+                   for node in ast.walk(gen.target)]
+        return {node.id for node in targets if isinstance(node, ast.Name)}
+    a = scope.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + \
+        [arg for arg in (a.vararg, a.kwarg) if arg is not None]
+    return {arg.arg for arg in params} | \
+        {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)
+         and isinstance(node.ctx, ast.Store)}
+
+
+def _reference(node, docstrings, bound):
+    """The name ``node`` refers to, or None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+            and node.id not in bound:
+        return node.id
     if isinstance(node, ast.Attribute):
-        return [node.attr]
+        return node.attr
     if isinstance(node, ast.Constant) and isinstance(node.value, str) \
             and id(node) not in docstrings:
-        return re.findall(r"\w+", node.value)
-    return []
+        return node.value
+    return None
 
 
 def _references(tree):
-    """Each referenced word with the definitions it is written inside."""
+    """Each referenced name with the definitions it is written inside."""
     docstrings = _docstrings(tree)
     out = []
 
-    def visit(node, inside):
+    def visit(node, inside, bound):
         if isinstance(node, _DEFS):
             inside = inside | {id(node)}
-        out.extend((word, inside) for word in _words(node, docstrings))
+        if isinstance(node, _SCOPES):
+            bound = bound | _local_names(node)
+        name = _reference(node, docstrings, bound)
+        if name is not None:
+            out.append((name, inside))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, bound)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), frozenset())
     return out
 
 
@@ -94,18 +117,64 @@ def _checked_definitions(tree):
                         and not item.name.startswith("_"))
 
 
-def unreferenced_names():
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
-    references = [ref for tree in trees.values() for ref in _references(tree)]
+def unreferenced_names(package=None, others=None):
+    """``module.name`` of each checked definition that nothing references.
+
+    ``package`` maps module names to the sources whose definitions are
+    checked, and ``others`` lists more sources that may reference them;
+    by default, ``src/kslab/*.py`` and ``perfbench/*.py``.
+    """
+    if package is None:
+        package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+        others = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    trees = {name: ast.parse(text) for name, text in package.items()}
+    references = [ref for tree in [*trees.values(), *map(ast.parse, others)]
+                  for ref in _references(tree)]
     out = []
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
+    for module, tree in trees.items():
         for node in _checked_definitions(tree):
             if not any(word == node.name and id(node) not in inside
                        for word, inside in references):
-                out.append(f"{path.stem}.{node.name}")
+                out.append(f"{module}.{node.name}")
     return sorted(out)
+
+
+SYNTHETIC = '''
+TRACED = {"traced": "the tracer names it exactly"}
+NOTE = "mentioned in a sentence"
+
+
+def traced(): pass
+def mentioned(): pass
+def argument(): pass
+def target(): pass
+def looped(): pass
+def comprehended(): pass
+def recursive(): return recursive()
+def imported(): pass
+def called(): pass
+
+
+def uses(argument, *rest):
+    target = [comprehended for comprehended in rest]
+    for looped in target:
+        argument(looped)
+    return called(target)
+
+
+class Box:
+    def attribute(self): pass
+    def method(self): pass
+    def _private(self): pass
+'''
+
+
+def test_checker_on_a_synthetic_source():
+    others = ["from mod import imported", "def f(box): return box.attribute"]
+    assert unreferenced_names({"mod": SYNTHETIC}, others) == [
+        "mod.Box", "mod.argument", "mod.comprehended", "mod.imported",
+        "mod.looped", "mod.mentioned", "mod.method", "mod.recursive",
+        "mod.target", "mod.uses"]
 
 
 def test_every_public_name_is_used_or_an_oracle():

@@ -133,10 +133,13 @@ def test_octahedral_power_is_the_order_complex_of_the_product():
 
 
 def test_sphere_power_budget_and_model_checks():
-    # the small 2-sphere has 4 + 6 + 4 = 14 simplices
-    assert f_vector(staircase_product_complex(1, "small", 14)) == (4, 6, 4)
+    # the small 2-sphere has 4 + 6 + 4 = 14 simplices; the budget is
+    # checked by y_complex, here on the one-edge tree B, whose only
+    # folding is itself
+    B = make_standard("B")
+    assert f_vector(y_complex(B, 14, "small")) == (4, 6, 4)
     with pytest.raises(ValueError, match="budget"):
-        staircase_product_complex(1, "small", 13)
+        y_complex(B, 13, "small")
     with pytest.raises(ValueError, match="sphere model"):
         staircase_product_complex(1, "cube")
 
@@ -255,8 +258,6 @@ def test_budget_refusal():
         y_complex(make_standard("L", 2), budget=1000)
     with pytest.raises(ValueError):
         y_small_complex(make_standard("theta"), budget=1000)
-    with pytest.raises(ValueError):
-        order_complex(OCT_ELEMENTS, oct_leq, budget=10)
 
 
 def test_compare_trees_and_cycles():
