@@ -136,3 +136,18 @@ def sigma(k: int, variables, nvars: int) -> ExtElement:
         return ExtElement.zero(nvars)
     return ExtElement(nvars, {J: 1 for J in combinations(variables, k)})
 
+
+def r_poly(variables, nvars: int, signs) -> list[ExtElement]:
+    """Coefficient list of r(t) = prod_i (1 + t * sign_i * x_i) in E(I)[t].
+
+    Entry k is the t^k coefficient, i.e. sigma_k of the signed variables.
+    ``signs`` is a parallel sequence of +-1; variables may repeat, which is
+    how traversals that use an edge in both directions contribute
+    (1 + t x)(1 - t x) = 1.
+    """
+    out = [ExtElement.monomial((), nvars)]
+    for i, s in zip(variables, signs):
+        xi = ExtElement.monomial((i,), nvars, s)
+        out = [out[0]] + [out[k] + out[k - 1] * xi
+                          for k in range(1, len(out))] + [out[-1] * xi]
+    return out

@@ -28,11 +28,12 @@ I_k = E_k, and reports (0, []) for every later degree.  This is exact:
 every monomial of degree k+1 is x_i times one of degree k, and x_i (M r)
 = (x_i M) r is a spanning element of I_(k+1), so I_(k+1) = E_(k+1), and by
 induction every later piece is 0.  A piece with free rank 0 but torsion
-does not stop the reduction.  Every relation is a {mask: coefficient}
-polynomial from the start (bit j-1 for x_j; a product of masks that share
-a bit is 0): ``r_masks`` builds the cycle relations in that form, and
-M * r is read off the terms of r as the row {col[M | J]: c for J with
-M & J = 0}, whose supports are distinct, so no term cancels.
+does not stop the reduction.  Every relation of a presentation is a
+{mask: coefficient} polynomial (bit j-1 for x_j): the coefficients of r(t)
+are products in E(E_+) (``exterior.r_poly``), read off as masks once when
+the presentation is built.  M * r is read off the terms of r as the row
+{col[M | J]: c for J with M & J = 0}, whose supports are distinct, so no
+term cancels.
 
 Before the degree loop, unit linear relations are eliminated.  Each basis
 cycle gives a degree-1 relation with +-1 coefficients, and so does each
@@ -66,6 +67,7 @@ from itertools import combinations
 from math import comb
 
 from .combinatorics import sparse_count
+from .exterior import r_poly, sigma
 from .graphs import BiGraph, Hedgehog, hedgehog_analyze
 from .intlinalg import quotient_structure
 
@@ -77,26 +79,23 @@ class GraphRingPresentation:
     provenance: list[tuple]            # cycle vertex tuples, parallel
 
 
+def _masks(p) -> dict[int, int]:
+    """The terms of the ExtElement ``p`` as {mask: coeff}, bit j-1 for
+    x_j, in the same order."""
+    return {sum(1 << (j - 1) for j in J): c for J, c in p.terms.items()}
+
+
 def r_masks(variables, signs) -> list[dict[int, int]]:
     """t-coefficients of r(t) = prod_i (1 + t * sign_i * x_i) as masks.
 
-    Entry k is sigma_k of the signed variables, a {mask: coeff}
-    polynomial.  Variables may repeat, which is how traversals that use
-    an edge in both directions contribute (1 + t x)(1 - t x) = 1.  The
-    terms of entry k are those of the previous entry k, then the new
-    ones; this order decides which variable a unit linear relation is
-    solved for (``_eliminate_unit_relations``).
+    Entry k is sigma_k of the signed variables (``exterior.r_poly``), its
+    terms in the order r_poly inserts them; that order decides which
+    variable a unit linear relation is solved for
+    (``_eliminate_unit_relations``).
     """
-    out = [{0: 1}]
-    for j, s in zip(variables, signs):
-        bit = 1 << (j - 1)
-        nxt = [dict(p) for p in out] + [{}]
-        for k, p in enumerate(out):
-            for M, c in p.items():
-                if not M & bit:
-                    nxt[k + 1][M | bit] = nxt[k + 1].get(M | bit, 0) + s * c
-        out = [{M: c for M, c in p.items() if c} for p in nxt]
-    return out
+    variables = tuple(variables)
+    return [_masks(p) for p in r_poly(variables, max(variables, default=0),
+                                      signs)]
 
 
 def cycle_relations(G: BiGraph) -> GraphRingPresentation:
@@ -271,9 +270,8 @@ def expected_hedgehog_structure(h: Hedgehog) -> list[tuple[int, list[int]]]:
 def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
     """Graded structure of R(n)/(x_i + x_{i+1} : i in A), degree by degree."""
     two_n = 2 * n
-    relations = [{sum(1 << j for j in S): 1
-                  for S in combinations(range(two_n), k)}
-                 for k in range(1, two_n + 1)]        # sigma_1..sigma_2n
+    relations = [_masks(sigma(k, range(1, two_n + 1), two_n))
+                 for k in range(1, two_n + 1)]
     relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
     return graded_structure(GraphRingPresentation(
         two_n, relations, [()] * len(relations)))

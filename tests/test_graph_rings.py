@@ -3,7 +3,6 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kslab import graph_rings
 from kslab.exterior import ExtElement, sigma
@@ -140,43 +139,6 @@ def test_r_masks_examples():
     assert r_masks((1, 1), (1, -1)) == [{0: 1}, {}, {}]
     assert to_ext(r_masks((1, 2, 3, 4), (1,) * 4)[2], 4) == \
         sigma(2, (1, 2, 3, 4), 4)
-
-
-def t_product(p: list[dict[int, int]], q: list[dict[int, int]], nvars: int
-              ) -> list[ExtElement]:
-    """The t-coefficients of p(t) q(t), by ExtElement products (oracle)."""
-    out = [ExtElement.zero(nvars)] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        for b, qb in enumerate(q):
-            out[a + b] = out[a + b] + to_ext(pa, nvars) * to_ext(qb, nvars)
-    return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000),
-       st.integers(min_value=1, max_value=5))
-def test_r_masks_splitting_identity(seed, n):
-    """r_J(t) * r_{J^c}(t) = r_I(t) coefficientwise."""
-    rng = random.Random(seed)
-    nv = 2 * n
-    J = sorted(rng.sample(range(1, nv + 1), rng.randrange(nv + 1)))
-    Jc = [i for i in range(1, nv + 1) if i not in J]
-    ri = r_masks(range(1, nv + 1), [1] * nv)
-    assert t_product(r_masks(J, [1] * len(J)), r_masks(Jc, [1] * len(Jc)),
-                     nv) == [to_ext(c, nv) for c in ri]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000),
-       st.integers(min_value=1, max_value=5))
-def test_r_masks_inverse_identity(seed, n):
-    """r_J(t) * r_J(-t) = 1."""
-    rng = random.Random(seed)
-    nv = 2 * n
-    J = sorted(rng.sample(range(1, nv + 1), rng.randrange(nv + 1)))
-    conv = t_product(r_masks(J, [1] * len(J)), r_masks(J, [-1] * len(J)), nv)
-    assert conv[0] == ExtElement.monomial((), nv)
-    assert all(c.is_zero() for c in conv[1:])
 
 
 def test_tree_has_no_relations():
