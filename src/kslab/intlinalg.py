@@ -5,48 +5,68 @@ integral exactness or split-injectivity funnels through these routines.
 
 The workhorse is a two-phase Smith normal form:
 
-1. a sparse elimination phase that repeatedly pivots on +-1 entries (chosen
-   by a Markowitz-style fill estimate); each such pivot contributes an
-   invariant factor 1 and keeps all arithmetic exact with no growth;
-2. a dense classical SNF on whatever small core survives, with
-   arbitrary-precision integers.
+1. a lazy unit-echelon pass, the "lowest-one" reduction of persistent
+   homology.  The rows are taken in input order; a row's largest column
+   is cancelled against the pivot row that owns that column until the
+   row is empty or its largest column has no owner.  If its entry there
+   is +-1 the row becomes the pivot row of that column, and else it is
+   kept aside.  Once every column has a pivot the pass stops: the row
+   lattice is all of Z^ncols.  Each kept-aside row is then cancelled at
+   the pivot columns it meets, highest first, until it is zero on all
+   of them;
+2. a dense classical SNF on those residual rows, with arbitrary-precision
+   integers.  Each pivot contributes an invariant factor 1.
 
-The columns of the +-1 pivots of the sparse phase can be handed back to
-the caller, which is what lets a chain complex be reduced with
-*clearing* (Chen-Kerber, "Persistent homology computation with a twist",
-2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Each pivot
-row is an integer combination of the input rows, and it is 0 at the
-columns of all earlier pivots: the elimination cleared them from every
-live row.  Restricted to the pivot columns, the pivot rows therefore form
-a triangular matrix with +-1 on the diagonal, and back substitution over
-Z puts into the row lattice, for every pivot column c, a vector
-e_c + (terms off the pivot columns).  If the rows are the coboundary
-delta_k, this vector lies in the image of delta_k, so delta_(k+1) kills
-it: the row of delta_(k+1) at c is an integer combination of the rows
-at the other columns.  Leaving those rows out of delta_(k+1) keeps its
-row lattice, hence its invariant factors, exactly.  Pivots of the dense
-core need not be units, so they clear nothing.
+Why this is exact.  Only unimodular row operations are used, so the row
+lattice never changes.  A pivot row's largest column is its own, so the
+pivot rows restricted to the pivot columns form a triangular matrix T
+with +-1 on the diagonal, and the residual rows are zero on those
+columns.  In the column order (pivot columns, the others) the matrix is
+[[T, X], [0, R]]; T is unimodular, so column operations clear X, and the
+invariant factors are 1 (once per pivot) followed by those of R.
+
+The pivot columns can be handed back to the caller, which is what lets a
+chain complex be reduced with *clearing* (Chen-Kerber, "Persistent
+homology computation with a twist", 2011; Bauer-Kerber-Reininghaus,
+"Clear and compress", 2014).  Multiplying the pivot rows by T^-1 stays
+in the row lattice, so the lattice holds, for every pivot column c, a
+vector e_c + (terms off the pivot columns).  If the rows are the
+coboundary delta_k, this vector lies in the image of delta_k, so
+delta_(k+1) kills it: the row of delta_(k+1) at c is an integer
+combination of the rows at the other columns.  Leaving those rows out of
+delta_(k+1) keeps its row lattice, hence its invariant factors, exactly.
+Pivots of the dense core need not be units, so they clear nothing.
 
 Matrices are given as lists of rows; a row is either a list of ints of
-length ncols or a dict {col: nonzero int} (0-based columns).
+length ncols or a dict {col: int} with 0 <= col < ncols.  Any other row
+raises ``ValueError``.
 """
 
 from __future__ import annotations
-
-import heapq
-from math import gcd
 
 
 def _to_sparse_rows(rows, ncols):
     out = []
     for r in rows:
         if isinstance(r, dict):
+            if r and (min(r) < 0 or max(r) >= ncols):
+                raise ValueError("row column outside 0..ncols-1")
             out.append({c: v for c, v in r.items() if v})
         else:
             if len(r) != ncols:
                 raise ValueError("row length does not match ncols")
             out.append({c: v for c, v in enumerate(r) if v})
     return out
+
+
+def _cancel(row: dict[int, int], prow: dict[int, int], factor: int) -> None:
+    """row -= factor * prow, in place, dropping the entries that vanish."""
+    for c, v in prow.items():
+        new = row.get(c, 0) - factor * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
 
 
 def _dense_snf(mat: list[list[int]]) -> list[int]:
@@ -116,76 +136,39 @@ def snf_invariants(rows, ncols: int,
     """Nonzero invariant factors d_1 | d_2 | ... of the matrix.
 
     When ``unit_pivots`` is a list, the column of every +-1 pivot of the
-    sparse phase is appended to it (see the module docstring).
+    echelon pass is appended to it (see the module docstring).
     """
-    sparse = _to_sparse_rows(rows, ncols)
-    live_rows: dict[int, dict[int, int]] = {i: r for i, r in enumerate(sparse) if r}
-    col_index: dict[int, set[int]] = {}
-    for i, r in live_rows.items():
-        for c in r:
-            col_index.setdefault(c, set()).add(i)
+    pivot_rows: dict[int, dict[int, int]] = {}
+    residual: list[dict[int, int]] = []
+    for row in _to_sparse_rows(rows, ncols):
+        while row:
+            c = max(row)
+            prow = pivot_rows.get(c)
+            if prow is not None:
+                _cancel(row, prow, row[c] * prow[c])
+                continue
+            if row[c] in (1, -1):
+                pivot_rows[c] = row
+                if unit_pivots is not None:
+                    unit_pivots.append(c)
+            else:
+                residual.append(row)
+            break
+        if len(pivot_rows) == ncols:
+            return [1] * ncols
 
-    # candidate +-1 pivots in a lazy heap keyed by the Markowitz fill
-    # estimate; stale entries are re-validated (and re-pushed with their
-    # current score) when popped, so selection is O(log n) amortized
-    # instead of a full scan per pivot
-    heap: list[tuple[int, int, int]] = []
-    for i, r in live_rows.items():
-        rl = len(r) - 1
-        for c, v in r.items():
-            if v in (1, -1):
-                heap.append((rl * (len(col_index[c]) - 1), i, c))
-    heapq.heapify(heap)
-
-    ones = 0
-    while heap:
-        score, pi, pc = heapq.heappop(heap)
-        row = live_rows.get(pi)
-        if row is None or row.get(pc) not in (1, -1):
-            continue
-        current = (len(row) - 1) * (len(col_index[pc]) - 1)
-        if current > score:
-            heapq.heappush(heap, (current, pi, pc))
-            continue
-        prow = live_rows.pop(pi)
-        pval = prow[pc]
-        for c in prow:
-            col_index[c].discard(pi)
-        for j in list(col_index.get(pc, ())):
-            row = live_rows[j]
-            factor = row[pc] * pval  # row[pc] / pval since pval is +-1
-            for c, v in prow.items():
-                new = row.get(c, 0) - factor * v
-                if new:
-                    if c not in row:
-                        col_index.setdefault(c, set()).add(j)
-                    row[c] = new
-                    if new in (1, -1):
-                        heapq.heappush(
-                            heap,
-                            ((len(row) - 1) * (len(col_index[c]) - 1), j, c))
-                else:
-                    if c in row:
-                        del row[c]
-                        col_index[c].discard(j)
-            if not row:
-                del live_rows[j]
-        col_index.pop(pc, None)
-        ones += 1
-        if unit_pivots is not None:
-            unit_pivots.append(pc)
-
-    divisors = [1] * ones
-    if live_rows:
-        cols = sorted({c for r in live_rows.values() for c in r})
-        cmap = {c: k for k, c in enumerate(cols)}
-        dense = []
-        for r in live_rows.values():
-            row = [0] * len(cols)
-            for c, v in r.items():
-                row[cmap[c]] = v
-            dense.append(row)
-        divisors += _dense_snf(dense)
+    dense_rows = []
+    for row in residual:
+        while (c := max((c for c in row if c in pivot_rows),
+                        default=None)) is not None:
+            _cancel(row, pivot_rows[c], row[c] * pivot_rows[c][c])
+        if row:
+            dense_rows.append(row)
+    divisors = [1] * len(pivot_rows)
+    if dense_rows:
+        cols = sorted({c for r in dense_rows for c in r})
+        divisors += _dense_snf([[r.get(c, 0) for c in cols]
+                                for r in dense_rows])
     return divisors
 
 

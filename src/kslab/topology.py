@@ -33,8 +33,8 @@ the same cohomology.
 
 Cohomology is computed from the simplices: the coboundary matrices are
 fed to the exact Smith-normal-form engine, in increasing degree and
-with clearing.  The SNF of delta_k reports the (k+1)-simplices at which
-its sparse phase pivoted on a unit; their rows are left out of
+with clearing.  The SNF of delta_k reports the (k+1)-simplices whose
+columns its echelon pass took as +-1 pivots; their rows are left out of
 delta_(k+1).  Over Z this is exact: the unit pivots put e_tau + (terms
 at (k+1)-simplices that are not pivots) into im delta_k for each such
 tau, and delta_(k+1) delta_k = 0 makes the row of tau an integer

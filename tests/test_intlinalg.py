@@ -1,9 +1,14 @@
+import heapq
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslab.intlinalg import quotient_structure, snf_invariants
+from kslab import graph_rings, topology
+from kslab.graphs import make_standard
+from kslab.intlinalg import (_dense_snf, _to_sparse_rows, quotient_structure,
+                             snf_invariants)
 
 
 def rational_rank(rows, ncols):
@@ -29,6 +34,70 @@ def rational_rank(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rk])]
         rk += 1
     return rk
+
+
+def heap_snf(rows, ncols):
+    """Oracle: two-sided Gauss-Jordan on +-1 pivots, then the dense SNF.
+
+    The earlier sparse phase of ``snf_invariants``: every +-1 entry sits
+    in a lazy heap keyed by the Markowitz fill estimate (row length - 1)
+    * (column length - 1), and the cheapest live one eliminates its
+    column from every other row.
+    """
+    live = {i: r for i, r in enumerate(_to_sparse_rows(rows, ncols)) if r}
+    col_index: dict[int, set[int]] = {}
+    for i, r in live.items():
+        for c in r:
+            col_index.setdefault(c, set()).add(i)
+    heap = [((len(r) - 1) * (len(col_index[c]) - 1), i, c)
+            for i, r in live.items() for c, v in r.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    ones = 0
+    while heap:
+        score, pi, pc = heapq.heappop(heap)
+        row = live.get(pi)
+        if row is None or row.get(pc) not in (1, -1):
+            continue
+        current = (len(row) - 1) * (len(col_index[pc]) - 1)
+        if current > score:
+            heapq.heappush(heap, (current, pi, pc))
+            continue
+        prow = live.pop(pi)
+        for c in prow:
+            col_index[c].discard(pi)
+        for j in list(col_index.get(pc, ())):
+            row = live[j]
+            factor = row[pc] * prow[pc]
+            for c, v in prow.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    if c not in row:
+                        col_index.setdefault(c, set()).add(j)
+                    row[c] = new
+                    if new in (1, -1):
+                        heapq.heappush(
+                            heap,
+                            ((len(row) - 1) * (len(col_index[c]) - 1), j, c))
+                elif c in row:
+                    del row[c]
+                    col_index[c].discard(j)
+            if not row:
+                del live[j]
+        col_index.pop(pc, None)
+        ones += 1
+    cols = sorted({c for r in live.values() for c in r})
+    dense = [[r.get(c, 0) for c in cols] for r in live.values()]
+    return [1] * ones + (_dense_snf(dense) if dense else [])
+
+
+def checked_snf(rows, ncols):
+    """``snf_invariants``, checked against the oracle and its pivots."""
+    pivots: list[int] = []
+    divs = snf_invariants(rows, ncols, pivots)
+    assert divs == heap_snf(rows, ncols)
+    assert len(set(pivots)) == len(pivots) <= len(divs)
+    assert all(0 <= c < ncols for c in pivots)
+    return divs
 
 
 def test_known_snf_examples():
@@ -83,3 +152,97 @@ def test_sparse_and_dense_rows_agree():
     rows_dense = [[0, 2, 0, -1], [3, 0, 0, 0], [0, 4, 6, 0]]
     rows_sparse = [{1: 2, 3: -1}, {0: 3}, {1: 4, 2: 6}]
     assert snf_invariants(rows_dense, 4) == snf_invariants(rows_sparse, 4)
+
+
+def test_largest_entry_need_not_be_a_unit():
+    assert checked_snf([[2, 1]], 2) == [1]
+    assert checked_snf([[1, 1], [1, -1]], 2) == [1, 2]
+    assert checked_snf([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == [1, 2]
+    # every column gets a pivot before the last rows are read
+    assert checked_snf([[1, 0], [3, 1], [4, 6], [0, 2]], 2) == [1, 1]
+
+
+def test_dict_row_column_out_of_range_raises():
+    with pytest.raises(ValueError):
+        snf_invariants([{-1: 1}], 3)
+    with pytest.raises(ValueError):
+        snf_invariants([{0: 1}, {3: 2}], 3)
+    with pytest.raises(ValueError):     # after every column has a pivot
+        snf_invariants([{0: 1}, {1: 2}], 1)
+    with pytest.raises(ValueError):
+        quotient_structure([{5: 1}], 3)
+    with pytest.raises(ValueError):
+        snf_invariants([[1, 0]], 3)
+
+
+def _random_sparse_matrix(rng):
+    """A sparse integer matrix, mixed formats, and its invariant factors.
+
+    A diagonal of 1s, torsion and zeros is spread by a few sparse row and
+    column shears, which keep the invariant factors; zero rows are mixed in.
+    """
+    nr, nc = rng.randint(1, 14), rng.randint(1, 14)
+    diag = [rng.choice((1, 1, 1, 2, 3, 4, 6, 0)) for _ in range(min(nr, nc))]
+    mat = [[diag[i] if i == j and i < len(diag) else 0 for j in range(nc)]
+           for i in range(nr)]
+    for _ in range(rng.randint(0, 3 * (nr + nc))):
+        a, b, k = rng.randrange(nr), rng.randrange(nr), rng.choice((-1, 1, 2))
+        if a != b:
+            mat[a] = [x + k * y for x, y in zip(mat[a], mat[b])]
+        a, b, k = rng.randrange(nc), rng.randrange(nc), rng.choice((-1, 1, 2))
+        if a != b:
+            for row in mat:
+                row[a] += k * row[b]
+    mat += [[0] * nc for _ in range(rng.randint(0, 2))]
+    rng.shuffle(mat)
+    rows = [r if rng.random() < 0.5 else {c: v for c, v in enumerate(r) if v}
+            for r in mat]
+    nonzero = [d for d in diag if d]
+    square = [[d if i == j else 0 for j in range(len(nonzero))]
+              for i, d in enumerate(nonzero)]
+    return rows, nc, _dense_snf(square)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_snf_matches_the_heap_oracle_on_random_sparse_matrices(seed):
+    rng = random.Random(1700 + seed)
+    torsion_seen = 0
+    for _ in range(150):
+        rows, nc, expected = _random_sparse_matrix(rng)
+        assert checked_snf(rows, nc) == expected
+        torsion_seen += any(d > 1 for d in expected)
+    assert torsion_seen > 20
+
+
+@pytest.mark.parametrize("model", ["octahedron", "small"])
+def test_snf_matches_the_heap_oracle_on_c2_coboundaries(model, monkeypatch):
+    cx = topology.y_complex(make_standard("C", 2), model=model)
+    for k in range(len(cx)):
+        checked_snf(*topology.coboundary_rows(cx, k))
+    fed = []
+
+    def recording(rows, ncols, unit_pivots=None):
+        fed.append((rows, ncols))
+        return snf_invariants(rows, ncols, unit_pivots)
+
+    monkeypatch.setattr(topology, "snf_invariants", recording)
+    topology.integral_cohomology(cx)
+    assert len(fed) == len(cx)
+    for rows, ncols in fed:                 # the cleared coboundaries
+        checked_snf(rows, ncols)
+
+
+@pytest.mark.parametrize("name", ["K33", "C4", "cube"])
+def test_snf_matches_the_heap_oracle_on_sg_degrees(name, monkeypatch):
+    fed = []
+
+    def recording(rows, ncols):
+        fed.append((rows, ncols))
+        return quotient_structure(rows, ncols)
+
+    monkeypatch.setattr(graph_rings, "quotient_structure", recording)
+    G = make_standard("C", 4) if name == "C4" else make_standard(name)
+    graph_rings.graded_structure(G)
+    assert fed
+    for rows, ncols in fed:
+        checked_snf(rows, ncols)

@@ -377,8 +377,12 @@ def test_clearing_matches_unreduced_coboundaries(name, monkeypatch):
     seen = []
 
     def recording(rows, ncols, unit_pivots=None):
-        divs = snf_invariants(rows, ncols, unit_pivots)
+        pivots: list[int] = []
+        divs = snf_invariants(rows, ncols, pivots)
+        # clearing trusts the pivots: distinct columns, at most the rank
+        assert len(set(pivots)) == len(pivots) <= len(divs)
         seen.append(divs)
+        unit_pivots.extend(pivots)
         return divs
 
     monkeypatch.setattr(topology, "snf_invariants", recording)
