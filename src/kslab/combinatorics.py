@@ -18,7 +18,6 @@ subsets are in bijection with non-crossing matchings via lambda/mu below.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -163,69 +162,26 @@ def beta_of(K: Subset, two_n: int) -> Subset:
 def gf_coefficients(max_n: int) -> list[list[int]]:
     """Coefficient table of 2t / ((t-1) + (t+1) sqrt(1-4st)).
 
-    Expands the closed form as a power series in s whose coefficients are
-    polynomials in t, using exact rational arithmetic throughout; entry
-    [n][k] is the coefficient of s^n t^k.  The binomial series gives
+    Entry [n][k] is the coefficient of s^n t^k, for k <= n.  The Catalan
+    identity sqrt(1-4x) = 1 - 2 sum_{m>=1} C_{m-1} x^m, with C_m the
+    Catalan numbers, turns the denominator into
 
-        sqrt(1-4st) = sum_m C(1/2, m) (-4)^m (st)^m,
+        2t (1 - (1+t) sum_{m>=1} C_{m-1} t^{m-1} s^m),
 
-    so D := ((t-1) + (t+1) sqrt(1-4st)) / (2t) is the s-series with constant
-    term 1 and, for m >= 1, s^m-coefficient c_m (t^m + t^{m-1}) / 2 where
-    c_m = C(1/2, m)(-4)^m.  The answer is the multiplicative inverse of D.
+    so the series is the inverse of 1 - (1+t) sum_m C_{m-1} t^{m-1} s^m:
+    Q_0 = 1 and Q_n = (1+t) sum_{m=1..n} C_{m-1} t^{m-1} Q_{n-m}.  The
+    recurrence stays in the integers, and Q_n has degree n in t.
     """
-
-    def poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] += c
-        for i, c in enumerate(q):
-            out[i] += c
-        return out
-
-    def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q):
-                    out[i + j] += a * b
-        return out
-
-    # c_m = binom(1/2, m) * (-4)^m, exact.
-    c = [Fraction(1)]
-    for m in range(1, max_n + 1):
-        c.append(c[-1] * (Fraction(1, 2) - (m - 1)) / m * (-4))
-
-    # D as a list of t-polynomials, D[0] = 1.
-    D: list[list[Fraction]] = [[Fraction(1)]]
-    for m in range(1, max_n + 1):
-        half = c[m] / 2
-        poly = [Fraction(0)] * (m + 1)
-        poly[m - 1] = half
-        poly[m] = half
-        D.append(poly)
-
-    # Invert the power series: Q[0] = 1, Q[n] = -sum_{m>=1} D[m] Q[n-m].
-    Q: list[list[Fraction]] = [[Fraction(1)]]
-    for nn in range(1, max_n + 1):
-        acc: list[Fraction] = [Fraction(0)]
-        for m in range(1, nn + 1):
-            acc = poly_add(acc, poly_mul(D[m], Q[nn - m]))
-        Q.append([-x for x in acc])
-
-    table: list[list[int]] = []
-    for nn in range(max_n + 1):
-        row = []
-        for k in range(nn + 1):
-            val = Q[nn][k] if k < len(Q[nn]) else Fraction(0)
-            if val.denominator != 1:
-                raise ArithmeticError(f"non-integral coefficient at s^{nn} t^{k}: {val}")
-            row.append(int(val))
-        # coefficients of t^k with k > n must vanish
-        for k in range(nn + 1, len(Q[nn])):
-            if Q[nn][k]:
-                raise ArithmeticError(f"unexpected coefficient at s^{nn} t^{k}")
-        table.append(row)
-    return table
+    catalan = [comb(2 * m, m) // (m + 1) for m in range(max_n)]
+    Q: list[list[int]] = [[1]]
+    for n in range(1, max_n + 1):
+        # P = sum_{m=1..n} C_{m-1} t^{m-1} Q_{n-m}, of degree n - 1
+        P = [0] * n
+        for m in range(1, n + 1):
+            for k, c in enumerate(Q[n - m]):
+                P[m - 1 + k] += catalan[m - 1] * c
+        Q.append([a + b for a, b in zip(P + [0], [0] + P)])
+    return Q
 
 
 # ---------------------------------------------------------------------------

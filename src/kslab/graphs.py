@@ -116,6 +116,11 @@ class BiGraph:
         }
 
 
+def _is_json_id(x) -> bool:
+    # a bool, 0.0 or 1.0 would collide with the id 0 or 1
+    return isinstance(x, (int, str)) and not isinstance(x, bool)
+
+
 def graph_from_json(data: dict) -> BiGraph:
     """A graph from {"vertices": [{"id": ..., "parity": 0|1}, ...],
     "edges": [[u, v], ...]}; any other shape raises ValueError naming the
@@ -130,23 +135,26 @@ def graph_from_json(data: dict) -> BiGraph:
         for key in ("id", "parity"):
             if not isinstance(item, dict) or key not in item:
                 raise ValueError(f"graph JSON vertex {item!r} has no {key!r}")
-        # a bool id would collide with 0 or 1; false, true and 1.0 equal
-        # a parity of 0 or 1 but are not one
-        if not isinstance(item["id"], (int, str)) \
-                or isinstance(item["id"], bool) \
-                or type(item["parity"]) is not int \
+        # false, true and 1.0 equal a parity of 0 or 1 but are not one
+        if not _is_json_id(item["id"]) or type(item["parity"]) is not int \
                 or item["parity"] not in (0, 1):
             raise ValueError(f"graph JSON vertex {item!r} needs an int or "
                              f"string 'id' and a 'parity' of 0 or 1")
+    edges = set()
     for e in data["edges"]:
         if not isinstance(e, list) or len(e) != 2:
             raise ValueError(f"graph JSON 'edges' entry {e!r} is not a pair")
+        if not (_is_json_id(e[0]) and _is_json_id(e[1])):
+            raise ValueError(f"graph JSON edge {e!r} needs int or string "
+                             f"endpoints")
+        if frozenset(e) in edges:
+            raise ValueError(f"graph JSON edge {e!r} is listed twice")
+        edges.add(frozenset(e))
     vertices = tuple(item["id"] for item in data["vertices"])
     parity = {item["id"]: item["parity"] for item in data["vertices"]}
-    edges = frozenset(frozenset(e) for e in data["edges"])
     if not vertices:
         raise ValueError("empty vertex set")
-    return BiGraph(vertices, parity, edges)
+    return BiGraph(vertices, parity, frozenset(edges))
 
 
 def is_tree(G: BiGraph) -> bool:

@@ -14,8 +14,11 @@ The workhorse is a two-phase Smith normal form:
    lattice is all of Z^ncols.  Each kept-aside row is then cancelled at
    the pivot columns it meets, highest first, until it is zero on all
    of them;
-2. a dense classical SNF on those residual rows, with arbitrary-precision
-   integers.  Each pivot contributes an invariant factor 1.
+2. a dense core on those residual rows, with arbitrary-precision
+   integers: Euclid's algorithm, by unimodular row and column
+   operations, brings them to a diagonal D = UAV, and one gcd/lcm pass
+   turns D into the invariant factors.  Each pivot of phase 1
+   contributes an invariant factor 1.
 
 Why this is exact.  Only unimodular row operations are used, so the row
 lattice never changes.  A pivot row's largest column is its own, so the
@@ -24,6 +27,15 @@ with +-1 on the diagonal, and the residual rows are zero on those
 columns.  In the column order (pivot columns, the others) the matrix is
 [[T, X], [0, R]]; T is unimodular, so column operations clear X, and the
 invariant factors are 1 (once per pivot) followed by those of R.
+
+The diagonal D = diag(d_1, ..., d_r) of the dense core need not be a
+divisor chain.  At each prime p, the p-parts of its invariant factors
+are p^a for the valuations a = v_p(d_i) in ascending order (Newman,
+*Integral Matrices*, 1972, ch. II).  The step (d_i, d_j) <- (gcd, lcm)
+turns each pair of valuations (a, b) into (min, max): it keeps the
+multiset, and so the invariant factors.  Taken for i < j in order, the
+steps selection-sort the valuations at every prime at once, so the d_i
+end as a divisor chain d_1 | ... | d_r: the invariant factors.
 
 The pivot columns can be handed back to the caller, which is what lets a
 chain complex be reduced with *clearing* (Chen-Kerber, "Persistent
@@ -43,6 +55,8 @@ raises ``ValueError``.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def _to_sparse_rows(rows, ncols):
@@ -70,13 +84,13 @@ def _cancel(row: dict[int, int], prow: dict[int, int], factor: int) -> None:
 
 
 def _dense_snf(mat: list[list[int]]) -> list[int]:
-    """Classical Smith normal form; returns the nonzero invariant factors.
+    """Nonzero invariant factors of a dense matrix, in divisibility order.
 
-    Enforcing divisibility of the remaining block by each pivot before
-    recursing makes the divisor chain property automatic.
+    Euclid brings the matrix to a diagonal, pivot by pivot, and one
+    gcd/lcm pass normalises it (module docstring).
     """
     mat = [row[:] for row in mat]
-    divisors: list[int] = []
+    diag: list[int] = []
     while mat and mat[0]:
         nr, nc = len(mat), len(mat[0])
         # smallest-magnitude nonzero entry to (0, 0)
@@ -103,32 +117,22 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
                 i = min(rem, key=lambda i: abs(mat[i][0]))
                 mat[0], mat[i] = mat[i], mat[0]
                 continue
-            # clear row 0 with column operations (column 0 stays clear)
-            p = mat[0][0]
-            for j in range(1, nc):
-                if mat[0][j]:
-                    q = mat[0][j] // p
-                    for row in mat:
-                        row[j] -= q * row[0]
+            # clear row 0 with column operations; column 0 is clear, so
+            # they change row 0 alone
+            mat[0][1:] = [a % p for a in mat[0][1:]]
             rem = [j for j in range(1, nc) if mat[0][j]]
-            if rem:
-                j = min(rem, key=lambda j: abs(mat[0][j]))
-                for row in mat:
-                    row[0], row[j] = row[j], row[0]
-                continue
-            # pivot isolated; force it to divide the remaining block
-            p = abs(mat[0][0])
-            offender = next(
-                (i for i in range(1, nr)
-                 if any(mat[i][j] % p for j in range(1, nc))),
-                None,
-            )
-            if offender is None:
+            if not rem:
                 break
-            mat[0] = [a + b for a, b in zip(mat[0], mat[offender])]
-        divisors.append(abs(mat[0][0]))
+            j = min(rem, key=lambda j: abs(mat[0][j]))
+            for row in mat:
+                row[0], row[j] = row[j], row[0]
+        diag.append(abs(mat[0][0]))
         mat = [row[1:] for row in mat[1:]]
-    return divisors
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 def snf_invariants(rows, ncols: int,

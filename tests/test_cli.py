@@ -124,6 +124,12 @@ def test_misshapen_graph_json_exits_two(tmp_path, capsys, data, key):
       "edges": [[0, 1]]}, "a 'parity' of 0 or 1"),
     ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1.0}],
       "edges": [[0, 1]]}, "a 'parity' of 0 or 1"),
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1}],
+      "edges": [[[0], 1]]}, "needs int or string endpoints"),
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1}],
+      "edges": [[0.0, True]]}, "needs int or string endpoints"),
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1}],
+      "edges": [[0, 1], [1, 0]]}, "edge [1, 0] is listed twice"),
 ])
 def test_graph_input_errors_name_the_fault(tmp_path, capsys, graph, message):
     path = tmp_path / "graph.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -168,6 +169,42 @@ def test_gf_corner_values():
     table = comb.gf_coefficients(3)
     assert table[0][0] == 1
     assert table[2][1] == 3
+
+
+def rational_gf_coefficients(max_n):
+    """Oracle: the series inverted over Q from the binomial series.
+
+    sqrt(1-4st) = sum_m C(1/2, m) (-4)^m (st)^m, so the denominator over
+    2t is the s-series D with D_0 = 1 and D_m = c_m (t^m + t^(m-1)) / 2,
+    c_m = C(1/2, m) (-4)^m; the table is that of 1/D, which must come out
+    integral.
+    """
+    def poly_mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    c = [Fraction(1)]
+    for m in range(1, max_n + 1):
+        c.append(c[-1] * (Fraction(1, 2) - (m - 1)) / m * (-4))
+    D = [[Fraction(1)]] + [[Fraction(0)] * (m - 1) + [c[m] / 2, c[m] / 2]
+                           for m in range(1, max_n + 1)]
+    Q = [[Fraction(1)]]
+    for n in range(1, max_n + 1):
+        acc = [Fraction(0)] * (n + 1)
+        for m in range(1, n + 1):
+            for k, v in enumerate(poly_mul(D[m], Q[n - m])):
+                acc[k] -= v
+        Q.append(acc)
+    assert all(v.denominator == 1 for row in Q for v in row)
+    return [[int(v) for v in row] for row in Q]
+
+
+def test_gf_matches_the_rational_expansion():
+    for max_n in range(13):
+        assert comb.gf_coefficients(max_n) == rational_gf_coefficients(max_n)
 
 
 # ---------------------------------------------------------------------------

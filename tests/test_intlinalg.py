@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslab import graph_rings, topology
+from kslab import graph_rings, intlinalg, topology
 from kslab.graphs import make_standard
 from kslab.intlinalg import (_dense_snf, _to_sparse_rows, quotient_structure,
                              snf_invariants)
@@ -34,6 +34,65 @@ def rational_rank(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rk])]
         rk += 1
     return rk
+
+
+def divisibility_snf(mat):
+    """Oracle: the classical dense SNF that keeps a divisor chain.
+
+    The earlier dense core of ``snf_invariants``: once a pivot stands
+    alone, a row of the remaining block that it does not divide is added
+    to the pivot row, and the pivot is cleared again.
+    """
+    mat = [row[:] for row in mat]
+    divisors: list[int] = []
+    while mat and mat[0]:
+        nr, nc = len(mat), len(mat[0])
+        pivot = min(
+            ((i, j) for i in range(nr) for j in range(nc) if mat[i][j]),
+            key=lambda ij: abs(mat[ij[0]][ij[1]]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        pi, pj = pivot
+        mat[0], mat[pi] = mat[pi], mat[0]
+        for row in mat:
+            row[0], row[pj] = row[pj], row[0]
+        while True:
+            p = mat[0][0]
+            for i in range(1, nr):
+                if mat[i][0]:
+                    q = mat[i][0] // p
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[0])]
+            rem = [i for i in range(1, nr) if mat[i][0]]
+            if rem:
+                i = min(rem, key=lambda i: abs(mat[i][0]))
+                mat[0], mat[i] = mat[i], mat[0]
+                continue
+            p = mat[0][0]
+            for j in range(1, nc):
+                if mat[0][j]:
+                    q = mat[0][j] // p
+                    for row in mat:
+                        row[j] -= q * row[0]
+            rem = [j for j in range(1, nc) if mat[0][j]]
+            if rem:
+                j = min(rem, key=lambda j: abs(mat[0][j]))
+                for row in mat:
+                    row[0], row[j] = row[j], row[0]
+                continue
+            p = abs(mat[0][0])
+            offender = next(
+                (i for i in range(1, nr)
+                 if any(mat[i][j] % p for j in range(1, nc))),
+                None,
+            )
+            if offender is None:
+                break
+            mat[0] = [a + b for a, b in zip(mat[0], mat[offender])]
+        divisors.append(abs(mat[0][0]))
+        mat = [row[1:] for row in mat[1:]]
+    return divisors
 
 
 def heap_snf(rows, ncols):
@@ -87,7 +146,7 @@ def heap_snf(rows, ncols):
         ones += 1
     cols = sorted({c for r in live.values() for c in r})
     dense = [[r.get(c, 0) for c in cols] for r in live.values()]
-    return [1] * ones + (_dense_snf(dense) if dense else [])
+    return [1] * ones + (divisibility_snf(dense) if dense else [])
 
 
 def checked_snf(rows, ncols):
@@ -105,6 +164,64 @@ def test_known_snf_examples():
     assert snf_invariants([[1, 0], [0, 1]], 2) == [1, 1]
     assert snf_invariants([[0, 0], [0, 0]], 2) == []
     assert snf_invariants([[2, 0], [0, 3]], 2) == [1, 6]
+
+
+def test_dense_core_normalises_its_diagonal():
+    assert _dense_snf([[2, 0], [0, 3]]) == [1, 6]
+    assert _dense_snf([[4, 0], [0, 6]]) == [2, 12]
+    assert _dense_snf([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
+    assert _dense_snf([[0, 0], [0, 0]]) == []
+
+
+def _random_dense_matrix(rng):
+    """A dense integer matrix, half the time with torsion built in.
+
+    Either uniform entries, or a diagonal of torsion and zeros spread by
+    unimodular row and column shears.
+    """
+    nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+    if rng.random() < 0.5:
+        return [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+    mat = [[0] * nc for _ in range(nr)]
+    for i in range(min(nr, nc)):
+        mat[i][i] = rng.choice((1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 0))
+    for _ in range(2 * (nr + nc)):
+        a, b, k = rng.randrange(nr), rng.randrange(nr), rng.randint(-2, 2)
+        if a != b:
+            mat[a] = [x + k * y for x, y in zip(mat[a], mat[b])]
+        a, b, k = rng.randrange(nc), rng.randrange(nc), rng.randint(-2, 2)
+        if a != b:
+            for row in mat:
+                row[a] += k * row[b]
+    return mat
+
+
+def test_dense_core_matches_the_divisibility_oracle():
+    rng = random.Random(1800)
+    torsion_seen = 0
+    for _ in range(600):
+        mat = _random_dense_matrix(rng)
+        want = divisibility_snf(mat)
+        assert _dense_snf(mat) == want, mat
+        torsion_seen += any(d > 1 for d in want)
+    assert torsion_seen > 200
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_dense_core_matches_the_divisibility_oracle_on_sg_residuals(
+        n, monkeypatch):
+    # S(cube), S(K33) and S(theta) leave no residual for the dense core
+    fed = []
+
+    def recording(mat):
+        fed.append(mat)
+        return _dense_snf(mat)
+
+    monkeypatch.setattr(intlinalg, "_dense_snf", recording)
+    graph_rings.graded_structure(make_standard("C", n))
+    assert len(fed) == n - 1
+    for mat in fed:
+        assert _dense_snf(mat) == divisibility_snf(mat)
 
 
 def test_quotient_structure():
@@ -200,7 +317,7 @@ def _random_sparse_matrix(rng):
     nonzero = [d for d in diag if d]
     square = [[d if i == j else 0 for j in range(len(nonzero))]
               for i, d in enumerate(nonzero)]
-    return rows, nc, _dense_snf(square)
+    return rows, nc, divisibility_snf(square)
 
 
 @pytest.mark.parametrize("seed", range(4))
