@@ -190,7 +190,7 @@ def cmd_ring(args):
         # bare ranks output, machine-readable
         report = ranks
         return report, True
-    lead = springer.leading_check(args.n, do_snf=args.n <= 3)
+    lead = springer.leading_check(args.n)
     report = {"n": args.n, "ranks": ranks, "leading_check": lead}
     ok = not lead["leading_failures"] and \
         lead.get("snf_divisors_all_one", True)

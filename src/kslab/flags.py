@@ -18,12 +18,15 @@ to scaling, the lattices are the vertices of the Bruhat-Tits tree of
 PGL_2(F_q((t))) (Serre, *Trees*, ch. II.1); the imbalance delta of L/K
 is the tree distance between L and K.
 
+Every decision is made on Hermite forms, by ``fqlin.offsets`` and by
+whether ``hermite`` grows; RREF only orders a flag's candidate lines.
+
 The submodule lattice of V(n) is read off the enumerated flags: every
 submodule is a space of some complete flag, and every chain of
 submodules with unit steps from 0 is a prefix of one, so the flag
-enumeration is the lattice's only source.  ``thin_invariants`` and
-``submodules`` are memoised, as the ``fqlin`` operations are: the
-scans meet the same submodules again and again.
+enumeration is the lattice's only source.  ``thin_invariants``,
+``submodules`` and the flag children are memoised, as the ``fqlin``
+operations are: the scans meet the same submodules again and again.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from .fqlin import (
     generators,
     hermite,
     intersect,
-    member,
+    offsets,
     rows,
-    rref,
     t_image,
     t_preimage,
 )
@@ -69,18 +71,13 @@ def thin_invariants(L: Lattice, K: Lattice) -> ThinInvariants:
 
     The basis of K is B_L X with X = [[t^(a_K-a_L), g], [0, t^(b_K-b_L)]]
     and g = (c_K - t^(b_K-b_L) c_L) / t^(a_L), so M = A_beta + A_eta with
-    beta the least valuation of an entry of X and beta + eta = dim M.
-    Coefficients of c lie in [0, q), so g's valuation needs no q.
+    beta the least valuation of an entry of X, the least of the
+    ``offsets``, and beta + eta = dim M.
     """
-    (a_l, b_l, c_l), (a_k, b_k, c_k) = L, K
-    da, db = a_k - a_l, b_k - b_l
-    if da < 0 or db < 0:
+    da, db, dg = offsets(L, K)
+    beta = min(da, db, dg)
+    if beta < 0:
         raise ValueError("K is not contained in L")
-    lifted = (0,) * db + c_l + (0,) * a_k
-    val = next((i for i, x in enumerate(c_k) if x != lifted[i]), a_k)
-    if val < a_l:
-        raise ValueError("K is not contained in L")
-    beta = min(da, db, val - a_l)
     d = da + db
     return ThinInvariants(d - beta, beta, d - 2 * beta, d)
 
@@ -92,6 +89,28 @@ def is_balanced(L: Lattice, K: Lattice) -> bool:
 # ---------------------------------------------------------------------------
 # flag enumeration
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _children(W: Lattice, n: int, q: int) -> tuple[Lattice, ...]:
+    """The spaces W + F_q v for the lines F_q v of t^-1 W / W, in order.
+
+    An RREF row v of t^-1 W is kept when it makes the Hermite form grow
+    (t v lies in W); with kept rows a, b the lines are a, then b + c a.
+    """
+    ext, cur = [], W
+    for v in rows(t_preimage(W, n, q), n, q):
+        grown = hermite(generators(cur, n) + (v,), n, q)
+        if grown != cur:
+            ext.append(v)
+            cur = grown
+    if len(ext) == 2:
+        a, b = ext
+        ext = [a] + [tuple((y + c * x) % q for x, y in zip(a, b))
+                     for c in range(q)]
+    elif len(ext) != 1:
+        raise RuntimeError(f"t^-1 W / W has dimension {len(ext)}")
+    return tuple(hermite(generators(W, n) + (v,), n, q) for v in ext)
+
 
 def enumerate_flags(n: int, q: int = 2):
     """All complete t-stable flags in V(n), depth first.
@@ -105,39 +124,11 @@ def enumerate_flags(n: int, q: int = 2):
         raise ValueError(f"flag enumeration would explore up to {estimate} "
                          f"branches, above the cap {FLAG_BRANCH_CAP}")
 
-    def extensions(W: Lattice):
-        # the child order: a, then b + c a, over the RREF rows a, b of
-        # t^-1 W that are not in W
-        ext: list = []
-        cur = rows(W, n, q)
-        for b in rows(t_preimage(W, n, q), n, q):
-            if not member(b, cur, q):
-                ext.append(b)
-                cur = rref(cur + (b,), q)
-        if len(ext) == 1:
-            return ext
-        if len(ext) != 2:
-            raise RuntimeError(f"t^-1 W / W has dimension {len(ext)}, "
-                               f"expected 1 or 2")
-        a, b = ext
-        lines = [a]
-        for c in range(q):
-            lines.append(tuple((b[i] + c * a[i]) % q for i in range(len(a))))
-        return lines
-
-    # a space W recurs at many nodes of the search, so its children are
-    # computed once per W; the memo lives only as long as this call
-    children: dict[Lattice, list[Lattice]] = {}
-
     def walk(chain):
         if len(chain) == 2 * n + 1:
             yield tuple(chain)
             return
-        W = chain[-1]
-        if W not in children:
-            children[W] = [hermite(generators(W, n) + (v,), n, q)
-                           for v in extensions(W)]
-        for child in children[W]:
+        for child in _children(chain[-1], n, q):
             chain.append(child)
             yield from walk(chain)
             chain.pop()
@@ -151,7 +142,7 @@ def flag_is_valid(F, n: int, q: int) -> bool:
     for i, W in enumerate(F):
         if dim(W, n) != i:
             return False
-        if i and not contains(F[i - 1], t_image(W, n, q), n, q):
+        if i and not contains(F[i - 1], t_image(W, n, q)):
             return False
     return True
 
@@ -389,7 +380,7 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
     # --- triangle and gap lemmas over all nested submodule pairs --------
     subs = submodules(n, q)
     pairs = [(N, M) for N in subs for M in subs
-             if dim(N, n) <= dim(M, n) and contains(M, N, n, q)]
+             if dim(N, n) <= dim(M, n) and contains(M, N)]
     above: dict[Lattice, list[Lattice]] = {}
     for N, M in pairs:
         above.setdefault(N, []).append(M)
@@ -418,7 +409,7 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
                 Md = intersect(t_preimage(zero, n, q, d), M, n, q)
                 tdM = t_image(M, n, q, d)
                 ok = (thin_invariants(M, zero).beta >= d
-                      and contains(L, Md, n, q) and contains(tdM, K, n, q)
+                      and contains(L, Md) and contains(tdM, K)
                       and thin_invariants(M, zero).delta
                       == thin_invariants(tdM, zero).delta
                       == thin_invariants(M, Md).delta

@@ -9,10 +9,11 @@ Lambda has dimension 2m - a - b; the zero submodule is (m, m, 0^m).
 ``hermite`` is the one normaliser, elimination over F_q[[t]].  Under
 the pairing u . v = u_0 v_0 + u_1 v_1 mod t^m, t is self-adjoint, so
 t-preimage is perp o t-image o perp, and intersection is the perp of
-the sum of the perps.  The operations are memoised on the canonical
-form.  Vectors use coordinates 2i + j for t^i e_j; ``rows`` is the RREF
-basis of L/t^m Lambda in them, for reports and the flag order.  Only
-prime q is supported; inverses come from a lookup table.
+the sum of the perps; ``offsets`` decides containment.  The operations
+are memoised on the canonical form.  Vectors use coordinates 2i + j for
+t^i e_j; ``rows`` is the RREF basis of L/t^m Lambda in them, which only
+orders the flag lab's candidate lines and formats reports.  Only prime
+q is supported; inverses come from a lookup table.
 """
 
 from __future__ import annotations
@@ -62,17 +63,6 @@ def rref(rows, q: int) -> Rows:
         col += 1
     order = sorted(range(len(out)), key=lambda i: pivots[i])
     return tuple(tuple(out[i]) for i in order)
-
-
-def member(v: Vector, W: Rows, q: int) -> bool:
-    """Whether v lies in the span of the RREF rows W."""
-    v = list(v)
-    for row in W:
-        p = next(i for i, x in enumerate(row) if x)
-        f = v[p] % q
-        if f:
-            v = [(a - f * b) % q for a, b in zip(v, row)]
-    return not any(x % q for x in v)
 
 
 def _val(p) -> int:
@@ -167,9 +157,24 @@ def add(L: Lattice, K: Lattice, m: int, q: int) -> Lattice:
     return hermite(generators(L, m) + generators(K, m), m, q)
 
 
-def contains(L: Lattice, K: Lattice, m: int, q: int) -> bool:
+def offsets(L: Lattice, K: Lattice) -> tuple[int, int, int]:
+    """(a_K - a_L, b_K - b_L, v - a_L), v the valuation of c_K - t^db c_L.
+
+    K <= L iff none is negative: the basis vectors t^(a_K) e_0 and
+    c_K e_0 + t^(b_K) e_1 of K lie in L iff a_K >= a_L, b_K >= b_L and
+    t^(a_L) divides c_K - t^db c_L, db = b_K - b_L.  v is read up to a_K
+    only, and the coefficients lie in [0, q), so no q is needed.
+    """
+    (a_l, b_l, c_l), (a_k, b_k, c_k) = L, K
+    db = b_k - b_l
+    lifted = (0,) * db + c_l + (0,) * a_k
+    v = next((i for i, x in enumerate(c_k) if x != lifted[i]), a_k)
+    return a_k - a_l, db, v - a_l
+
+
+def contains(L: Lattice, K: Lattice) -> bool:
     """Whether K <= L."""
-    return add(L, K, m, q) == L
+    return min(offsets(L, K)) >= 0
 
 
 @lru_cache(maxsize=None)

@@ -49,9 +49,8 @@ combination of the rows at the other columns.  Leaving those rows out of
 delta_(k+1) keeps its row lattice, hence its invariant factors, exactly.
 Pivots of the dense core need not be units, so they clear nothing.
 
-Matrices are given as lists of rows; a row is either a list of ints of
-length ncols or a dict {col: int} with 0 <= col < ncols.  Any other row
-raises ``ValueError``.
+Matrices are lists of dict rows {col: int} with 0 <= col < ncols; a
+column outside that range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -62,14 +61,9 @@ from math import gcd
 def _to_sparse_rows(rows, ncols):
     out = []
     for r in rows:
-        if isinstance(r, dict):
-            if r and (min(r) < 0 or max(r) >= ncols):
-                raise ValueError("row column outside 0..ncols-1")
-            out.append({c: v for c, v in r.items() if v})
-        else:
-            if len(r) != ncols:
-                raise ValueError("row length does not match ncols")
-            out.append({c: v for c, v in enumerate(r) if v})
+        if r and (min(r) < 0 or max(r) >= ncols):
+            raise ValueError("row column outside 0..ncols-1")
+        out.append({c: v for c, v in r.items() if v})
     return out
 
 
@@ -93,15 +87,14 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
     diag: list[int] = []
     while mat and mat[0]:
         nr, nc = len(mat), len(mat[0])
-        # smallest-magnitude nonzero entry to (0, 0)
-        pivot = min(
-            ((i, j) for i in range(nr) for j in range(nc) if mat[i][j]),
-            key=lambda ij: abs(mat[ij[0]][ij[1]]),
-            default=None,
-        )
-        if pivot is None:
+        # smallest |entry| to (0, 0), from the first row and column with it
+        least = min((min(map(abs, filter(None, row)))
+                     for row in mat if any(row)), default=None)
+        if least is None:
             break
-        pi, pj = pivot
+        pi = next(i for i, row in enumerate(mat)
+                  if least in row or -least in row)
+        pj = next(j for j, x in enumerate(mat[pi]) if abs(x) == least)
         mat[0], mat[pi] = mat[pi], mat[0]
         for row in mat:
             row[0], row[pj] = row[pj], row[0]

@@ -129,17 +129,18 @@ def q_basis(n: int) -> list[tuple[Subset, Subset]]:
     return out
 
 
-def leading_check(n: int, do_snf: bool = True) -> dict:
+def leading_check(n: int) -> dict:
     """Certify that rho is a split monomorphism.
 
     (i) For every sparse J the highest term of rho(x_J), in the order where
     x_J eps_K < x_J' eps_K' iff J < J' or (J = J' and K > K'), must be
     x_J eps_{bar(J)} with coefficient exactly +1.
-    (ii) Optionally assemble the full integer matrix of rho from the sparse
-    basis to the monomial basis of Q(I) and check through the Smith normal
-    form that every elementary divisor is 1.
+    (ii) For n <= 3 only (it follows from (i)), assemble the integer matrix
+    of rho from the sparse basis to the monomial basis of Q(I) and check
+    through the Smith normal form that every elementary divisor is 1.
     """
     two_n = 2 * n
+    do_snf = n <= 3
     sparse_all = enumerate_sparse(two_n, "all")
     failures = []
     rows = []

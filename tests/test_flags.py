@@ -22,9 +22,10 @@ from kslab.fqlin import (
     add,
     contains,
     dim,
+    generators,
     hermite,
     intersect,
-    member,
+    offsets,
     perp,
     rows,
     rref,
@@ -36,6 +37,17 @@ from kslab.fqlin import (
 # oracles: the submodule algebra on RREF subspaces of F_q^(2m), in the
 # coordinates 2i + j of t^i e_j
 # ---------------------------------------------------------------------------
+
+
+def member(v, W, q):
+    """Whether v lies in the span of the RREF rows W."""
+    v = list(v)
+    for row in W:
+        p = next(i for i, x in enumerate(row) if x)
+        f = v[p] % q
+        if f:
+            v = [(a - f * b) % q for a, b in zip(v, row)]
+    return not any(x % q for x in v)
 
 
 def oracle_contains(W, U, q):
@@ -234,6 +246,22 @@ def oracle_chains(n, q):
     return [c for c in chains if len(c) > 1]
 
 
+def oracle_children(W, n, q):
+    """The children of W by RREF membership: a row of t^-1 W is kept when
+    it is not in the span of W and the rows kept before it."""
+    ext = []
+    cur = rows(W, n, q)
+    for b in rows(t_preimage(W, n, q), n, q):
+        if not member(b, cur, q):
+            ext.append(b)
+            cur = rref(cur + (b,), q)
+    if len(ext) == 2:
+        a, b = ext
+        ext = [a] + [tuple((b[i] + c * a[i]) % q for i in range(len(a)))
+                     for c in range(q)]
+    return tuple(hermite(generators(W, n) + (v,), n, q) for v in ext)
+
+
 def identity(m, q):
     return rref([tuple(1 if c == i else 0 for c in range(m)) for i in range(m)], q)
 
@@ -283,7 +311,7 @@ def test_cached_lattice_ops_match_uncached():
     calls = [(fn, (L, n, q)) for fn in cached[:2] for L in subs]
     calls += [(fqlin.intersect, (L, K, n, q)) for L in subs for K in subs]
     calls += [(flags.thin_invariants, (L, K)) for L in subs
-              for K in subs if contains(L, K, n, q)]
+              for K in subs if contains(L, K)]
     for fn, args in calls:
         # computed, then reused: both equal the undecorated result
         assert fn(*args) == fn(*args) == fn.__wrapped__(*args)
@@ -309,8 +337,8 @@ def test_sum_intersection_dimension_formula():
         U, W = hermite(U, m, q), hermite(W, m, q)
         S, X = add(U, W, m, q), intersect(U, W, m, q)
         assert dim(S, m) + dim(X, m) == dim(U, m) + dim(W, m)
-        assert contains(U, X, m, q) and contains(W, X, m, q)
-        assert contains(S, U, m, q) and contains(S, W, m, q)
+        assert contains(U, X) and contains(W, X)
+        assert contains(S, U) and contains(S, W)
 
 
 @pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (3, 2), (2, 5),
@@ -344,7 +372,7 @@ def test_lattice_ops_match_rref_oracles(n, q):
             assert rows(intersect(L, K, n, q), n, q) == \
                 oracle_intersect(RL, RK, 2 * n, q)
             inside = oracle_contains(RL, RK, q)
-            assert contains(L, K, n, q) == inside
+            assert contains(L, K) == inside
             if inside:
                 ti = thin_invariants(L, K)
                 assert (ti.eta, ti.beta, ti.delta, ti.dim) == \
@@ -367,7 +395,7 @@ def test_t_image_preimage_adjunction():
         full = hermite(identity(2 * n, q), n, q)
         for W in submodules(n, q):
             up = t_preimage(W, n, q)
-            assert contains(up, W, n, q)  # t W <= W for submodules
+            assert contains(up, W)  # t W <= W for submodules
             assert t_image(up, n, q) == intersect(
                 W, t_image(full, n, q), n, q)
 
@@ -390,9 +418,48 @@ def test_thin_invariant_examples():
         assert (ti.eta, ti.beta, ti.delta, ti.dim) == (n, n, 0, 2 * n)
 
 
+def test_offsets_hand_cases():
+    full, z = hermite(identity(4, 2), 2, 2), zero(2)
+    assert full == (0, 0, ())
+    assert offsets(full, z) == (2, 2, 2) and contains(full, z)
+    assert offsets(z, z) == (0, 0, 0) and contains(z, z)
+    assert offsets(z, full) == (-2, -2, -2) and not contains(z, full)
+    # <e_0, t e_1> does not hold e_0 + e_1: only the b-offset is negative
+    L, K = (0, 1, ()), (1, 0, (1,))
+    assert hermite(generators(L, 2), 2, 2) == L
+    assert hermite(generators(K, 2), 2, 2) == K
+    assert offsets(L, K) == (1, -1, 0) and not contains(L, K)
+    # <t e_0, e_1> and <t e_0, e_0 + e_1>: only the third is negative
+    L = (1, 0, (0,))
+    assert offsets(L, K) == (0, 0, -1) and not contains(L, K)
+    assert offsets(K, L) == (0, 0, -1) and not contains(K, L)
+    # t V(2) = <t e_0, t e_1> lies in <t e_0, e_1> with beta = 0
+    T = (1, 1, (0,))
+    assert offsets(L, T) == (0, 1, 0) and contains(L, T)
+    assert thin_invariants(L, T).beta == 0
+    # over F_3, <t^2 e_0, 2t e_0 + t e_1> lies in <t e_0, e_1> with
+    # c_K - t c_L = 2t of valuation 1 = a_L
+    L, K = (1, 0, (0,)), (2, 1, (0, 2))
+    assert hermite(generators(K, 3), 3, 3) == K
+    assert offsets(L, K) == (1, 1, 0) and contains(L, K)
+
+
 def test_thin_invariants_rejects_non_nested():
     with pytest.raises(ValueError):
         thin_invariants(zero(2), hermite(identity(4, 2), 2, 2))
+
+
+@pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (2, 5), (3, 2),
+                                  (3, 3), (4, 2), (2, 7)])
+def test_children_match_the_rref_greedy(n, q):
+    # every submodule but V(n) itself, which has no children
+    subs = submodules(n, q)
+    assert subs[-1] == (0, 0, ())
+    for W in subs[:-1]:
+        assert flags._children(W, n, q) == oracle_children(W, n, q)
+    # and the enumeration is the walk over the children
+    assert sum(1 for _ in enumerate_flags(n, q)) == \
+        point_count_report(n, q, 0)["poincare_value"]
 
 
 def test_flag_counts():

@@ -11,16 +11,19 @@ from kslab.intlinalg import (_dense_snf, _to_sparse_rows, quotient_structure,
                              snf_invariants)
 
 
+def dict_rows(mat):
+    """The rows of a dense matrix as the dict rows that ``snf_invariants``
+    takes, zero entries kept."""
+    return [dict(enumerate(r)) for r in mat]
+
+
 def rational_rank(rows, ncols):
     """Independent oracle: Gaussian elimination over Q."""
     mat = []
     for r in rows:
-        if isinstance(r, dict):
-            row = [Fraction(0)] * ncols
-            for c, v in r.items():
-                row[c] = Fraction(v)
-        else:
-            row = [Fraction(v) for v in r]
+        row = [Fraction(0)] * ncols
+        for c, v in r.items():
+            row[c] = Fraction(v)
         mat.append(row)
     rk = 0
     for col in range(ncols):
@@ -160,10 +163,11 @@ def checked_snf(rows, ncols):
 
 
 def test_known_snf_examples():
-    assert snf_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3) == [2, 2, 156]
-    assert snf_invariants([[1, 0], [0, 1]], 2) == [1, 1]
-    assert snf_invariants([[0, 0], [0, 0]], 2) == []
-    assert snf_invariants([[2, 0], [0, 3]], 2) == [1, 6]
+    assert snf_invariants(dict_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
+                          3) == [2, 2, 156]
+    assert snf_invariants(dict_rows([[1, 0], [0, 1]]), 2) == [1, 1]
+    assert snf_invariants(dict_rows([[0, 0], [0, 0]]), 2) == []
+    assert snf_invariants(dict_rows([[2, 0], [0, 3]]), 2) == [1, 6]
 
 
 def test_dense_core_normalises_its_diagonal():
@@ -226,8 +230,8 @@ def test_dense_core_matches_the_divisibility_oracle_on_sg_residuals(
 
 def test_quotient_structure():
     # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6 with invariant factors 1, 6
-    assert quotient_structure([[2, 0], [0, 3]], 2) == (0, [6])
-    assert quotient_structure([[1, 2, 3]], 3) == (2, [])
+    assert quotient_structure(dict_rows([[2, 0], [0, 3]]), 2) == (0, [6])
+    assert quotient_structure(dict_rows([[1, 2, 3]]), 3) == (2, [])
     assert quotient_structure([{0: 2}], 3) == (2, [2])
 
 
@@ -236,7 +240,7 @@ def test_divisor_chain_property():
     for _ in range(50):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-8, 8) for _ in range(nc)] for _ in range(nr)]
-        divs = snf_invariants(rows, nc)
+        divs = snf_invariants(dict_rows(rows), nc)
         assert all(b % a == 0 for a, b in zip(divs, divs[1:]))
 
 
@@ -245,7 +249,8 @@ def test_divisor_chain_property():
 def test_rank_matches_rational_elimination(seed):
     rng = random.Random(seed)
     nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-    rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+    rows = dict_rows([[rng.randint(-5, 5) for _ in range(nc)]
+                      for _ in range(nr)])
     assert len(snf_invariants(rows, nc)) == rational_rank(rows, nc)
 
 
@@ -255,28 +260,30 @@ def test_snf_invariant_under_unimodular_ops(seed):
     rng = random.Random(seed)
     nr, nc = rng.randint(2, 5), rng.randint(2, 5)
     rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-    divs = snf_invariants(rows, nc)
+    divs = snf_invariants(dict_rows(rows), nc)
     # random row shear and swap must not change the invariant factors
     i, j = rng.sample(range(nr), 2)
     sheared = [r[:] for r in rows]
     k = rng.randint(-3, 3)
     sheared[i] = [a + k * b for a, b in zip(sheared[i], sheared[j])]
     sheared[i], sheared[j] = sheared[j], sheared[i]
-    assert snf_invariants(sheared, nc) == divs
+    assert snf_invariants(dict_rows(sheared), nc) == divs
 
 
 def test_sparse_and_dense_rows_agree():
-    rows_dense = [[0, 2, 0, -1], [3, 0, 0, 0], [0, 4, 6, 0]]
+    # zero entries in a row are ignored
+    rows_dense = dict_rows([[0, 2, 0, -1], [3, 0, 0, 0], [0, 4, 6, 0]])
     rows_sparse = [{1: 2, 3: -1}, {0: 3}, {1: 4, 2: 6}]
     assert snf_invariants(rows_dense, 4) == snf_invariants(rows_sparse, 4)
 
 
 def test_largest_entry_need_not_be_a_unit():
-    assert checked_snf([[2, 1]], 2) == [1]
-    assert checked_snf([[1, 1], [1, -1]], 2) == [1, 2]
+    assert checked_snf(dict_rows([[2, 1]]), 2) == [1]
+    assert checked_snf(dict_rows([[1, 1], [1, -1]]), 2) == [1, 2]
     assert checked_snf([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == [1, 2]
     # every column gets a pivot before the last rows are read
-    assert checked_snf([[1, 0], [3, 1], [4, 6], [0, 2]], 2) == [1, 1]
+    assert checked_snf(dict_rows([[1, 0], [3, 1], [4, 6], [0, 2]]),
+                       2) == [1, 1]
 
 
 def test_dict_row_column_out_of_range_raises():
@@ -288,12 +295,11 @@ def test_dict_row_column_out_of_range_raises():
         snf_invariants([{0: 1}, {1: 2}], 1)
     with pytest.raises(ValueError):
         quotient_structure([{5: 1}], 3)
-    with pytest.raises(ValueError):
-        snf_invariants([[1, 0]], 3)
 
 
 def _random_sparse_matrix(rng):
-    """A sparse integer matrix, mixed formats, and its invariant factors.
+    """A sparse integer matrix, zero entries in some rows, and its
+    invariant factors.
 
     A diagonal of 1s, torsion and zeros is spread by a few sparse row and
     column shears, which keep the invariant factors; zero rows are mixed in.
@@ -312,8 +318,8 @@ def _random_sparse_matrix(rng):
                 row[a] += k * row[b]
     mat += [[0] * nc for _ in range(rng.randint(0, 2))]
     rng.shuffle(mat)
-    rows = [r if rng.random() < 0.5 else {c: v for c, v in enumerate(r) if v}
-            for r in mat]
+    rows = [dict(enumerate(r)) if rng.random() < 0.5
+            else {c: v for c, v in enumerate(r) if v} for r in mat]
     nonzero = [d for d in diag if d]
     square = [[d if i == j else 0 for j in range(len(nonzero))]
               for i, d in enumerate(nonzero)]

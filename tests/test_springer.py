@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kslab import springer
 from kslab.combinatorics import enumerate_sparse, is_sparse, sparse_closure
 from kslab.exterior import ExtElement, sigma
+from kslab.intlinalg import snf_invariants
 
 
 def mono(J, two_n, c=1):
@@ -139,24 +140,31 @@ def test_rho_factors_through_reduce(seed, n):
         assert springer.rho_K(a, K) == springer.rho_K(red, K)
 
 
+def rho_divisors(n):
+    """Invariant factors of the integer matrix of rho, sparse basis to
+    the monomial basis of Q(I)."""
+    col = {c: i for i, c in enumerate(springer.q_basis(n))}
+    rows = [{col[(K, T)]: c for K, comp in springer.rho_all(
+                ExtElement.monomial(J, 2 * n)).items()
+             for T, c in comp.terms.items()}
+            for J in enumerate_sparse(2 * n, "all")]
+    return snf_invariants(rows, len(col))
+
+
 def test_leading_check_small():
+    # the SNF runs for n <= 3; the matrix of n = 4 is reduced here
     for n in range(1, 5):
         rep = springer.leading_check(n)
         assert rep["leading_failures"] == []
-        assert rep["snf_divisors_all_one"]
-        assert rep["snf_rank"] == rep["basis_size"]
-
-
-def test_leading_check_without_snf_matches():
-    # the scan without the SNF gives the same leading data and q_dimension
-    for n in range(1, 4):
-        full = springer.leading_check(n)
-        bare = springer.leading_check(n, do_snf=False)
-        assert bare == {k: v for k, v in full.items()
-                        if not k.startswith("snf_")}
-        assert bare["q_dimension"] == len(springer.q_basis(n))
-    assert springer.leading_check(4, do_snf=False)["q_dimension"] == \
-        len(springer.q_basis(4))
+        assert rep["q_dimension"] == len(springer.q_basis(n))
+        divisors = rho_divisors(n)
+        assert divisors == [1] * rep["basis_size"]
+        if n <= 3:
+            assert rep["snf_divisors_all_one"]
+            assert rep["snf_rank"] == len(divisors)
+        else:
+            assert "snf_divisors_all_one" not in rep
+            assert "snf_rank" not in rep
 
 
 def test_rho_refuses_bad_K_on_every_call():
