@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import traceback
+from functools import lru_cache
 
 from . import combinatorics, flags, graph_rings, mvss, springer, topology
 from .graphs import FIXED_GRAPHS, BiGraph, enumerate_tree_foldings, \
@@ -87,6 +88,15 @@ def _json_key(key) -> str:
     return int.__repr__(key)
 
 
+def _int_list(value, indent: str) -> str:
+    """A list of ints as ``json.dumps(indent=2)`` writes it at ``indent``."""
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(repr, value)) \
+        + "\n" + indent + "]"
+
+
 def _write_json(value, out: list, indent: str) -> None:
     """Append to ``out`` the chunks of ``json.dumps(_jsonable(value),
     indent=2, default=str)`` with ``indent`` as the current margin."""
@@ -108,10 +118,14 @@ def _write_json(value, out: list, indent: str) -> None:
         if not value:
             out.append("[]")
             return
-        inner = indent + "  "
         if all(type(x) is int for x in value):
-            out.append("[\n" + inner + (",\n" + inner).join(map(repr, value))
-                       + "\n" + indent + "]")
+            out.append(_int_list(value, indent))
+            return
+        inner = indent + "  "
+        if all(isinstance(x, (list, tuple)) and all(type(y) is int for y in x)
+               for x in value):
+            out.append("[\n" + inner + (",\n" + inner).join(
+                _int_list(x, inner) for x in value) + "\n" + indent + "]")
             return
         sep = "[\n" + inner
         for v in value:
@@ -147,25 +161,43 @@ def _emit(report, args) -> None:
 # subcommands: each returns (report dict, ok flag)
 # ---------------------------------------------------------------------------
 
+# ncm --n 12 (208,012 matchings) peaks near 1 GB, sparse --n 11 near 0.5 GB
+ENUMERATION_CAP = 500_000
+
+
+def _check_enumeration(n: int, what: str, size) -> None:
+    """Exit 2 unless ``size(Catalan(n))`` items fit; as Catalan(n) >=
+    2^(n-1), a large n is refused before ``sparse_count`` is called."""
+    big = n > ENUMERATION_CAP.bit_length()
+    count = f"more than 2^{n - 1}" if big else \
+        size(combinatorics.sparse_count(n, n))
+    if big or count > ENUMERATION_CAP:
+        raise ValueError(f"--n {n}: {count} {what}, above the enumeration "
+                         f"cap {ENUMERATION_CAP}")
+
+
 def cmd_sparse(args):
-    two_n = 2 * args.n
-    counts = {p: len(combinatorics.enumerate_sparse(two_n, p))
-              for p in range(args.n + 1)}
-    gf = combinatorics.gf_coefficients(args.n)
+    n = args.n
+    _check_enumeration(n, "sparse subsets", lambda catalan: (n + 1) * catalan)
+    subsets = combinatorics.enumerate_sparse(2 * n)
+    counts = dict.fromkeys(range(n + 1), 0)
+    for J in subsets:
+        counts[len(J)] += 1
+    gf = combinatorics.gf_coefficients(n)
     report = {
-        "two_n": two_n,
+        "two_n": 2 * n,
         "counts": counts,
-        "catalan_size_n": counts[args.n],
-        "generating_function_row": gf[args.n],
-        "subsets": [list(J) for J in combinatorics.enumerate_sparse(two_n)],
+        "catalan_size_n": counts[n],
+        "generating_function_row": gf[n],
+        "subsets": [list(J) for J in subsets],
     }
-    ok = all(counts[p] == combinatorics.sparse_count(args.n, p)
-             for p in counts) and gf[args.n][: args.n + 1] == \
-        [counts[p] for p in range(args.n + 1)]
+    ok = all(counts[p] == combinatorics.sparse_count(n, p)
+             for p in counts) and gf[n][: n + 1] == list(counts.values())
     return report, ok
 
 
 def cmd_ncm(args):
+    _check_enumeration(args.n, "non-crossing matchings", lambda c: c)
     matchings = combinatorics.enumerate_matchings(args.n)
     two_n = 2 * args.n
     bad = []
@@ -185,11 +217,13 @@ def cmd_ncm(args):
 
 
 def cmd_ring(args):
-    ranks = springer.hilbert_ranks(args.n)
     if args.ranks:
-        # bare ranks output, machine-readable
-        report = ranks
-        return report, True
+        # bare ranks output, machine-readable; nothing is enumerated
+        return springer.hilbert_ranks(args.n), True
+    # C(2n, n) = (n + 1) Catalan(n) sparse J, each against every sparse K
+    _check_enumeration(args.n, "(J, K) pairs",
+                       lambda catalan: (args.n + 1) * catalan ** 2)
+    ranks = springer.hilbert_ranks(args.n)
     lead = springer.leading_check(args.n)
     report = {"n": args.n, "ranks": ranks, "leading_check": lead}
     ok = not lead["leading_failures"] and \
@@ -290,6 +324,8 @@ def cmd_cohomology(args):
 
 
 def cmd_conjecture(args):
+    _check_enumeration(args.n, "dotted matchings",
+                       lambda catalan: catalan << args.n)
     rep = combinatorics.conjecture_scan(args.n)
     return rep, not rep["counterexamples"]
 
@@ -343,22 +379,31 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
                             "simplex per line (not for trees)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kslab", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    handlers = {
+def _handlers() -> dict:
+    """Each subcommand's ``cmd_*`` function, as the module holds it now."""
+    return {
         "sparse": cmd_sparse, "ncm": cmd_ncm, "ring": cmd_ring,
         "fold": cmd_fold, "sgring": cmd_sgring, "mvss": cmd_mvss,
         "flags": cmd_flags, "cohomology": cmd_cohomology,
         "conjecture": cmd_conjecture,
     }
-    for name, fn in handlers.items():
-        p = sub.add_parser(name)
-        _add_options(p, name)
-        p.set_defaults(handler=fn)
+
+
+def _dispatch(args):
+    """Run the handler as the module holds it now, not when parsed."""
+    return _handlers()[args.command](args)
+
+
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (it binds no handler)."""
+    parser = argparse.ArgumentParser(
+        prog="kslab", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _handlers():
+        _add_options(sub.add_parser(name), name)
+    parser.set_defaults(handler=_dispatch)
     return parser
 
 

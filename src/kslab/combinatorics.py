@@ -85,30 +85,26 @@ def is_sparse_in(J: Subset, ambient: Subset) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_sparse(two_n: int, k: int | str = "all") -> tuple[Subset, ...]:
-    """All sparse subsets of {1..2n} of size k (or every size), lex sorted."""
-    n = two_n // 2
-    if k == "all":
-        out = [J for p in range(n + 1) for J in enumerate_sparse(two_n, p)]
-        return tuple(sorted(out))
-    if k > n:
-        return ()
+    """All sparse subsets of {1..2n} of size k (or every size), lex sorted.
 
-    # Build directly from the decreasing-list criterion j_t < 2(n+1-t):
-    # choose j_1 > j_2 > ... > j_k with j_t <= 2(n+1-t) - 1.
+    Dropping its largest element keeps a set sparse, and lex order is the
+    preorder of adding a larger element, so one depth-first walk lists
+    every sparse set in order.  ``slack`` is the least 2n - j - 2|J_{>j}|
+    over j in J, which must stay positive: adding x above J lowers each
+    term by 2 and adds the term 2n - x.
+    """
+    if k != "all":
+        return tuple(J for J in enumerate_sparse(two_n) if len(J) == k)
     out: list[Subset] = []
 
-    def grow(t: int, chosen: list[int]) -> None:
-        if t > k:
-            out.append(tuple(sorted(chosen)))
-            return
-        hi = min(2 * (n + 1 - t) - 1, (chosen[-1] - 1) if chosen else two_n)
-        for j in range(hi, k - t, -1):
-            chosen.append(j)
-            grow(t + 1, chosen)
-            chosen.pop()
+    def grow(J: Subset, slack: int) -> None:
+        out.append(J)
+        if slack > 2:
+            for x in range(J[-1] + 1 if J else 1, two_n):
+                grow(J + (x,), min(slack - 2, two_n - x))
 
-    grow(1, [])
-    return tuple(sorted(out))
+    grow((), two_n + 2)
+    return tuple(out)
 
 
 def sparse_count(n: int, p: int) -> int:
@@ -331,6 +327,13 @@ def _is_standard(tau: Tau, lam: Subset, dots) -> bool:
                    for j in dots for i in lam)
 
 
+def _nested_left_endpoints(tau: Tau, lam: Subset) -> set[int]:
+    """The j in lam under an arc, i < j < tau(j) < tau(i): a dotting is
+    standard iff it avoids them."""
+    return {j for j in lam
+            if any(i < j and tau[j - 1] < tau[i - 1] for i in lam)}
+
+
 def classify_dotted(tau: Tau, dots: Subset) -> dict[str, bool]:
     """Flags for a dotted matching (tau, S), S a set of left endpoints.
 
@@ -352,11 +355,18 @@ def classify_dotted(tau: Tau, dots: Subset) -> dict[str, bool]:
 
 
 def star_dotted_set(n: int) -> set[tuple[Tau, Subset]]:
-    """All dotted matchings of the form (mu(J*), J* minus J), J sparse."""
+    """All dotted matchings of the form (mu(J*), J* minus J), J sparse.
+
+    J* is the first superset in the reversed scan of ``sparse_closure``,
+    tested on bitmasks (bit j - 1 for j).
+    """
     two_n = 2 * n
+    tops = [(sum(1 << (k - 1) for k in K), K)
+            for K in reversed(enumerate_sparse(two_n, n))]
     out: set[tuple[Tau, Subset]] = set()
     for J in enumerate_sparse(two_n, "all"):
-        Jstar = sparse_closure(J, two_n, "star")
+        mask = sum(1 << (j - 1) for j in J)
+        Jstar = next(K for top, K in tops if top & mask == mask)
         Jset = set(J)
         dots = tuple(x for x in Jstar if x not in Jset)
         out.add((mu_of(Jstar, two_n), dots))
@@ -369,7 +379,8 @@ def conjecture_scan(n: int) -> dict:
     The conjecture under test: a dotted matching is standard iff it arises as
     (mu(J*), J* minus J) for some sparse J, where J* is the lexicographically
     largest sparse size-n superset.  Returns counts and any counterexamples;
-    this is evidence gathering, not an assertion.
+    this is evidence gathering, not an assertion.  Every dotting is
+    tested against its matching's nested left endpoints, found once.
     """
     two_n = 2 * n
     star_set = star_dotted_set(n)
@@ -378,10 +389,11 @@ def conjecture_scan(n: int) -> dict:
     counterexamples = []
     for tau in enumerate_matchings(n):
         lam = lambda_of(tau)
+        nested = _nested_left_endpoints(tau, lam)
         for r in range(len(lam) + 1):
             for dots in combinations(lam, r):
                 scanned += 1
-                std = _is_standard(tau, lam, dots)
+                std = nested.isdisjoint(dots)
                 if std:
                     n_standard += 1
                 if std != ((tau, dots) in star_set):

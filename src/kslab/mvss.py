@@ -94,42 +94,51 @@ def bts_by_bidegree(n: int) -> dict[tuple[int, int], list[tuple[Subset, Subset]]
 # normal form and the differential
 # ---------------------------------------------------------------------------
 
-def ts_normal_form(raw: TS, n: int) -> TS:
+def ts_normal_form(raw: TS, n: int, memo: dict | None = None) -> TS:
     """Rewrite an integer combination of monomials x_J e_A onto BTS.
 
     Per term: the pinch relations e_a (x_a + x_{a+1}) replace each x_j by
     +-x_rep(j) with rep(j) the bottom of its pinch block; squares die; the
     body part of the surviving monomial is reduced to its sparse normal
     form inside the body ring, while spine variables pass through freely.
+    ``memo``, which the caller scopes, maps sorted (J, A) to the normal
+    form of x_J e_A, cancelled keys kept so that the order is unchanged.
     """
     two_n = 2 * n
+    memo = {} if memo is None else memo
     terms: TS = {}
     for (J, A), c in raw.items():
         if c == 0:
             continue
         J, A = tuple(sorted(J)), tuple(sorted(A))
-        if any(j < 1 or j > two_n for j in J):
-            raise ValueError(f"x-index out of range in {J}")
-        if any(a < 1 or a >= two_n for a in A):
-            raise ValueError(f"e-index out of range in {A}")
-        folded = ExtElement.monomial(J, two_n).relabel_signed(
-            pinch_substitution(A))
-        h = _hedgehog(n, A)
-        body = set(h.body_indices)
-        for Jf, cf in folded.terms.items():
-            # E(I) is commutative and the spine and body supports are
-            # disjoint: x_Jf = x_spine x_body, with no sign
-            spine_part = tuple(j for j in Jf if j not in body)
-            reduced = reduce_in(ExtElement.monomial(
-                [j for j in Jf if j in body], two_n), h.body_indices)
-            for Jr, cr in reduced.terms.items():
-                key = (tuple(sorted(spine_part + Jr)), A)
-                terms[key] = terms.get(key, 0) + c * cf * cr
+        form = memo.get((J, A))
+        if form is None:
+            if any(j < 1 or j > two_n for j in J):
+                raise ValueError(f"x-index out of range in {J}")
+            if any(a < 1 or a >= two_n for a in A):
+                raise ValueError(f"e-index out of range in {A}")
+            folded = ExtElement.monomial(J, two_n).relabel_signed(
+                pinch_substitution(A))
+            h = _hedgehog(n, A)
+            body = set(h.body_indices)
+            form = memo[(J, A)] = {}
+            for Jf, cf in folded.terms.items():
+                # E(I) is commutative and the spine and body supports are
+                # disjoint: x_Jf = x_spine x_body, with no sign
+                spine_part = tuple(j for j in Jf if j not in body)
+                reduced = reduce_in(ExtElement.monomial(
+                    [j for j in Jf if j in body], two_n), h.body_indices)
+                for Jr, cr in reduced.terms.items():
+                    key = (tuple(sorted(spine_part + Jr)), A)
+                    form[key] = form.get(key, 0) + cf * cr
+        for key, cr in form.items():
+            terms[key] = terms.get(key, 0) + c * cr
     return {key: v for key, v in terms.items() if v}
 
 
-def d1(a: TS, n: int) -> TS:
-    """Right multiplication by u = e_1 + ... + e_{2n-1}, renormalized."""
+def d1(a: TS, n: int, memo: dict | None = None) -> TS:
+    """Right multiplication by u = e_1 + ... + e_{2n-1}, renormalized
+    (``memo`` as in ``ts_normal_form``)."""
     raw: TS = {}
     for (J, A), c in a.items():
         for t in range(1, 2 * n):
@@ -138,7 +147,7 @@ def d1(a: TS, n: int) -> TS:
             sign = (-1) ** sum(1 for x in A if x < t)
             key = (J, tuple(sorted(A + (t,))))
             raw[key] = raw.get(key, 0) + c * sign
-    return ts_normal_form(raw, n)
+    return ts_normal_form(raw, n, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def exactness_check(n: int) -> dict:
     report also verifies d1 o d1 = 0 on the whole basis and the
     triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
     for every extendable element.  The three checks share one d1 image
-    per basis element.
+    per basis element, and one memo of monomial normal forms.
     """
     if n < 2:
         raise ValueError("the double complex is set up for n >= 2")
@@ -242,9 +251,10 @@ def exactness_check(n: int) -> dict:
               "triangular_failures": [], "counterexamples": [],
               "all_exact": True}
 
-    images = {(J, A): d1({(J, A): 1}, n) for J, A in enumerate_bts(n)}
+    memo: dict = {}
+    images = {(J, A): d1({(J, A): 1}, n, memo) for J, A in enumerate_bts(n)}
     for (J, A), once in images.items():
-        if d1(once, n):
+        if d1(once, n, memo):
             report["d1_squared_zero"] = False
             report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
 

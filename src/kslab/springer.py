@@ -11,8 +11,7 @@ support terminates and lands on the sparse normal form.
 
 The module also provides the evaluation maps rho_K into E(K) (one for each
 size-n sparse K, via the matching mu(K)), their product rho which is a split
-monomorphism into Q(I) = prod_K E(K), Hilbert ranks, and the dihedral action
-on indices.
+monomorphism into Q(I) = prod_K E(K), and Hilbert ranks.
 """
 
 from __future__ import annotations
@@ -90,24 +89,13 @@ def reduce_in(a: ExtElement, ambient: Subset) -> ExtElement:
 # the evaluation maps rho_K and the product map rho
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _rho_mapping(K: Subset, two_n: int) -> dict:
-    """The relabelling of rho_K, after checking that K is sparse of size n.
-
-    ``lru_cache`` keeps no exceptions, so a bad K raises on every call.
-    """
+def rho_K(a: ExtElement, K: Subset) -> ExtElement:
+    """Evaluation into E(K): x_k -> x_k for k in K, x_{tau(k)} -> -x_k."""
+    two_n = a.nvars
     if len(K) != two_n // 2 or not is_sparse(K, two_n):
         raise ValueError(f"{K} is not a size-n sparse subset")
     tau = mu_of(K, two_n)
-    mapping: dict[int, tuple[int, int]] = {}
-    for k in K:
-        mapping[tau[k - 1]] = (-1, k)
-    return mapping
-
-
-def rho_K(a: ExtElement, K: Subset) -> ExtElement:
-    """Evaluation into E(K): x_k -> x_k for k in K, x_{tau(k)} -> -x_k."""
-    return a.relabel_signed(_rho_mapping(K, a.nvars))
+    return a.relabel_signed({tau[k - 1]: (-1, k) for k in K})
 
 
 def rho_all(a: ExtElement) -> dict[Subset, ExtElement]:
@@ -138,6 +126,8 @@ def leading_check(n: int) -> dict:
     (ii) For n <= 3 only (it follows from (i)), assemble the integer matrix
     of rho from the sparse basis to the monomial basis of Q(I) and check
     through the Smith normal form that every elementary divisor is 1.
+    Each rho_K is a table of signed ints (x_i -> x_k is k, x_i -> -x_k is
+    -k); ``rho_all`` on ``ExtElement`` is the test oracle.
     """
     two_n = 2 * n
     do_snf = n <= 3
@@ -146,20 +136,29 @@ def leading_check(n: int) -> dict:
     rows = []
     cols = q_basis(n) if do_snf else ()
     col_index = {c: i for i, c in enumerate(cols)}
+    tables = []
+    for K in enumerate_sparse(two_n, n):
+        tau = mu_of(K, two_n)        # pairs each k in K with an i outside K
+        table = [0] + [i if i in K else -tau[i - 1]
+                       for i in range(1, two_n + 1)]
+        tables.append((K, tuple(-k for k in K), table))
     for J in sparse_all:
-        comps = rho_all(ExtElement.monomial(J, two_n))
         best = None  # (J', K) maximal: larger J' wins, then smaller K
         best_coeff = 0
-        for K, comp in comps.items():
-            neg_K = tuple(-k for k in K)
-            for T, c in comp.terms.items():
-                key = (T, neg_K)
-                if best is None or key > best:
-                    best = key
-                    best_coeff = c
-        if do_snf:
-            rows.append({col_index[(K, T)]: c for K, comp in comps.items()
-                         for T, c in comp.terms.items()})
+        row = {}
+        for K, neg_K, table in tables:
+            image = [table[j] for j in J]
+            T = tuple(sorted({abs(k) for k in image}))
+            if len(T) < len(J):       # x_k^2 = 0
+                continue
+            c = -1 if sum(k < 0 for k in image) % 2 else 1
+            if do_snf:
+                row[col_index[(K, T)]] = c
+            key = (T, neg_K)
+            if best is None or key > best:
+                best = key
+                best_coeff = c
+        rows.append(row)
         lead_support = best[0] if best else None
         lead_K = tuple(-k for k in best[1]) if best else None
         if lead_support != J or lead_K != sparse_closure(J, two_n, "bar") \
@@ -183,33 +182,12 @@ def leading_check(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# ranks and symmetries
+# ranks and sigma vanishing
 # ---------------------------------------------------------------------------
 
 def hilbert_ranks(n: int) -> list[int]:
     """Rank of R(n) in x-degree k for k = 0..n."""
     return [sparse_count(n, k) for k in range(n + 1)]
-
-
-def dihedral_act(a: ExtElement, g: tuple[bool, int]) -> ExtElement:
-    """Action of the dihedral group element s^eps r^k on R(n) representatives.
-
-    g = (reflect, k): first rotate k times (x_i -> x_{i+k}, indices mod 2n
-    with representatives 1..2n), then optionally reflect (x_i -> x_{1-i}),
-    and re-reduce to normal form.
-    """
-    two_n = a.nvars
-    reflect, k = g
-
-    def wrap(i: int) -> int:
-        r = i % two_n
-        return r if r else two_n
-
-    mapping = {i: (1, wrap(i + k)) for i in range(1, two_n + 1)}
-    if reflect:
-        mapping = {i: (1, wrap(1 - wrap(i + k)))
-                   for i in range(1, two_n + 1)}
-    return reduce(a.relabel_signed(mapping))
 
 
 def sigma_vanishing(J: Subset, k: int, two_n: int) -> bool:
@@ -218,3 +196,5 @@ def sigma_vanishing(J: Subset, k: int, two_n: int) -> bool:
     Guaranteed whenever k + |J| > |I| = two_n.
     """
     return reduce(sigma(k, J, two_n)).is_zero()
+
+

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kslab
-from kslab import cli, topology
+from kslab import cli, combinatorics, topology
 from kslab.cli import graph_parse, main
 from kslab.graphs import make_standard
 
@@ -269,6 +269,46 @@ def test_options_of_other_subcommands_are_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["sparse", "--n", "11"], "705432 sparse subsets"),
+    (["ncm", "--n", "13"], "742900 non-crossing matchings"),
+    (["ring", "--n", "7"], "1472328 (J, K) pairs"),
+    (["conjecture", "--n", "9"], "2489344 dotted matchings"),
+    (["sparse", "--n", "1000000"], "more than 2^999999 sparse subsets"),
+])
+def test_oversized_enumerations_are_refused(argv, count, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{count}, above the enumeration cap" in err
+
+
+def test_enumeration_cap_counts_exactly(monkeypatch, capsys):
+    # at a cap equal to the number enumerated the run goes ahead; one
+    # below it, it is refused
+    n = 3
+    subsets = len(combinatorics.enumerate_sparse(2 * n))
+    matchings = len(combinatorics.enumerate_matchings(n))
+    dottings = combinatorics.conjecture_scan(n)["dotted_matchings_scanned"]
+    for command, count in (("sparse", subsets), ("ncm", matchings),
+                           ("ring", subsets * matchings),
+                           ("conjecture", dottings)):
+        for cap, want in ((count, 0), (count - 1, 2)):
+            monkeypatch.setattr(cli, "ENUMERATION_CAP", cap)
+            code, _, _ = run(capsys, command, "--n", str(n))
+            assert code == want, (command, cap)
+
+
+def test_ring_ranks_enumerate_nothing(capsys):
+    code, out, _ = run(capsys, "ring", "--n", "40", "--ranks")
+    assert code == 0 and json.loads(out)[40] == 2622127042276492108820
+
+
+def test_parser_is_built_once_and_binds_no_handler(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_ring", lambda args: ([args.n], True))
+    assert run(capsys, "ring", "--n", "2")[:2] == (0, "[\n  2\n]\n")
+
+
 def test_standard_graph_names(capsys):
     for name, edges in (("K23", 6), ("K33", 9), ("cube", 12), ("theta", 7)):
         assert len(graph_parse(name).edges) == edges
@@ -378,10 +418,13 @@ def test_writer_matches_json_dumps(report):
 
 
 def test_emitted_report_matches_json_dumps(capsys):
-    # the text main writes: a Hedgehog dataclass leaf, a bare-list report
+    # the text main writes: a Hedgehog dataclass leaf, a bare-list report,
+    # lists of int lists (the first sparse subset is []) and of int pairs
     parser = cli.build_parser()
     for argv in (["fold", "--n", "3", "--pinch", "1,3"],
-                 ["ring", "--n", "2", "--ranks"]):
+                 ["ring", "--n", "2", "--ranks"],
+                 ["sparse", "--n", "8"],
+                 ["ncm", "--n", "7"]):
         args = parser.parse_args(argv)
         report, _ = args.handler(args)
         assert main(argv) == 0

@@ -112,6 +112,13 @@ def test_enumerate_sparse_is_lex_sorted():
     for two_n in (4, 8, 12):
         out = comb.enumerate_sparse(two_n, "all")
         assert list(out) == sorted(out)
+        # the one-pass walk against a filter over every subset
+        assert out == tuple(sorted(
+            J for k in range(two_n + 1) for J in all_subsets(two_n, k)
+            if comb.is_sparse(J, two_n)))
+        for k in range(two_n + 2):
+            assert comb.enumerate_sparse(two_n, k) == tuple(
+                J for J in out if len(J) == k)
 
 
 def test_size_n_sparse_count_is_catalan():
@@ -338,3 +345,30 @@ def test_beta_lands_non_sparse(n, ):
     for K in all_subsets(two_n, n - 1):
         J = comb.beta_of(K, two_n)
         assert not comb.is_sparse(J, two_n)
+
+
+# ---------------------------------------------------------------------------
+# the conjecture scan's fast paths against their definitions
+# ---------------------------------------------------------------------------
+
+def test_nested_left_endpoints_decide_standardness():
+    # every dotting of every matching, n <= 6
+    for n in range(1, 7):
+        for tau in comb.enumerate_matchings(n):
+            lam = comb.lambda_of(tau)
+            nested = comb._nested_left_endpoints(tau, lam)
+            for r in range(n + 1):
+                for dots in combinations(lam, r):
+                    assert nested.isdisjoint(dots) == \
+                        comb._is_standard(tau, lam, dots), (tau, dots)
+
+
+def test_star_dotted_set_matches_the_reversed_scan():
+    for n in range(1, 7):
+        two_n = 2 * n
+        oracle = set()
+        for J in comb.enumerate_sparse(two_n, "all"):
+            Jstar = comb.sparse_closure(J, two_n, "star")
+            dots = tuple(x for x in Jstar if x not in J)
+            oracle.add((comb.mu_of(Jstar, two_n), dots))
+        assert comb.star_dotted_set(n) == oracle, n

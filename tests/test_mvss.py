@@ -289,5 +289,28 @@ def test_mv_two_sets_demo(monkeypatch):
     assert not _two_sets_oracle()
 
 
+def test_normal_form_memo_lives_for_one_call(monkeypatch):
+    # exactness_check memoises the normal forms of monomials; a memo that
+    # outlived the call would keep the right relation after the patch
+    assert exactness_check(2)["all_exact"]
+    monkeypatch.setattr(mvss, "pinch_substitution",
+                        _broken_pinch_substitution)
+    assert not _two_sets_oracle()
+
+
+def test_memoised_normal_form_matches_the_plain_one():
+    # same terms in the same order, with one memo across many calls
+    n = 3
+    memo = {}
+    for J, A in enumerate_bts(n):
+        once = d1({(J, A): 1}, n)
+        assert list(d1({(J, A): 1}, n, memo).items()) == list(once.items())
+        assert d1(once, n, memo) == d1(once, n) == {}
+    assert len(memo) == 440       # distinct monomials met in mvss --n 3
+    for (J, A), form in memo.items():
+        assert {k: c for k, c in form.items() if c} == \
+            ts_normal_form({(J, A): 1}, n)
+
+
 def test_empty_element_trivially_closed():
     assert d1({}, 2) == {} == ts_normal_form({((1,), (2,)): 0}, 2)

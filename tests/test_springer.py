@@ -167,6 +167,58 @@ def test_leading_check_small():
             assert "snf_rank" not in rep
 
 
+def leading_oracle(n):
+    """Per sparse J, the leading (T, K, coefficient) of rho(x_J) read off
+    ``rho_all``, and the rows of the matrix of rho over ``q_basis(n)``."""
+    col = {c: i for i, c in enumerate(springer.q_basis(n))}
+    leads, rows = [], []
+    for J in enumerate_sparse(2 * n, "all"):
+        comps = springer.rho_all(mono(J, 2 * n))
+        terms = [(T, tuple(-k for k in K), c)
+                 for K, comp in comps.items() for T, c in comp.terms.items()]
+        T, neg_K, c = max(terms)
+        leads.append({"J": J, "leading": (T, tuple(-k for k in neg_K)),
+                      "coefficient": c})
+        rows.append({col[(K, T)]: c for K, comp in comps.items()
+                     for T, c in comp.terms.items()})
+    return leads, rows
+
+
+def test_leading_check_matches_the_rho_all_oracle(monkeypatch):
+    # a bar closure that no K equals turns every J into a failure, so the
+    # report lists the leading term that leading_check found for each J
+    seen = []
+
+    def record(rows, ncols):
+        seen.append(rows)
+        return snf_invariants(rows, ncols)
+
+    monkeypatch.setattr(springer, "sparse_closure", lambda J, two_n, k: None)
+    monkeypatch.setattr(springer, "snf_invariants", record)
+    for n in range(1, 6):
+        leads, rows = leading_oracle(n)
+        assert springer.leading_check(n)["leading_failures"] == leads
+        assert seen == ([rows] if n <= 3 else [])
+        seen.clear()
+
+
+def test_leading_check_fails_a_wrong_matching(monkeypatch):
+    # swap the partners of the two smallest elements of K: a crossing
+    # matching, so rho_K is the wrong evaluation map
+    right = springer.mu_of
+
+    def wrong(K, two_n):
+        tau = list(right(K, two_n))
+        a, b = K[0], K[1]
+        pa, pb = tau[a - 1], tau[b - 1]
+        tau[a - 1], tau[b - 1], tau[pa - 1], tau[pb - 1] = pb, pa, b, a
+        return tuple(tau)
+
+    monkeypatch.setattr(springer, "mu_of", wrong)
+    for n in range(2, 6):
+        assert springer.leading_check(n)["leading_failures"], n
+
+
 def test_rho_refuses_bad_K_on_every_call():
     x = mono((1,), 6)
     for _ in range(3):
@@ -195,8 +247,23 @@ def test_hilbert_ranks():
     assert sum(springer.hilbert_ranks(3)) == 20
 
 
+def dihedral_act(a, g):
+    """The dihedral element g = (reflect, k) on R(n) representatives: rotate
+    k times (x_i -> x_{i+k}, indices mod 2n in 1..2n), then optionally
+    reflect (x_i -> x_{1-i}), and reduce to normal form."""
+    two_n = a.nvars
+    reflect, k = g
+
+    def wrap(i):
+        return i % two_n or two_n
+
+    mapping = {i: (1, wrap(1 - wrap(i + k)) if reflect else wrap(i + k))
+               for i in range(1, two_n + 1)}
+    return springer.reduce(a.relabel_signed(mapping))
+
+
 def test_dihedral_examples():
-    assert springer.dihedral_act(mono((4,), 4), (False, 1)) \
+    assert dihedral_act(mono((4,), 4), (False, 1)) \
         == springer.reduce(mono((1,), 4))
 
 
@@ -208,14 +275,14 @@ def test_dihedral_relations():
             a = mono(J, two_n)
             b = a
             for _ in range(two_n):
-                b = springer.dihedral_act(b, (False, 1))
+                b = dihedral_act(b, (False, 1))
             assert b == a, "rot^(2n) != id"
-            c = springer.dihedral_act(springer.dihedral_act(a, (True, 0)), (True, 0))
+            c = dihedral_act(dihedral_act(a, (True, 0)), (True, 0))
             assert c == a, "rfl^2 != id"
             d = a
             for _ in range(2):
-                d = springer.dihedral_act(d, (False, 1))
-                d = springer.dihedral_act(d, (True, 0))
+                d = dihedral_act(d, (False, 1))
+                d = dihedral_act(d, (True, 0))
             assert d == a, "(rfl rot)^2 != id"
 
 
@@ -227,9 +294,9 @@ def test_dihedral_is_ring_morphism():
             a = springer.reduce(random_element(rng, two_n))
             b = springer.reduce(random_element(rng, two_n))
             g = (rng.random() < 0.5, rng.randrange(two_n))
-            lhs = springer.dihedral_act(springer.reduce(a * b), g)
+            lhs = dihedral_act(springer.reduce(a * b), g)
             rhs = springer.reduce(
-                springer.dihedral_act(a, g) * springer.dihedral_act(b, g))
+                dihedral_act(a, g) * dihedral_act(b, g))
             assert lhs == rhs
 
 
