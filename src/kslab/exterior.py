@@ -4,9 +4,12 @@ Elements are integer combinations of monomials x_J = prod_{j in J} x_j for
 subsets J of {1..nvars}; each x_J has (cohomological) degree 2|J|, so E(I) is
 commutative with no signs anywhere.  Multiplication kills any repeated index.
 
-The monomial supports are sorted tuples, compared by Python tuple order,
-which is exactly the lexicographic order used for all leading-term arguments
-in this package (see combinatorics).
+The program computes on {mask: coeff} polynomials (bit j-1 for x_j).
+``ExtElement`` remains for what is built from products, the t-coefficients
+of r(t) that ``graph_rings.r_masks`` reads off as masks, and for the
+evaluation maps ``springer.rho_K`` and ``springer.rho_all``, the oracle of
+``springer.leading_check``.  Supports are sorted tuples, compared by Python
+tuple order, the lexicographic order of combinatorics.
 """
 
 from __future__ import annotations
@@ -25,12 +28,6 @@ class ExtElement:
         self.nvars = nvars
         self.terms = {J: c for J, c in (terms or {}).items() if c != 0}
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "ExtElement":
-        return cls(nvars)
-
     @classmethod
     def monomial(cls, J, nvars: int, coeff: int = 1) -> "ExtElement":
         J = tuple(sorted(J))
@@ -40,23 +37,13 @@ class ExtElement:
             raise ValueError(f"support {J} outside 1..{nvars}")
         return cls(nvars, {J: coeff})
 
-    # -- basic structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtElement):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def coefficient(self, J) -> int:
-        return self.terms.get(tuple(sorted(J)), 0)
-
-    # -- arithmetic ----------------------------------------------------------
+    def __repr__(self) -> str:
+        return f"ExtElement({self.nvars}, {self.terms})"
 
     def _check(self, other: "ExtElement") -> None:
         if self.nvars != other.nvars:
@@ -70,18 +57,7 @@ class ExtElement:
             out[J] = out.get(J, 0) + c
         return ExtElement(self.nvars, out)
 
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(self.nvars, {J: -c for J, c in self.terms.items()})
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
-
-    def scale(self, k: int) -> "ExtElement":
-        return ExtElement(self.nvars, {J: k * c for J, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
         out: dict[Subset, int] = {}
         for J, a in self.terms.items():
@@ -91,8 +67,6 @@ class ExtElement:
                     M = tuple(sorted(J + K))
                     out[M] = out.get(M, 0) + a * b
         return ExtElement(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def relabel_signed(self, mapping: dict[int, tuple[int, int]],
                        nvars_out: int | None = None) -> "ExtElement":
@@ -116,25 +90,11 @@ class ExtElement:
                 out[M] = out.get(M, 0) + sign * c
         return ExtElement(m, out)
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for J in sorted(self.terms):
-            c = self.terms[J]
-            mono = "*".join(f"x{j}" for j in J) or "1"
-            bits.append(f"{'+' if c >= 0 else '-'}{abs(c) if abs(c) != 1 or not J else ''}{mono if J else (abs(c) if abs(c) != 1 else '1')}")
-        return "".join(bits)
-
 
 def sigma(k: int, variables, nvars: int) -> ExtElement:
     """The k-th elementary symmetric function of the given variables."""
-    variables = tuple(sorted(variables))
-    if k < 0:
-        raise ValueError("negative degree")
-    if k > len(variables):
-        return ExtElement.zero(nvars)
-    return ExtElement(nvars, {J: 1 for J in combinations(variables, k)})
+    return ExtElement(nvars, dict.fromkeys(
+        combinations(sorted(variables), k), 1))
 
 
 def r_poly(variables, nvars: int, signs) -> list[ExtElement]:

@@ -395,8 +395,10 @@ def hedgehog_analyze(n: int, A) -> Hedgehog:
             spines.append(ivals[t])
         else:
             body.append(ivals[t])
+    # the gaps i_{t+1} - i_t, t = 1..r, sum to i_{r+1} - i_1 = 2n, so the
+    # odd gaps, the body edges, are even in number
     if len(body) % 2:
-        raise AssertionError("odd number of body edges")
+        raise RuntimeError("odd number of body edges")
     uf = _UnionFind(range(two_n))
     for i in A:
         uf.union((i - 1) % two_n, (i + 1) % two_n)

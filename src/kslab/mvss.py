@@ -13,10 +13,11 @@ basis BTS of pairs x_J e_A where
 
 Elements of TS** are plain dicts {(J, A): c}, the sum of c x_J e_A over
 sorted tuples J and A with nonzero c.  This module builds the basis,
-normalizes arbitrary elements onto it, implements d_1, classifies basis
-elements as extendable/unextendable with the eta/zeta pairing, and
-certifies integrally that (TS**, d_1) is exact in every bidegree by
-direct Smith-normal-form computation.
+normalizes arbitrary elements onto it (each monomial folded as a bit
+mask, its body part reduced by ``springer.reduce_in``), implements d_1,
+classifies basis elements as extendable/unextendable with the eta/zeta
+pairing, and certifies integrally that (TS**, d_1) is exact in every
+bidegree by direct Smith-normal-form computation.
 
 Sign convention: multiplying e_A by e_t uses the insertion count, i.e.
 e_A e_t = (-1)^{|{a in A : a < t}|} e_{A u {t}} (and zero when t is in A).
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import enumerate_sparse, is_sparse_in
-from .exterior import ExtElement
 from .graph_rings import pinch_substitution
 from .graphs import Hedgehog, hedgehog_analyze
 from .intlinalg import snf_invariants
@@ -98,11 +98,11 @@ def ts_normal_form(raw: TS, n: int, memo: dict | None = None) -> TS:
     """Rewrite an integer combination of monomials x_J e_A onto BTS.
 
     Per term: the pinch relations e_a (x_a + x_{a+1}) replace each x_j by
-    +-x_rep(j) with rep(j) the bottom of its pinch block; squares die; the
-    body part of the surviving monomial is reduced to its sparse normal
-    form inside the body ring, while spine variables pass through freely.
-    ``memo``, which the caller scopes, maps sorted (J, A) to the normal
-    form of x_J e_A, cancelled keys kept so that the order is unchanged.
+    +-x_rep(j) with rep(j) the bottom of its pinch block, one bit at a time
+    until a bit repeats (squares die); the body part of the surviving
+    monomial is reduced to its sparse normal form inside the body ring,
+    while spine variables pass through freely.  ``memo``, which the caller
+    scopes, maps sorted (J, A) to the normal form of x_J e_A.
     """
     two_n = 2 * n
     memo = {} if memo is None else memo
@@ -117,23 +117,29 @@ def ts_normal_form(raw: TS, n: int, memo: dict | None = None) -> TS:
                 raise ValueError(f"x-index out of range in {J}")
             if any(a < 1 or a >= two_n for a in A):
                 raise ValueError(f"e-index out of range in {A}")
-            folded = ExtElement.monomial(J, two_n).relabel_signed(
-                pinch_substitution(A))
-            h = _hedgehog(n, A)
-            body = set(h.body_indices)
-            form = memo[(J, A)] = {}
-            for Jf, cf in folded.terms.items():
-                # E(I) is commutative and the spine and body supports are
-                # disjoint: x_Jf = x_spine x_body, with no sign
-                spine_part = tuple(j for j in Jf if j not in body)
-                reduced = reduce_in(ExtElement.monomial(
-                    [j for j in Jf if j in body], two_n), h.body_indices)
-                for Jr, cr in reduced.terms.items():
-                    key = (tuple(sorted(spine_part + Jr)), A)
-                    form[key] = form.get(key, 0) + cf * cr
+            form = memo[(J, A)] = _monomial_normal_form(J, A, n)
         for key, cr in form.items():
             terms[key] = terms.get(key, 0) + c * cr
     return {key: v for key, v in terms.items() if v}
+
+
+def _monomial_normal_form(J: Subset, A: Subset, n: int) -> TS:
+    """The normal form of x_J e_A, as ``ts_normal_form`` describes it."""
+    mapping = pinch_substitution(A)
+    folded, sign = 0, 1
+    for j in J:
+        s, r = mapping.get(j, (1, j))
+        if folded >> (r - 1) & 1:
+            return {}
+        folded, sign = folded | 1 << (r - 1), sign * s
+    h = _hedgehog(n, A)
+    body = sum(1 << (b - 1) for b in h.body_indices)
+    # E(I) is commutative and the spine and body supports are disjoint:
+    # x_folded = x_spine x_body, with no sign
+    spine = folded & ~body
+    reduced = reduce_in({folded & body: sign}, h.body_indices)
+    return {(tuple(j + 1 for j in range(2 * n) if (spine | M) >> j & 1),
+             A): c for M, c in reduced.items()}
 
 
 def d1(a: TS, n: int, memo: dict | None = None) -> TS:
@@ -174,8 +180,11 @@ def classify_bts(J, A, n: int) -> EtaClassification:
     p = min(A) if A else 2 * n
     Q = [i for i in range(2, 2 * n + 1) if i not in J]
     q = min(Q) - 1
+    # q <= p: for A nonempty, p + 1 is pinched, so not in J, and lies in
+    # {2..2n}, so min(Q) <= p + 1; for A empty, J is sparse in {1..2n}, so
+    # 2n is not in J and min(Q) <= 2n = p
     if q > p:
-        raise AssertionError(f"q > p at ({J}, {A})")
+        raise RuntimeError(f"q > p at ({J}, {A})")
     if q < p:
         return EtaClassification("extendable", (J, tuple(sorted(A + (q,)))))
     return EtaClassification("unextendable", (J, tuple(a for a in A if a != p)))
@@ -209,8 +218,8 @@ def _bidegree_exactness(groups, images) -> dict[tuple[int, int], dict]:
     """Integral exactness of a differential in each bidegree (p, j).
 
     ``groups`` maps (p, j) to its sorted basis, and ``images[(J, A)]`` is
-    the differential of x_J e_A, with every term in the basis of
-    (p + 1, j).  With d_in the matrix from (p-1, j) and d_out the matrix
+    the differential of x_J e_A; its terms outside the basis of (p + 1, j)
+    are dropped (``exactness_check`` reports them).  With d_in the matrix from (p-1, j) and d_out the matrix
     from (p, j), the complex is exact at (p, j) over the integers iff
     rank(d_in) + rank(d_out) = dim and every elementary divisor of d_in
     equals 1.  Each matrix is reduced once: its invariants give rank(d_out)
@@ -220,8 +229,8 @@ def _bidegree_exactness(groups, images) -> dict[tuple[int, int], dict]:
     for (p, j), source in groups.items():
         target = groups.get((p + 1, j), [])
         col = {key: i for i, key in enumerate(target)}
-        matrix = [{col[key]: c for key, c in images[(J, A)].items()}
-                  for J, A in source]
+        matrix = [{col[key]: c for key, c in images[(J, A)].items()
+                   if key in col} for J, A in source]
         invariants[(p, j)] = snf_invariants(matrix, len(target))
     out = {}
     for (p, j) in sorted(groups):
@@ -243,7 +252,8 @@ def exactness_check(n: int) -> dict:
     report also verifies d1 o d1 = 0 on the whole basis and the
     triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
     for every extendable element.  The three checks share one d1 image
-    per basis element, and one memo of monomial normal forms.
+    per basis element, and one memo of monomial normal forms.  A term of
+    an image outside BTS is an ``off_basis`` counterexample.
     """
     if n < 2:
         raise ValueError("the double complex is set up for n >= 2")
@@ -257,6 +267,10 @@ def exactness_check(n: int) -> dict:
         if d1(once, n, memo):
             report["d1_squared_zero"] = False
             report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
+        for term in [key for key in once if key not in images]:
+            report["all_exact"] = False
+            report["counterexamples"].append(
+                {"kind": "off_basis", "J": J, "A": A, "term": term})
 
     report["bidegrees"] = _bidegree_exactness(bts_by_bidegree(n), images)
     for (p, j), info in report["bidegrees"].items():

@@ -1,22 +1,28 @@
 """The ring R(I) = E(I) / (sigma_1, ..., sigma_2n) and its normal form.
 
+Polynomials are {mask: coeff} dicts, bit j-1 for x_j, as in graph_rings.
 R(n) has the sparse monomials BR(n) = {x_J : J sparse} as a Z-basis.  The
 normal form is computed by the rewriting rule: for a non-sparse support J
 with largest sparsity-violating index j, put K = J_{<j}, L = J_{>=j},
 p = |L| - 1 and M = L + {1, ..., j-1}; then x_K * sigma_{p+1}(M) vanishes in
 R(I) (its degree is too large relative to |M|), its highest term is x_J, and
 so x_J can be replaced by x_J - x_K * sigma_{p+1}(M), which only involves
-lexicographically smaller supports.  Iterating on the largest non-sparse
-support terminates and lands on the sparse normal form.
+lexicographically smaller supports.  Iterating terminates and lands on the
+sparse normal form.  The largest violating index of a mask is found in one
+downward bit scan, which finds none exactly when the support is sparse, and
+the normal form of each monomial mask is memoised.
 
 The module also provides the evaluation maps rho_K into E(K) (one for each
 size-n sparse K, via the matching mu(K)), their product rho which is a split
-monomorphism into Q(I) = prod_K E(K), and Hilbert ranks.
+monomorphism into Q(I) = prod_K E(K), and Hilbert ranks.  ``leading_check``
+reads each rho_K off a signed int table; ``rho_K`` and ``rho_all`` on
+``ExtElement`` are its test oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .combinatorics import (
     enumerate_sparse,
@@ -25,64 +31,74 @@ from .combinatorics import (
     sparse_closure,
     sparse_count,
 )
-from .exterior import ExtElement, sigma
+from .exterior import ExtElement
 from .intlinalg import snf_invariants
 
 Subset = tuple[int, ...]
+Poly = dict[int, int]                   # {mask: coeff}, bit j-1 for x_j
+
+
+def _largest_violation(mask: int, two_n: int) -> int:
+    """The largest j in the support with 2n - j <= 2 |J_{>j}|, or 0 when
+    there is none, i.e. when the support is sparse."""
+    above = 0
+    while mask:
+        j = mask.bit_length()
+        if two_n - j <= 2 * above:
+            return j
+        above += 1
+        mask ^= 1 << (j - 1)
+    return 0
 
 
 @lru_cache(maxsize=None)
-def rewrite_step(J: Subset, two_n: int) -> ExtElement:
-    """The strictly-lower-terms replacement for a non-sparse x_J."""
-    if is_sparse(J, two_n):
-        raise ValueError(f"{J} is sparse; rewrite_step needs a non-sparse support")
-    j = max(
-        x for x in J
-        if (two_n - x - sum(1 for y in J if y > x)) <= sum(1 for y in J if y > x)
-    )
-    K = tuple(y for y in J if y < j)
-    L = tuple(y for y in J if y >= j)
-    p = len(L) - 1
-    M = sorted(L + tuple(range(1, j)))
-    relation = ExtElement.monomial(K, two_n) * sigma(p + 1, M, two_n)
-    out = ExtElement.monomial(J, two_n) - relation
-    if out.coefficient(J) != 0 or not all(T < J for T in out.terms):
-        raise RuntimeError(f"relation for {J} does not lower it: {out}")
-    return out
+def _normal_form(mask: int, two_n: int) -> tuple[tuple[int, int], ...]:
+    """The normal form of x_mask in R(two_n) as (mask, coeff) pairs.
 
-
-def reduce(a: ExtElement) -> ExtElement:
-    """Normal form of a in R(I): rewrite the largest non-sparse support, repeat."""
-    two_n = a.nvars
-    terms = dict(a.terms)
-    while True:
-        bad = max((J for J in terms if not is_sparse(J, two_n)), default=None)
-        if bad is None:
-            break
-        c = terms.pop(bad)
-        if c == 0:
-            continue
-        for T, v in rewrite_step(bad, two_n).terms.items():
-            terms[T] = terms.get(T, 0) + c * v
-            if terms[T] == 0:
-                del terms[T]
-    return ExtElement(two_n, terms)
-
-
-def reduce_in(a: ExtElement, ambient: Subset) -> ExtElement:
-    """Normal form in R(ambient) for an arbitrary even-size ordered ambient.
-
-    The ambient is transported along its unique order isomorphism with
-    {1..len(ambient)}, reduced there, and transported back.
+    x_J - x_K sigma_{p+1}(M) is minus the sum of x_K x_S over the |L|-sets
+    S of M \\ K other than L; each is lower than J, as S holds an index
+    below j outside K.
     """
-    m = len(ambient)
-    if m % 2:
+    j = _largest_violation(mask, two_n)
+    if not j:
+        return ((mask, 1),)
+    low = (1 << (j - 1)) - 1
+    K = mask & low
+    L = mask ^ K
+    free = L | low & ~K
+    bits = [1 << b for b in range(two_n) if free >> b & 1]
+    out: Poly = {}
+    for S in combinations(bits, L.bit_count()):
+        T = K | sum(S)
+        if T != mask:
+            for M, c in _normal_form(T, two_n):
+                out[M] = out.get(M, 0) - c
+    return tuple((M, c) for M, c in out.items() if c)
+
+
+def reduce(poly: Poly, two_n: int) -> Poly:
+    """Normal form of the polynomial ``poly`` in R(two_n)."""
+    out: Poly = {}
+    for mask, c in poly.items():
+        if mask >> two_n:
+            raise ValueError(f"monomial {mask:b} outside x_1..x_{two_n}")
+        for M, v in _normal_form(mask, two_n):
+            out[M] = out.get(M, 0) + c * v
+    return {M: c for M, c in out.items() if c}
+
+
+def reduce_in(poly: Poly, ambient: Subset) -> Poly:
+    """Normal form in R(ambient) for an arbitrary even-size ordered ambient:
+    the i-th ambient variable moves to bit i and back."""
+    bits = [1 << (v - 1) for v in ambient]
+    if len(bits) % 2:
         raise ValueError("ambient must have even size")
-    fwd = {v: (1, i + 1) for i, v in enumerate(ambient)}
-    bwd = {i + 1: (1, v) for i, v in enumerate(ambient)}
-    small = a.relabel_signed(fwd, m)
-    red = reduce(small)
-    return red.relabel_signed(bwd, a.nvars)
+    if any(mask & ~sum(bits) for mask in poly):
+        raise ValueError(f"a monomial of {poly} is outside {ambient}")
+    small = {sum(1 << i for i, b in enumerate(bits) if mask & b): c
+             for mask, c in poly.items()}
+    return {sum(b for i, b in enumerate(bits) if M >> i & 1): c
+            for M, c in reduce(small, len(bits)).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +198,9 @@ def leading_check(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# ranks and sigma vanishing
+# ranks
 # ---------------------------------------------------------------------------
 
 def hilbert_ranks(n: int) -> list[int]:
     """Rank of R(n) in x-degree k for k = 0..n."""
     return [sparse_count(n, k) for k in range(n + 1)]
-
-
-def sigma_vanishing(J: Subset, k: int, two_n: int) -> bool:
-    """Whether sigma_k(J) reduces to zero in R(I).
-
-    Guaranteed whenever k + |J| > |I| = two_n.
-    """
-    return reduce(sigma(k, J, two_n)).is_zero()
-
-

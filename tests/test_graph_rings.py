@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from exterior_oracle import to_ext, to_masks
 from kslab import graph_rings
 from kslab.exterior import ExtElement, sigma
 from kslab.graph_rings import (
@@ -35,17 +36,6 @@ def join_with_edge(G0: BiGraph, G1: BiGraph, v0, v1) -> BiGraph:
     edges |= {frozenset({relabel[u], relabel[v]}) for u, v in map(tuple, G1.edges)}
     edges.add(frozenset({v0, relabel[v1]}))
     return BiGraph(vertices, parity, frozenset(edges))
-
-
-def to_ext(poly: dict[int, int], nvars: int) -> ExtElement:
-    """A {mask: coeff} polynomial (bit j-1 for x_j) as an ExtElement."""
-    return ExtElement(nvars, {
-        tuple(j + 1 for j in range(nvars) if M >> j & 1): c
-        for M, c in poly.items()})
-
-
-def to_masks(elem: ExtElement) -> dict[int, int]:
-    return {sum(1 << (j - 1) for j in J): c for J, c in elem.terms.items()}
 
 
 def walk_variables(G: BiGraph, walk):
@@ -108,7 +98,7 @@ def oracle_graded_structure(G):
                 continue
             for M in combinations(range(1, m + 1), k - d):
                 prod = ExtElement.monomial(M, m) * rel
-                if not prod.is_zero():
+                if prod.terms:
                     rows.append({col[J]: c for J, c in prod.terms.items()})
         out.append(quotient_structure(rows, len(monomials)))
     return out

@@ -1,0 +1,79 @@
+"""Committed mutants: each one must make its report a falsifier.
+
+Each row patches one function of the program with a wrong version and
+runs one subcommand through ``cli.main``.  The run must exit 1 (a
+falsifier), never 0 (the mutant went unseen), 2 (bad input) or 3 (an
+internal error), and the report must name a counterexample under the
+row's key.  Every row also runs unpatched first and must exit 0 there.
+"""
+
+import importlib
+import json
+
+import pytest
+
+from kslab import cli, springer
+from test_mvss import _broken_pinch_substitution
+
+_right_mu_of = springer.mu_of
+
+
+def _crossing_mu_of(K, two_n):
+    """mu(K) with the partners of the two smallest elements of K swapped:
+    a crossing matching."""
+    tau = list(_right_mu_of(K, two_n))
+    a, b = K[0], K[1]
+    pa, pb = tau[a - 1], tau[b - 1]
+    tau[a - 1], tau[b - 1], tau[pa - 1], tau[pb - 1] = pb, pa, b, a
+    return tuple(tau)
+
+
+def _nested_the_wrong_way(tau, lam):
+    """The j in lam with i < j and tau(j) > tau(i): arcs side by side or
+    crossing, in place of the nested ones."""
+    return {j for j in lam
+            if any(i < j and tau[j - 1] > tau[i - 1] for i in lam)}
+
+
+def _violation_off_by_one(mask, two_n):
+    """The largest violating index with 2n - j < 2 |J_{>j}|: a support
+    that meets the bound with equality reads as sparse."""
+    above = 0
+    while mask:
+        j = mask.bit_length()
+        if two_n - j < 2 * above:
+            return j
+        above += 1
+        mask ^= 1 << (j - 1)
+    return 0
+
+
+# (module, function, mutant, argv, report key naming the counterexample)
+MUTANTS = [
+    ("springer", "mu_of", _crossing_mu_of, ["ring", "--n", "3"],
+     ("leading_check", "leading_failures")),
+    ("mvss", "pinch_substitution", _broken_pinch_substitution,
+     ["mvss", "--n", "2"], ("counterexamples",)),
+    ("combinatorics", "_nested_left_endpoints", _nested_the_wrong_way,
+     ["conjecture", "--n", "4"], ("counterexamples",)),
+    ("springer", "_largest_violation", _violation_off_by_one,
+     ["mvss", "--n", "3"], ("counterexamples",)),
+]
+
+
+@pytest.mark.parametrize("module, name, mutant, argv, key", MUTANTS,
+                         ids=[f"{row[0]}.{row[1]}" for row in MUTANTS])
+def test_mutant_exits_1_with_a_counterexample(module, name, mutant, argv,
+                                              key, monkeypatch, tmp_path,
+                                              cold_kslab_caches):
+    out = tmp_path / "report.json"
+    argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 0
+    cold_kslab_caches()
+    monkeypatch.setattr(importlib.import_module(f"kslab.{module}"), name,
+                        mutant)
+    assert cli.main(argv) == 1
+    report = json.loads(out.read_text())
+    for part in key:
+        report = report[part]
+    assert report

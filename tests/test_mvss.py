@@ -1,14 +1,15 @@
+import json
 from itertools import combinations
 
 import pytest
 
-from kslab import mvss
+from exterior_oracle import reduce_in
+from kslab import cli, mvss
 from kslab.combinatorics import is_sparse_in
 from kslab.exterior import ExtElement
 from kslab.graph_rings import expected_hedgehog_structure, pinch_substitution
 from kslab.intlinalg import snf_invariants
 from kslab.graphs import hedgehog_analyze
-from kslab.springer import reduce_in
 from kslab.mvss import (
     bts_by_bidegree,
     classify_bts,
@@ -43,7 +44,8 @@ def test_normal_form_lands_on_bts():
 
 
 def _ts_normal_form_oracle(raw, n):
-    """The normal form with x_spine x_body built as an ExtElement product."""
+    """The normal form with ExtElement relabelling, the ExtElement
+    rewriting of R(n), and x_spine x_body built as a product."""
     two_n = 2 * n
     terms = {}
     for (J, A), c in raw.items():
@@ -287,6 +289,19 @@ def test_mv_two_sets_demo(monkeypatch):
     monkeypatch.setattr(mvss, "pinch_substitution",
                         _broken_pinch_substitution)
     assert not _two_sets_oracle()
+
+
+def test_an_off_basis_term_is_a_falsifier(monkeypatch, tmp_path):
+    # the broken relation sends x_2 to -x_3, and x_3 is pinched away at
+    # A = (1, 2): d1(x_2 e_2) leaves BTS, a falsifier and not a crash
+    monkeypatch.setattr(mvss, "pinch_substitution",
+                        _broken_pinch_substitution)
+    out = tmp_path / "mvss.json"
+    assert cli.main(["mvss", "--n", "2", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["all_exact"] is False
+    assert {"kind": "off_basis", "J": [2], "A": [2],
+            "term": [[3], [1, 2]]} in report["counterexamples"]
 
 
 def test_normal_form_memo_lives_for_one_call(monkeypatch):

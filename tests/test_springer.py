@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exterior_oracle as oracle
+from exterior_oracle import to_ext, to_masks
 from kslab import springer
 from kslab.combinatorics import enumerate_sparse, is_sparse, sparse_closure
 from kslab.exterior import ExtElement, sigma
@@ -14,8 +16,17 @@ def mono(J, two_n, c=1):
     return ExtElement.monomial(J, two_n, c)
 
 
+def mask(J):
+    return sum(1 << (j - 1) for j in J)
+
+
+def reduce(a):
+    """``springer.reduce`` on an ExtElement."""
+    return to_ext(springer.reduce(to_masks(a), a.nvars), a.nvars)
+
+
 def random_element(rng, nvars, max_terms=4, max_coeff=5):
-    out = ExtElement.zero(nvars)
+    out = ExtElement(nvars)
     for _ in range(rng.randrange(max_terms + 1)):
         k = rng.randrange(nvars + 1)
         J = tuple(sorted(rng.sample(range(1, nvars + 1), k)))
@@ -28,10 +39,12 @@ def random_element(rng, nvars, max_terms=4, max_coeff=5):
 # ---------------------------------------------------------------------------
 
 def test_rewrite_step_examples():
-    assert springer.rewrite_step((2, 3), 4) == mono((1, 2), 4, -1) + mono((1, 3), 4, -1)
-    assert springer.rewrite_step((4,), 4) == -(mono((1,), 4) + mono((2,), 4) + mono((3,), 4))
+    # the rewriting rule of the oracle
+    assert oracle.rewrite_step((2, 3), 4) == mono((1, 2), 4, -1) + mono((1, 3), 4, -1)
+    assert oracle.rewrite_step((4,), 4) == ExtElement(
+        4, {(1,): -1, (2,): -1, (3,): -1})
     with pytest.raises(ValueError):
-        springer.rewrite_step((1, 3), 4)
+        oracle.rewrite_step((1, 3), 4)
 
 
 def test_rewrite_step_strictly_lowers_everywhere():
@@ -39,14 +52,55 @@ def test_rewrite_step_strictly_lowers_everywhere():
         for k in range(1, two_n + 1):
             for J in combinations(range(1, two_n + 1), k):
                 if not is_sparse(J, two_n):
-                    out = springer.rewrite_step(J, two_n)
+                    out = oracle.rewrite_step(J, two_n)
                     assert all(T < J for T in out.terms)
 
 
 def test_reduce_examples():
-    assert springer.reduce(sigma(1, (1, 2, 3, 4), 4)).is_zero()
-    assert springer.reduce(mono((2, 3), 4)) == mono((1, 2), 4, -1) + mono((1, 3), 4, -1)
-    assert springer.reduce(mono((1, 3), 4)) == mono((1, 3), 4)
+    assert springer.reduce({0b0001: 1, 0b0010: 1, 0b0100: 1, 0b1000: 1},
+                           4) == {}
+    assert springer.reduce({0b0110: 1}, 4) == {0b0011: -1, 0b0101: -1}
+    assert springer.reduce({0b0101: 1}, 4) == {0b0101: 1}
+
+
+def test_reduce_matches_the_oracle_on_every_monomial():
+    for two_n in (2, 4, 6, 8):
+        for J in range(1 << two_n):
+            a = to_ext({J: 1}, two_n)
+            assert to_ext(springer.reduce({J: 1}, two_n), two_n) == \
+                oracle.reduce(a), (two_n, J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=5))
+def test_reduce_matches_the_oracle_on_random_polynomials(seed, n):
+    rng = random.Random(seed)
+    a = random_element(rng, 2 * n, max_terms=8)
+    assert reduce(a) == oracle.reduce(a)
+
+
+def test_reduce_in_matches_the_oracle_on_relative_ambients():
+    rng = random.Random(21)
+    for m in (2, 4, 6):
+        for _ in range(40):
+            ambient = tuple(sorted(rng.sample(range(1, 11), m)))
+            terms = {}
+            for _ in range(rng.randrange(1, 5)):
+                J = rng.sample(ambient, rng.randrange(m + 1))
+                terms[tuple(sorted(J))] = rng.randint(-3, 3)
+            a = ExtElement(10, terms)
+            assert to_ext(springer.reduce_in(to_masks(a), ambient), 10) == \
+                oracle.reduce_in(a, ambient), (ambient, a)
+
+
+def test_reduce_refuses_terms_outside_the_ring():
+    with pytest.raises(ValueError, match="outside x_1..x_4"):
+        springer.reduce({0b10000: 1}, 4)
+    with pytest.raises(ValueError, match="outside"):
+        springer.reduce_in({0b1: 1}, (2, 3))
+    with pytest.raises(ValueError, match="even size"):
+        springer.reduce_in({0b10: 1}, (2, 3, 4))
 
 
 def test_r2_normal_form_basis():
@@ -54,9 +108,8 @@ def test_r2_normal_form_basis():
     basis = set()
     for k in range(5):
         for J in combinations(range(1, 5), k):
-            red = springer.reduce(mono(J, 4))
-            basis.update(red.terms)
-    assert basis == {(), (1,), (2,), (3,), (1, 2), (1, 3)}
+            basis.update(springer.reduce({mask(J): 1}, 4))
+    assert basis == {0, 0b1, 0b10, 0b100, 0b11, 0b101}
 
 
 def test_reduce_kills_ideal():
@@ -67,11 +120,11 @@ def test_reduce_kills_ideal():
         for k in range(1, two_n + 1):
             sk = sigma(k, range(1, two_n + 1), two_n)
             for m in monomials:
-                assert springer.reduce(sk * mono(m, two_n)).is_zero()
+                assert reduce(sk * mono(m, two_n)) == ExtElement(two_n)
         # x_i^2 * m is literally zero in E(I) already
         for i in range(1, two_n + 1):
             xi = mono((i,), two_n)
-            assert (xi * xi).is_zero()
+            assert xi * xi == ExtElement(two_n)
 
 
 def test_reduce_counts_basis_per_degree():
@@ -81,7 +134,7 @@ def test_reduce_counts_basis_per_degree():
             sparse_k = enumerate_sparse(two_n, k)
             assert len(sparse_k) == springer.hilbert_ranks(n)[k]
             for J in sparse_k:
-                assert springer.reduce(mono(J, two_n)) == mono(J, two_n)
+                assert springer.reduce({mask(J): 1}, two_n) == {mask(J): 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,17 +144,16 @@ def test_reduce_is_linear_and_multiplicative(seed, n):
     two_n = 2 * n
     a = random_element(rng, two_n)
     b = random_element(rng, two_n)
-    ra, rb = springer.reduce(a), springer.reduce(b)
-    assert springer.reduce(a + b) == ra + rb
-    assert springer.reduce(a * b) == springer.reduce(ra * rb)
-    assert springer.reduce(ra) == ra  # idempotent
+    ra, rb = reduce(a), reduce(b)
+    assert reduce(a + b) == ra + rb
+    assert reduce(a * b) == reduce(ra * rb)
+    assert reduce(ra) == ra  # idempotent
 
 
 def test_reduce_in_relative_ambient():
     # ambient (2,5,6,9) behaves like {1,2,3,4}: position-(2,3) monomial rewrites
-    a = ExtElement.monomial((5, 6), 10)
-    out = springer.reduce_in(a, (2, 5, 6, 9))
-    assert out == ExtElement.monomial((2, 5), 10, -1) + ExtElement.monomial((2, 6), 10, -1)
+    out = springer.reduce_in({mask((5, 6)): 1}, (2, 5, 6, 9))
+    assert out == {mask((2, 5)): -1, mask((2, 6)): -1}
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +162,7 @@ def test_reduce_in_relative_ambient():
 
 def test_rho_examples():
     assert springer.rho_K(mono((2,), 4), (1, 3)) == mono((1,), 4, -1)
-    assert springer.rho_K(mono((1, 2), 4), (1, 3)).is_zero()
+    assert springer.rho_K(mono((1, 2), 4), (1, 3)) == ExtElement(4)
     comps = springer.rho_all(mono((3,), 4))
     assert comps[(1, 2)] == mono((2,), 4, -1)
     assert comps[(1, 3)] == mono((3,), 4)
@@ -118,7 +170,7 @@ def test_rho_examples():
     assert all(v == mono((), 4) for v in ones.values())
     comps2 = springer.rho_all(mono((1, 2), 4))
     assert comps2[(1, 2)] == mono((1, 2), 4)
-    assert comps2[(1, 3)].is_zero()
+    assert comps2[(1, 3)] == ExtElement(4)
 
 
 def test_rho_kills_relations():
@@ -126,7 +178,8 @@ def test_rho_kills_relations():
         two_n = 2 * n
         for K in enumerate_sparse(two_n, n):
             for k in range(1, two_n + 1):
-                assert springer.rho_K(sigma(k, range(1, two_n + 1), two_n), K).is_zero()
+                assert springer.rho_K(sigma(k, range(1, two_n + 1), two_n),
+                                      K) == ExtElement(two_n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +188,7 @@ def test_rho_factors_through_reduce(seed, n):
     rng = random.Random(seed)
     two_n = 2 * n
     a = random_element(rng, two_n)
-    red = springer.reduce(a)
+    red = reduce(a)
     for K in enumerate_sparse(two_n, n):
         assert springer.rho_K(a, K) == springer.rho_K(red, K)
 
@@ -233,7 +286,7 @@ def test_leading_term_value_example():
     # n=2, J={3}: highest term of rho(x_3) is +x_3 eps_{(1,3)}, and (1,3)=bar({3})
     assert sparse_closure((3,), 4, "bar") == (1, 3)
     comps = springer.rho_all(mono((3,), 4))
-    assert comps[(1, 3)].coefficient((3,)) == 1
+    assert comps[(1, 3)].terms[(3,)] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +312,12 @@ def dihedral_act(a, g):
 
     mapping = {i: (1, wrap(1 - wrap(i + k)) if reflect else wrap(i + k))
                for i in range(1, two_n + 1)}
-    return springer.reduce(a.relabel_signed(mapping))
+    return reduce(a.relabel_signed(mapping))
 
 
 def test_dihedral_examples():
     assert dihedral_act(mono((4,), 4), (False, 1)) \
-        == springer.reduce(mono((1,), 4))
+        == reduce(mono((1,), 4))
 
 
 def test_dihedral_relations():
@@ -291,22 +344,27 @@ def test_dihedral_is_ring_morphism():
     for n in (2, 3):
         two_n = 2 * n
         for _ in range(20):
-            a = springer.reduce(random_element(rng, two_n))
-            b = springer.reduce(random_element(rng, two_n))
+            a = reduce(random_element(rng, two_n))
+            b = reduce(random_element(rng, two_n))
             g = (rng.random() < 0.5, rng.randrange(two_n))
-            lhs = dihedral_act(springer.reduce(a * b), g)
-            rhs = springer.reduce(
+            lhs = dihedral_act(reduce(a * b), g)
+            rhs = reduce(
                 dihedral_act(a, g) * dihedral_act(b, g))
             assert lhs == rhs
 
 
+def sigma_vanishing(J, k, two_n):
+    """Whether sigma_k(J) reduces to zero in R(I)."""
+    return reduce(sigma(k, J, two_n)) == ExtElement(two_n)
+
+
 def test_sigma_vanishing():
-    assert springer.sigma_vanishing((1, 2, 3), 2, 4)
-    assert springer.sigma_vanishing(tuple(range(1, 5)), 1, 4)
-    assert not springer.sigma_vanishing((1, 2), 1, 4)
+    assert sigma_vanishing((1, 2, 3), 2, 4)
+    assert sigma_vanishing(tuple(range(1, 5)), 1, 4)
+    assert not sigma_vanishing((1, 2), 1, 4)
     # exhaustive: k + |J| > 2n forces vanishing, 2n <= 6
     for two_n in (2, 4, 6):
         for sz in range(two_n + 1):
             for J in combinations(range(1, two_n + 1), sz):
                 for k in range(two_n - sz + 1, two_n + 2):
-                    assert springer.sigma_vanishing(J, k, two_n)
+                    assert sigma_vanishing(J, k, two_n)

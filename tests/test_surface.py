@@ -35,7 +35,6 @@ ORACLES = {
     "canonical_form": "isomorphism invariant, to be replaced by a true "
                       "canonical form (ROADMAP)",
     "extendable_by_search": "the direct definition behind classify_bts",
-    "sigma_vanishing": "sigma_k(J) = 0 in R(n) once k + |J| > 2n",
     "euler_characteristic": "chi(Y(C(n))) = C(2n, n) against the complexes",
 }
 

@@ -7,11 +7,13 @@ function breaks traced runs.  The benchmark's own tests are outside
 reads it) and checks its tables against the package.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -79,3 +81,39 @@ def test_tracer_counts_the_graded_snf_rows():
         tracer.restore()
     assert spans.leftover_wrappers() == []
     assert tracer.counts["intlinalg.snf.rows_in"] == 133
+    # the t-coefficients of r(t) are ExtElement products
+    assert tracer.counts["exterior.mul.calls"] > 0
+
+
+def test_the_double_complex_makes_no_exterior_product(cold_kslab_caches):
+    # R(n) and TS** normal forms run on {mask: coeff} polynomials alone
+    from kslab.mvss import exactness_check
+
+    spans = _load_spans()
+    for mod_name in spans.SPANS:
+        importlib.import_module(f"kslab.{mod_name}")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert exactness_check(3)["all_exact"]
+    finally:
+        tracer.restore()
+    assert spans.leftover_wrappers() == []
+    assert tracer.counts["exterior.mul.calls"] == 0
+    assert tracer.counts["exterior.relabel.calls"] == 0
+    assert tracer.counts["intlinalg.snf.rows_in"] > 0
+
+
+def test_only_graph_rings_and_springer_import_exterior():
+    importers = []
+    for path in sorted((ROOT / "src" / "kslab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "exterior" in {name.split(".")[-1] for name in names}:
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["graph_rings", "springer"]
