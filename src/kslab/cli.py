@@ -165,15 +165,20 @@ def _emit(report, args) -> None:
 ENUMERATION_CAP = 500_000
 
 
-def _check_enumeration(n: int, what: str, size) -> None:
-    """Exit 2 unless ``size(Catalan(n))`` items fit; as Catalan(n) >=
-    2^(n-1), a large n is refused before ``sparse_count`` is called."""
-    big = n > ENUMERATION_CAP.bit_length()
-    count = f"more than 2^{n - 1}" if big else \
-        size(combinatorics.sparse_count(n, n))
-    if big or count > ENUMERATION_CAP:
-        raise ValueError(f"--n {n}: {count} {what}, above the enumeration "
+def _check_count(n: int, what: str, low_bits: int, count) -> None:
+    """Exit 2 unless the ``count()`` items fit; as there are at least
+    2^low_bits of them, a large n is refused before ``count`` is called."""
+    big = low_bits >= ENUMERATION_CAP.bit_length()
+    total = f"more than 2^{low_bits}" if big else count()
+    if big or total > ENUMERATION_CAP:
+        raise ValueError(f"--n {n}: {total} {what}, above the enumeration "
                          f"cap {ENUMERATION_CAP}")
+
+
+def _check_enumeration(n: int, what: str, size) -> None:
+    """Exit 2 unless ``size(Catalan(n))`` items fit (Catalan(n) >= 2^(n-1))."""
+    _check_count(n, what, n - 1,
+                 lambda: size(combinatorics.sparse_count(n, n)))
 
 
 def cmd_sparse(args):
@@ -218,7 +223,13 @@ def cmd_ncm(args):
 
 def cmd_ring(args):
     if args.ranks:
-        # bare ranks output, machine-readable; nothing is enumerated
+        # bare ranks output, machine-readable; nothing is enumerated.  The
+        # ranks are below 4^n, written in full if 4^n < 10^limit, the digit
+        # limit of int-to-str (0, or before Python 3.10.7 none: no limit)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and 2 * args.n >= (10 ** limit).bit_length():
+            raise ValueError(f"--n {args.n}: ranks up to 4^{args.n} may pass "
+                             f"the {limit}-digit limit of int-to-str")
         return springer.hilbert_ranks(args.n), True
     # C(2n, n) = (n + 1) Catalan(n) sparse J, each against every sparse K
     _check_enumeration(args.n, "(J, K) pairs",
@@ -263,6 +274,9 @@ def cmd_sgring(args):
 
 
 def cmd_mvss(args):
+    # each of the 2^(2n-1) pinch sets A gives the basis element x_{} e_A
+    _check_count(args.n, "BTS basis elements", 2 * args.n - 1,
+                 lambda: mvss.bts_count(args.n))
     result = mvss.exactness_check(args.n)
     ok = result["all_exact"] and result["d1_squared_zero"] \
         and not result["triangular_failures"]

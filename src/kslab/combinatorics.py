@@ -70,19 +70,6 @@ def is_sparse_halfcount_criterion(J: Subset, two_n: int) -> bool:
     return True
 
 
-def is_sparse_in(J: Subset, ambient: Subset) -> bool:
-    """Sparsity of J relative to an arbitrary totally ordered ambient tuple.
-
-    The ambient is order-isomorphic to {1..len(ambient)}; J is transported
-    along that isomorphism and tested there.
-    """
-    pos = {v: i + 1 for i, v in enumerate(ambient)}
-    missing = [j for j in J if j not in pos]
-    if missing:
-        raise ValueError(f"elements {missing} not in ambient {ambient}")
-    return is_sparse(tuple(sorted(pos[j] for j in J)), len(ambient))
-
-
 @lru_cache(maxsize=None)
 def enumerate_sparse(two_n: int, k: int | str = "all") -> tuple[Subset, ...]:
     """All sparse subsets of {1..2n} of size k (or every size), lex sorted.

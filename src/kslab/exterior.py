@@ -14,8 +14,6 @@ tuple order, the lexicographic order of combinatorics.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 Subset = tuple[int, ...]
 
 
@@ -89,12 +87,6 @@ class ExtElement:
                 M = tuple(sorted(image))
                 out[M] = out.get(M, 0) + sign * c
         return ExtElement(m, out)
-
-
-def sigma(k: int, variables, nvars: int) -> ExtElement:
-    """The k-th elementary symmetric function of the given variables."""
-    return ExtElement(nvars, dict.fromkeys(
-        combinations(sorted(variables), k), 1))
 
 
 def r_poly(variables, nvars: int, signs) -> list[ExtElement]:

@@ -76,8 +76,10 @@ def thin_invariants(L: Lattice, K: Lattice) -> ThinInvariants:
     """
     da, db, dg = offsets(L, K)
     beta = min(da, db, dg)
+    # callers pass nested pairs and the command line reads only n and q, so
+    # a pair that is not nested is a fault of the program, not bad input
     if beta < 0:
-        raise ValueError("K is not contained in L")
+        raise RuntimeError("K is not contained in L")
     d = da + db
     return ThinInvariants(d - beta, beta, d - 2 * beta, d)
 

@@ -67,7 +67,7 @@ from itertools import combinations
 from math import comb
 
 from .combinatorics import sparse_count
-from .exterior import r_poly, sigma
+from .exterior import r_poly
 from .graphs import BiGraph, Hedgehog, hedgehog_analyze
 from .intlinalg import quotient_structure
 
@@ -79,12 +79,6 @@ class GraphRingPresentation:
     provenance: list[tuple]            # cycle vertex tuples, parallel
 
 
-def _masks(p) -> dict[int, int]:
-    """The terms of the ExtElement ``p`` as {mask: coeff}, bit j-1 for
-    x_j, in the same order."""
-    return {sum(1 << (j - 1) for j in J): c for J, c in p.terms.items()}
-
-
 def r_masks(variables, signs) -> list[dict[int, int]]:
     """t-coefficients of r(t) = prod_i (1 + t * sign_i * x_i) as masks.
 
@@ -94,8 +88,8 @@ def r_masks(variables, signs) -> list[dict[int, int]]:
     (``_eliminate_unit_relations``).
     """
     variables = tuple(variables)
-    return [_masks(p) for p in r_poly(variables, max(variables, default=0),
-                                      signs)]
+    return [{sum(1 << (j - 1) for j in J): c for J, c in p.terms.items()}
+            for p in r_poly(variables, max(variables, default=0), signs)]
 
 
 def cycle_relations(G: BiGraph) -> GraphRingPresentation:
@@ -270,7 +264,8 @@ def expected_hedgehog_structure(h: Hedgehog) -> list[tuple[int, list[int]]]:
 def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
     """Graded structure of R(n)/(x_i + x_{i+1} : i in A), degree by degree."""
     two_n = 2 * n
-    relations = [_masks(sigma(k, range(1, two_n + 1), two_n))
+    bits = [1 << j for j in range(two_n)]
+    relations = [dict.fromkeys(map(sum, combinations(bits, k)), 1)
                  for k in range(1, two_n + 1)]
     relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
     return graded_structure(GraphRingPresentation(

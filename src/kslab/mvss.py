@@ -12,9 +12,11 @@ basis BTS of pairs x_J e_A where
       hedgehog for A.
 
 Elements of TS** are plain dicts {(J, A): c}, the sum of c x_J e_A over
-sorted tuples J and A with nonzero c.  This module builds the basis,
-normalizes arbitrary elements onto it (each monomial folded as a bit
-mask, its body part reduced by ``springer.reduce_in``), implements d_1,
+int masks J and A with nonzero c: bit i-1 stands for x_i in J and for e_i
+in A, the convention of ``springer.reduce_in``.  Index tuples appear only
+in the counterexamples of a report.  This module builds the basis,
+normalizes arbitrary elements onto it (each monomial folded bit by bit,
+its body part reduced by ``springer.reduce_in``), implements d_1,
 classifies basis elements as extendable/unextendable with the eta/zeta
 pairing, and certifies integrally that (TS**, d_1) is exact in every
 bidegree by direct Smith-normal-form computation.
@@ -29,64 +31,87 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
-from .combinatorics import enumerate_sparse, is_sparse_in
+from .combinatorics import enumerate_sparse, is_sparse
 from .graph_rings import pinch_substitution
-from .graphs import Hedgehog, hedgehog_analyze
+from .graphs import hedgehog_analyze
 from .intlinalg import snf_invariants
 from .springer import reduce_in
 
-Subset = tuple[int, ...]
-TS = dict[tuple[Subset, Subset], int]     # {(J, A): c}: sum of c x_J e_A
+Key = tuple[int, int]             # (J, A) as masks
+TS = dict[Key, int]               # {(J, A): c}: sum of c x_J e_A
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The indices i with bit i-1 set, in increasing order."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _report_key(key: Key) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return _indices(key[0]), _indices(key[1])
 
 
 @lru_cache(maxsize=None)
-def _hedgehog(n: int, A: Subset) -> Hedgehog:
-    return hedgehog_analyze(n, A)
+def _body(n: int, A: int) -> tuple[int, tuple[int, ...]]:
+    """The body mask and the body indices of the hedgehog for pinch set A;
+    the other unpinched indices, {1..2n} \\ (A + 1), are its spines."""
+    body = hedgehog_analyze(n, _indices(A)).body_indices
+    return sum(1 << (b - 1) for b in body), body
 
 
 # ---------------------------------------------------------------------------
 # the BTS basis
 # ---------------------------------------------------------------------------
 
-def is_bts(J, A, n: int) -> bool:
-    """Membership of the monomial x_J e_A in the basis BTS."""
-    J, A = tuple(sorted(J)), tuple(sorted(A))
-    if any(a < 1 or a > 2 * n - 1 for a in A):
+def is_bts(J: int, A: int, n: int) -> bool:
+    """Membership of x_J e_A in BTS (a negative mask shifts to -1)."""
+    if A >> (2 * n - 1) or J >> (2 * n) or J & A << 1:
         return False
-    h = _hedgehog(n, A)
-    allowed = set(h.spine_indices) | set(h.body_indices)
-    if not set(J) <= allowed:
-        return False
-    body_part = tuple(j for j in J if j in h.body_indices)
-    return is_sparse_in(body_part, h.body_indices)
+    _, body = _body(n, A)
+    return is_sparse(tuple(i + 1 for i, b in enumerate(body)
+                           if J >> (b - 1) & 1), len(body))
 
 
 @lru_cache(maxsize=None)
-def enumerate_bts(n: int) -> tuple[tuple[Subset, Subset], ...]:
+def enumerate_bts(n: int) -> tuple[Key, ...]:
     """All pairs (J, A) indexing the BTS basis, sorted."""
     out = []
-    for mask in range(1 << (2 * n - 1)):
-        A = tuple(i + 1 for i in range(2 * n - 1) if mask >> i & 1)
-        h = _hedgehog(n, A)
-        body = h.body_indices
-        sparse_bodies = [tuple(body[i - 1] for i in K)
-                         for K in enumerate_sparse(len(body))]
-        spine_parts = [()]
-        for s in h.spine_indices:
-            spine_parts = spine_parts + [t + (s,) for t in spine_parts]
-        for S in spine_parts:
-            for K in sparse_bodies:
-                out.append((tuple(sorted(S + K)), A))
+    for A in range(1 << (2 * n - 1)):
+        body_mask, body = _body(n, A)
+        bodies = [sum(1 << (body[i - 1] - 1) for i in K)
+                  for K in enumerate_sparse(len(body))]
+        spine_parts = [0]
+        for s in _indices((1 << 2 * n) - 1 & ~(A << 1 | body_mask)):
+            spine_parts += [S | 1 << (s - 1) for S in spine_parts]
+        out += [(S | K, A) for S in spine_parts for K in bodies]
     return tuple(sorted(out))
 
 
+def bts_count(n: int) -> int:
+    """|BTS(n)| without enumerating it.
+
+    A pinch set A is a composition of 2n, its parts the gaps of A^# u
+    {2n + 1} above 0: an even part is a spine, in J or not, and the 2m odd
+    parts form a body with C(2m, m) sparse subsets.  ``ways[s][k]`` counts
+    the compositions of s with k odd parts, weighted by 2 per even part.
+    """
+    ways = [[1]]
+    for s in range(1, 2 * n + 1):
+        ways.append([0] * (s + 1))
+        for part in range(1, s + 1):
+            for k, w in enumerate(ways[s - part]):
+                ways[s][k + part % 2] += w if part % 2 else 2 * w
+    return sum(w * comb(k, k // 2) for k, w in enumerate(ways[-1])
+               if k % 2 == 0)
+
+
 @lru_cache(maxsize=None)
-def bts_by_bidegree(n: int) -> dict[tuple[int, int], list[tuple[Subset, Subset]]]:
+def bts_by_bidegree(n: int) -> dict[tuple[int, int], list[Key]]:
     """BTS basis grouped by bidegree (|A|, |J|), each group sorted."""
-    groups: dict[tuple[int, int], list[tuple[Subset, Subset]]] = {}
+    groups: dict[tuple[int, int], list[Key]] = {}
     for J, A in enumerate_bts(n):
-        groups.setdefault((len(A), len(J)), []).append((J, A))
+        groups.setdefault((A.bit_count(), J.bit_count()), []).append((J, A))
     return groups
 
 
@@ -102,44 +127,40 @@ def ts_normal_form(raw: TS, n: int, memo: dict | None = None) -> TS:
     until a bit repeats (squares die); the body part of the surviving
     monomial is reduced to its sparse normal form inside the body ring,
     while spine variables pass through freely.  ``memo``, which the caller
-    scopes, maps sorted (J, A) to the normal form of x_J e_A.
+    scopes, maps (J, A) to the normal form of x_J e_A.
     """
-    two_n = 2 * n
     memo = {} if memo is None else memo
     terms: TS = {}
-    for (J, A), c in raw.items():
+    for key, c in raw.items():
         if c == 0:
             continue
-        J, A = tuple(sorted(J)), tuple(sorted(A))
-        form = memo.get((J, A))
+        form = memo.get(key)
         if form is None:
-            if any(j < 1 or j > two_n for j in J):
-                raise ValueError(f"x-index out of range in {J}")
-            if any(a < 1 or a >= two_n for a in A):
-                raise ValueError(f"e-index out of range in {A}")
-            form = memo[(J, A)] = _monomial_normal_form(J, A, n)
-        for key, cr in form.items():
-            terms[key] = terms.get(key, 0) + c * cr
-    return {key: v for key, v in terms.items() if v}
+            J, A = key
+            if J >> (2 * n) or A >> (2 * n - 1):      # -1 when negative
+                raise ValueError(f"masks (J, A) = ({J:#b}, {A:#b}) outside "
+                                 f"x_1..x_{2 * n} and e_1..e_{2 * n - 1}")
+            form = memo[key] = _monomial_normal_form(J, A, n)
+        for term, cr in form.items():
+            terms[term] = terms.get(term, 0) + c * cr
+    return {term: v for term, v in terms.items() if v}
 
 
-def _monomial_normal_form(J: Subset, A: Subset, n: int) -> TS:
+def _monomial_normal_form(J: int, A: int, n: int) -> TS:
     """The normal form of x_J e_A, as ``ts_normal_form`` describes it."""
-    mapping = pinch_substitution(A)
+    mapping = pinch_substitution(_indices(A))
     folded, sign = 0, 1
-    for j in J:
+    for j in _indices(J):
         s, r = mapping.get(j, (1, j))
         if folded >> (r - 1) & 1:
             return {}
         folded, sign = folded | 1 << (r - 1), sign * s
-    h = _hedgehog(n, A)
-    body = sum(1 << (b - 1) for b in h.body_indices)
+    body, body_indices = _body(n, A)
     # E(I) is commutative and the spine and body supports are disjoint:
     # x_folded = x_spine x_body, with no sign
     spine = folded & ~body
-    reduced = reduce_in({folded & body: sign}, h.body_indices)
-    return {(tuple(j + 1 for j in range(2 * n) if (spine | M) >> j & 1),
-             A): c for M, c in reduced.items()}
+    return {(spine | M, A): c
+            for M, c in reduce_in({folded & body: sign}, body_indices).items()}
 
 
 def d1(a: TS, n: int, memo: dict | None = None) -> TS:
@@ -147,12 +168,12 @@ def d1(a: TS, n: int, memo: dict | None = None) -> TS:
     (``memo`` as in ``ts_normal_form``)."""
     raw: TS = {}
     for (J, A), c in a.items():
-        for t in range(1, 2 * n):
-            if t in A:
-                continue
-            sign = (-1) ** sum(1 for x in A if x < t)
-            key = (J, tuple(sorted(A + (t,))))
-            raw[key] = raw.get(key, 0) + c * sign
+        for t in range(2 * n - 1):
+            if A >> t & 1:      # the sign of e_A e_t flips at each a < t
+                c = -c
+            else:
+                key = (J, A | 1 << t)
+                raw[key] = raw.get(key, 0) + c
     return ts_normal_form(raw, n, memo)
 
 
@@ -163,55 +184,45 @@ def d1(a: TS, n: int, memo: dict | None = None) -> TS:
 @dataclass
 class EtaClassification:
     status: str                       # "extendable" | "unextendable"
-    partner: tuple[Subset, Subset]    # eta(J,A) resp. zeta(J,A)
+    partner: Key                      # eta(J,A) resp. zeta(J,A)
 
 
-def classify_bts(J, A, n: int) -> EtaClassification:
+def classify_bts(J: int, A: int, n: int) -> EtaClassification:
     """Classify x_J e_A via the arithmetic p = min(A), q = min(Q) - 1.
 
     Here Q = {2, ..., 2n} \\ J (always nonempty on BTS), min of an empty A
     is read as 2n, and q <= p always holds.  q < p means extendable with
     partner (J, A u {q}); q = p means unextendable with partner
-    (J, A \\ {p}).
+    (J, A \\ {p}).  On masks, p is the lowest set bit of A and q + 1 the
+    lowest unset bit of J | {1}.
     """
-    J, A = tuple(sorted(J)), tuple(sorted(A))
     if not is_bts(J, A, n):
-        raise ValueError(f"({J}, {A}) is not in BTS")
-    p = min(A) if A else 2 * n
-    Q = [i for i in range(2, 2 * n + 1) if i not in J]
-    q = min(Q) - 1
+        raise ValueError(f"{_report_key((J, A))} is not in BTS")
+    p = (A & -A).bit_length() if A else 2 * n
+    free = ~(J | 1)
+    q = (free & -free).bit_length() - 1
     # q <= p: for A nonempty, p + 1 is pinched, so not in J, and lies in
     # {2..2n}, so min(Q) <= p + 1; for A empty, J is sparse in {1..2n}, so
     # 2n is not in J and min(Q) <= 2n = p
     if q > p:
-        raise RuntimeError(f"q > p at ({J}, {A})")
+        raise RuntimeError(f"q > p at {_report_key((J, A))}")
     if q < p:
-        return EtaClassification("extendable", (J, tuple(sorted(A + (q,)))))
-    return EtaClassification("unextendable", (J, tuple(a for a in A if a != p)))
-
-
-def extendable_by_search(J, A, n: int):
-    """Direct definition: the least a < min(A) with (J, A u {a}) in BTS."""
-    J, A = tuple(sorted(J)), tuple(sorted(A))
-    top = min(A) if A else 2 * n
-    for a in range(1, top):
-        if is_bts(J, tuple(sorted(A + (a,))), n):
-            return a
-    return None
+        return EtaClassification("extendable", (J, A | 1 << (q - 1)))
+    return EtaClassification("unextendable", (J, A & (A - 1)))
 
 
 # ---------------------------------------------------------------------------
 # exactness of (TS**, d1)
 # ---------------------------------------------------------------------------
 
-def _order_key(J: Subset, A: Subset):
-    """Sort key for the triangularity order: larger J first, then smaller A.
-
-    x_J e_A < x_K e_B iff J < K, or J = K and A > B; this key makes
-    Python's < agree with that order for same-size J's (the only
-    comparisons the triangularity check needs).
-    """
-    return (J, tuple(-a for a in reversed(A)))
+def _is_lower(key: Key, bound: Key) -> bool:
+    """x_J e_A < x_K e_B: J < K, or J = K and A > B, on same-size sets
+    (the only ones the triangularity check compares).  J < K in the
+    lexicographic order exactly when the lowest bit of J ^ K lies in J;
+    A > B compares the largest element of A ^ B, as ints do."""
+    (J, A), (K, B) = key, bound
+    diff = J ^ K
+    return bool(J & diff & -diff) if diff else A > B
 
 
 def _bidegree_exactness(groups, images) -> dict[tuple[int, int], dict]:
@@ -219,11 +230,12 @@ def _bidegree_exactness(groups, images) -> dict[tuple[int, int], dict]:
 
     ``groups`` maps (p, j) to its sorted basis, and ``images[(J, A)]`` is
     the differential of x_J e_A; its terms outside the basis of (p + 1, j)
-    are dropped (``exactness_check`` reports them).  With d_in the matrix from (p-1, j) and d_out the matrix
-    from (p, j), the complex is exact at (p, j) over the integers iff
-    rank(d_in) + rank(d_out) = dim and every elementary divisor of d_in
-    equals 1.  Each matrix is reduced once: its invariants give rank(d_out)
-    at its source and the divisors of d_in at its target.
+    are dropped (``exactness_check`` reports them).  With d_in the matrix
+    from (p-1, j) and d_out the matrix from (p, j), the complex is exact at
+    (p, j) over the integers iff rank(d_in) + rank(d_out) = dim and every
+    elementary divisor of d_in equals 1.  Each matrix is reduced once: its
+    invariants give rank(d_out) at its source and the divisors of d_in at
+    its target.
     """
     invariants = {}
     for (p, j), source in groups.items():
@@ -253,7 +265,8 @@ def exactness_check(n: int) -> dict:
     triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
     for every extendable element.  The three checks share one d1 image
     per basis element, and one memo of monomial normal forms.  A term of
-    an image outside BTS is an ``off_basis`` counterexample.
+    an image outside BTS is an ``off_basis`` counterexample.  Reports write
+    J and A as index tuples.
     """
     if n < 2:
         raise ValueError("the double complex is set up for n >= 2")
@@ -262,25 +275,24 @@ def exactness_check(n: int) -> dict:
               "all_exact": True}
 
     memo: dict = {}
-    images = {(J, A): d1({(J, A): 1}, n, memo) for J, A in enumerate_bts(n)}
-    for (J, A), once in images.items():
+    images = {key: d1({key: 1}, n, memo) for key in enumerate_bts(n)}
+    found = report["counterexamples"]
+    for key, once in images.items():
+        J, A = _report_key(key)
         if d1(once, n, memo):
             report["d1_squared_zero"] = False
-            report["counterexamples"].append({"kind": "d1_squared", "J": J, "A": A})
-        for term in [key for key in once if key not in images]:
-            report["all_exact"] = False
-            report["counterexamples"].append(
-                {"kind": "off_basis", "J": J, "A": A, "term": term})
+            found.append({"kind": "d1_squared", "J": J, "A": A})
+        found += [{"kind": "off_basis", "J": J, "A": A,
+                   "term": _report_key(term)}
+                  for term in once if term not in images]
 
     report["bidegrees"] = _bidegree_exactness(bts_by_bidegree(n), images)
-    for (p, j), info in report["bidegrees"].items():
-        if not info["exact"]:
-            report["all_exact"] = False
-            report["counterexamples"].append({"kind": "homology", "bidegree": (p, j)})
-
+    found += [{"kind": "homology", "bidegree": bidegree}
+              for bidegree, info in report["bidegrees"].items()
+              if not info["exact"]]
     report["triangular_failures"] = triangular_failures(n, images)
-    if report["triangular_failures"] or not report["d1_squared_zero"]:
-        report["all_exact"] = False
+    # each failed check has left a counterexample or a triangular failure
+    report["all_exact"] = not (found or report["triangular_failures"])
     return report
 
 
@@ -290,7 +302,7 @@ def triangular_failures(n: int, images) -> list[dict]:
     Lower is with respect to the order x_J e_A < x_K e_B iff J < K, or
     J = K and A > B.  An empty list certifies the triangularity that,
     together with the eta bijection, forces H(TS**, d1) = 0.  ``images``
-    maps (J, A) to d1(x_J e_A).
+    maps (J, A) to d1(x_J e_A); a failure writes its keys as index tuples.
     """
     failures = []
     for J, A in enumerate_bts(n):
@@ -299,11 +311,8 @@ def triangular_failures(n: int, images) -> list[dict]:
             continue
         img = images[(J, A)]
         lead = cls.partner
-        ok = img.get(lead, 0) in (1, -1)
-        bound = _order_key(*lead)
-        for key in img:
-            if key != lead and _order_key(*key) >= bound:
-                ok = False
-        if not ok:
-            failures.append({"J": J, "A": A, "image": img})
+        if img.get(lead, 0) not in (1, -1) or \
+                any(key != lead and not _is_lower(key, lead) for key in img):
+            failures.append({"J": _indices(J), "A": _indices(A), "image": {
+                _report_key(key): c for key, c in img.items()}})
     return failures

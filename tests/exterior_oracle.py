@@ -4,15 +4,23 @@
 with a memoised normal form per monomial.  This is the rewriting it
 replaced: rescan every support for sparsity, rewrite the largest
 non-sparse one by an ``ExtElement`` product, repeat.  ``to_ext`` and
-``to_masks`` convert between the two representations.
+``to_masks`` convert between the two representations, and ``sigma``
+builds the elementary symmetric elements.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 from kslab.combinatorics import is_sparse
-from kslab.exterior import ExtElement, sigma
+from kslab.exterior import ExtElement
 
 Subset = tuple[int, ...]
+
+
+def sigma(k: int, variables, nvars: int) -> ExtElement:
+    """The k-th elementary symmetric function of the given variables."""
+    return ExtElement(nvars, dict.fromkeys(
+        combinations(sorted(variables), k), 1))
 
 
 def to_ext(poly: dict[int, int], nvars: int) -> ExtElement:

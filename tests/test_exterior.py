@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslab.exterior import ExtElement, r_poly, sigma
+from exterior_oracle import sigma
+from kslab.exterior import ExtElement, r_poly
 
 
 def x(i, n=4):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kslab import flags, fqlin
+from kslab import cli, flags, fqlin
 from kslab.combinatorics import enumerate_sparse, mu_of
 from kslab.flags import (
     chain_lemma_scan,
@@ -378,7 +378,7 @@ def test_lattice_ops_match_rref_oracles(n, q):
                 assert (ti.eta, ti.beta, ti.delta, ti.dim) == \
                     oracle_thin_invariants(RL, RK, n, q)
             else:
-                with pytest.raises(ValueError):
+                with pytest.raises(RuntimeError):
                     thin_invariants(L, K)
 
 
@@ -445,8 +445,22 @@ def test_offsets_hand_cases():
 
 
 def test_thin_invariants_rejects_non_nested():
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         thin_invariants(zero(2), hermite(identity(4, 2), 2, 2))
+
+
+def test_a_broken_containment_is_an_internal_error(monkeypatch, tmp_path,
+                                                    cold_kslab_caches):
+    # containment that ignores the third offset lets a pair that is not
+    # nested reach thin_invariants: exit 3 (a fault of the program), not
+    # 2 (bad input), as the command line reads only n and q
+    argv = ["flags", "--n", "3", "--op", "lemmas",
+            "--out", str(tmp_path / "lemmas.json")]
+    assert cli.main(argv) == 0
+    cold_kslab_caches()
+    monkeypatch.setattr(flags, "contains",
+                        lambda L, K: min(fqlin.offsets(L, K)[:2]) >= 0)
+    assert cli.main(argv) == 3
 
 
 @pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (2, 5), (3, 2),

@@ -4,9 +4,9 @@ from math import comb
 
 import pytest
 
-from exterior_oracle import to_ext, to_masks
+from exterior_oracle import sigma, to_ext, to_masks
 from kslab import graph_rings
-from kslab.exterior import ExtElement, sigma
+from kslab.exterior import ExtElement
 from kslab.graph_rings import (
     GraphRingPresentation,
     cycle_relations,
@@ -304,6 +304,21 @@ def test_pinched_rings_match_the_oracle(monkeypatch):
     monkeypatch.setattr(graph_rings, "graded_structure",
                         oracle_graded_structure)
     assert fast == [pinched_ring_structure(n, A) for n, A in pinches]
+
+
+def test_pinched_relations_are_the_sigmas_then_the_pinches(monkeypatch):
+    # sigma_1..sigma_2n written as masks, term for term in the order of
+    # the ExtElement oracle, then x_i + x_{i+1} for each pinch i
+    seen = []
+    monkeypatch.setattr(graph_rings, "graded_structure", seen.append)
+    for n, A in ((1, ()), (3, (1, 4))):
+        pinched_ring_structure(n, A)
+        two_n = 2 * n
+        want = [to_masks(sigma(k, range(1, two_n + 1), two_n))
+                for k in range(1, two_n + 1)]
+        want += [{1 << (i - 1): 1, 1 << i: 1} for i in A]
+        assert [list(r.items()) for r in seen.pop().relations] == \
+            [list(r.items()) for r in want]
 
 
 def test_torsion_does_not_stop_the_reduction():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 from itertools import combinations
 
@@ -5,7 +7,6 @@ import pytest
 
 from exterior_oracle import reduce_in
 from kslab import cli, mvss
-from kslab.combinatorics import is_sparse_in
 from kslab.exterior import ExtElement
 from kslab.graph_rings import expected_hedgehog_structure, pinch_substitution
 from kslab.intlinalg import snf_invariants
@@ -16,39 +17,54 @@ from kslab.mvss import (
     d1,
     enumerate_bts,
     exactness_check,
-    extendable_by_search,
     is_bts,
     triangular_failures,
     ts_normal_form,
 )
+from test_combinatorics import is_sparse_in
+
+
+def m(*indices):
+    """The mask of an index set: bit i-1 for index i."""
+    return sum(1 << (i - 1) for i in indices)
+
+
+def idx(mask):
+    """The index tuple of a mask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def all_pinch_sets(n):
-    for mask in range(1 << (2 * n - 1)):
-        yield tuple(i + 1 for i in range(2 * n - 1) if mask >> i & 1)
+    return range(1 << (2 * n - 1))
 
 
 def test_normal_form_examples():
-    assert ts_normal_form({((2,), (1,)): 1}, 2) == {((1,), (1,)): -1}
-    assert ts_normal_form({((), (1, 3)): 1}, 2) == {((), (1, 3)): 1}
+    assert ts_normal_form({(m(2), m(1)): 1}, 2) == {(m(1), m(1)): -1}
+    assert ts_normal_form({(0, m(1, 3)): 1}, 2) == {(0, m(1, 3)): 1}
+
+
+def test_normal_form_refuses_masks_outside_the_ring():
+    for key in ((m(5), 0), (-1, 0), (0, m(4)), (0, -2)):
+        with pytest.raises(ValueError):
+            ts_normal_form({key: 1}, 2)
 
 
 def test_normal_form_lands_on_bts():
     n = 2
     for A in all_pinch_sets(n):
-        for mask in range(1 << (2 * n)):
-            J = tuple(i + 1 for i in range(2 * n) if mask >> i & 1)
+        for J in range(1 << (2 * n)):
             out = ts_normal_form({(J, A): 1}, n)
             for K, B in out:
                 assert B == A and is_bts(K, B, n)
 
 
 def _ts_normal_form_oracle(raw, n):
-    """The normal form with ExtElement relabelling, the ExtElement
-    rewriting of R(n), and x_spine x_body built as a product."""
+    """The normal form on index tuples: ExtElement relabelling, the
+    ExtElement rewriting of R(n), and x_spine x_body built as a product."""
     two_n = 2 * n
     terms = {}
     for (J, A), c in raw.items():
+        J, A = idx(J), idx(A)
         folded = ExtElement.monomial(J, two_n).relabel_signed(
             pinch_substitution(A))
         h = hedgehog_analyze(n, A)
@@ -59,17 +75,25 @@ def _ts_normal_form_oracle(raw, n):
                 [j for j in Jf if j in h.body_indices], two_n)
             reduced = spine * reduce_in(body, h.body_indices)
             for Jr, cr in reduced.terms.items():
-                terms[(Jr, A)] = terms.get((Jr, A), 0) + c * cf * cr
+                key = (m(*Jr), m(*A))
+                terms[key] = terms.get(key, 0) + c * cf * cr
     return {key: v for key, v in terms.items() if v}
 
 
 def test_normal_form_matches_the_product_oracle():
     for n in (2, 3):
         for A in all_pinch_sets(n):
-            for mask in range(1 << (2 * n)):
-                J = tuple(i + 1 for i in range(2 * n) if mask >> i & 1)
+            for J in range(1 << (2 * n)):
                 assert ts_normal_form({(J, A): 3}, n) == \
                     _ts_normal_form_oracle({(J, A): 3}, n), (J, A)
+
+
+def test_the_normal_form_path_does_not_sort():
+    # TS** terms are keyed by masks: nothing on the path re-sorts a key
+    for func in (ts_normal_form, mvss._monomial_normal_form, d1):
+        tree = ast.parse(inspect.getsource(func))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "sorted"]
 
 
 def test_normal_form_cross_checked_by_rank():
@@ -78,18 +102,22 @@ def test_normal_form_cross_checked_by_rank():
     for n in (2, 3, 4):
         groups = bts_by_bidegree(n)
         for A in all_pinch_sets(n):
-            expected = expected_hedgehog_structure(hedgehog_analyze(n, A))
+            expected = expected_hedgehog_structure(hedgehog_analyze(n, idx(A)))
             for j, (rk, tors) in enumerate(expected):
                 assert not tors
-                cnt = sum(1 for J, B in groups.get((len(A), j), []) if B == A)
+                cnt = sum(1 for J, B in groups.get((len(idx(A)), j), [])
+                          if B == A)
                 assert cnt == rk, (n, A, j)
 
 
 def test_d1_examples():
-    u = d1({((), ()): 1}, 2)
-    assert u == {((), (1,)): 1, ((), (2,)): 1, ((), (3,)): 1}
-    x1u = d1({((1,), ()): 1}, 2)
-    assert x1u == {((1,), (1,)): 1, ((1,), (2,)): 1, ((1,), (3,)): 1}
+    u = d1({(0, 0): 1}, 2)
+    assert u == {(0, m(1)): 1, (0, m(2)): 1, (0, m(3)): 1}
+    x1u = d1({(m(1), 0): 1}, 2)
+    assert x1u == {(m(1), m(1)): 1, (m(1), m(2)): 1, (m(1), m(3)): 1}
+    # the sign counts the elements of A below t: e_2 e_1 = e_{12} and
+    # e_2 e_3 = -e_{23}
+    assert d1({(0, m(2)): 5}, 2) == {(0, m(1, 2)): 5, (0, m(2, 3)): -5}
 
 
 def test_d1_squared_zero_exhaustive():
@@ -99,10 +127,24 @@ def test_d1_squared_zero_exhaustive():
 
 
 def test_classify_examples():
-    c = classify_bts((), (), 2)
-    assert c.status == "extendable" and c.partner == ((), (1,))
+    c = classify_bts(0, 0, 2)
+    assert c.status == "extendable" and c.partner == (0, m(1))
+    c = classify_bts(m(1), m(2), 2)      # p = 2, q = min{2, 4} - 1 = 1
+    assert c.status == "extendable" and c.partner == (m(1), m(1, 2))
+    c = classify_bts(m(1), m(1), 2)      # p = q = 1
+    assert c.status == "unextendable" and c.partner == (m(1), 0)
     with pytest.raises(ValueError):
-        classify_bts((2,), (1,), 2)  # 2 is pinched away, not in BTS
+        classify_bts(m(2), m(1), 2)  # 2 is pinched away, not in BTS
+
+
+def extendable_by_search(J, A, n):
+    """Direct definition: the least a < min(A) with (J, A u {a}) in BTS,
+    the oracle of classify_bts."""
+    top = min(idx(A), default=2 * n)
+    for a in range(1, top):
+        if is_bts(J, A | m(a), n):
+            return a
+    return None
 
 
 def test_classification_matches_direct_search():
@@ -111,7 +153,7 @@ def test_classification_matches_direct_search():
             c = classify_bts(J, A, n)
             a = extendable_by_search(J, A, n)
             if c.status == "extendable":
-                assert a is not None and c.partner == (J, tuple(sorted(A + (a,))))
+                assert a is not None and c.partner == (J, m(a, *idx(A)))
             else:
                 assert a is None
 
@@ -131,33 +173,61 @@ def test_bts_downward_closure():
     for n in (2, 3, 4):
         bts = set(enumerate_bts(n))
         for J, A in bts:
-            for i in range(len(A)):
-                assert (J, A[:i] + A[i + 1:]) in bts
+            for a in idx(A):
+                assert (J, A & ~m(a)) in bts
 
 
 def _enumerate_bts_oracle(n):
-    """BTS with the sparse bodies filtered from every subset of the body."""
+    """BTS with the sparse bodies filtered from every subset of the body,
+    on index tuples, then written as masks."""
     out = []
-    for A in all_pinch_sets(n):
+    for A in map(idx, all_pinch_sets(n)):
         h = hedgehog_analyze(n, A)
         body = h.body_indices
         bodies = [K for r in range(len(body) + 1)
                   for K in combinations(body, r) if is_sparse_in(K, body)]
         for r in range(len(h.spine_indices) + 1):
             for S in combinations(h.spine_indices, r):
-                out += [(tuple(sorted(S + K)), A) for K in bodies]
+                out += [(m(*S, *K), m(*A)) for K in bodies]
     return tuple(sorted(out))
 
 
 def test_enumerate_bts_matches_the_filtered_oracle():
     for n in (1, 2, 3, 4):
         assert enumerate_bts(n) == _enumerate_bts_oracle(n)
+        assert all(is_bts(J, A, n) for J, A in enumerate_bts(n))
 
 
 def test_bts_counts():
     assert len(enumerate_bts(2)) == 28
     assert len(enumerate_bts(3)) == 212
     assert len(enumerate_bts(4)) == 1676
+
+
+def test_bts_count_without_enumerating():
+    for n in range(1, 6):
+        assert mvss.bts_count(n) == len(enumerate_bts(n))
+    assert [mvss.bts_count(n) for n in (6, 7)] == [112380, 940020]
+
+
+def test_is_lower_matches_the_tuple_order():
+    # the parent order on index tuples: J lexicographically, then A by
+    # its decreasing tuple, larger first
+    def tuple_key(J, A):
+        return (idx(J), tuple(-a for a in reversed(idx(A))))
+
+    masks = range(1 << 6)
+    for J in masks:
+        for K in masks:
+            if J.bit_count() == K.bit_count():
+                for A, B in ((m(2), m(2)), (m(1, 3), m(2, 3))):
+                    assert mvss._is_lower((J, A), (K, B)) == \
+                        (tuple_key(J, A) < tuple_key(K, B)), (J, K)
+    for A in masks:
+        for B in masks:
+            if A.bit_count() == B.bit_count():
+                assert mvss._is_lower((m(1), A), (m(1), B)) == \
+                    (tuple_key(m(1), A) < tuple_key(m(1), B)), (A, B)
 
 
 def test_exactness_n2_and_n3():
@@ -218,7 +288,7 @@ def _exactness_check_oracle(n):
         if d1(d1({(J, A): 1}, n), n):
             report["d1_squared_zero"] = False
             report["counterexamples"].append(
-                {"kind": "d1_squared", "J": J, "A": A})
+                {"kind": "d1_squared", "J": idx(J), "A": idx(A)})
     report["bidegrees"] = _bidegree_exactness_oracle(
         bts_by_bidegree(n), lambda J, A: d1({(J, A): 1}, n))
     for (p, j), info in report["bidegrees"].items():
@@ -249,10 +319,10 @@ def _two_sets_oracle():
     columns dropped, i.e. multiplication by e_1 + e_2 (a wrong relation
     also yields monomials outside BTS, which are dropped as well).
     """
-    basis = [(J, A) for J, A in enumerate_bts(2) if set(A) <= {1, 2}]
+    basis = [(J, A) for J, A in enumerate_bts(2) if A & ~m(1, 2) == 0]
     groups = {}
     for J, A in basis:
-        groups.setdefault((len(A), len(J)), []).append((J, A))
+        groups.setdefault((len(idx(A)), len(idx(J))), []).append((J, A))
     span = set(basis)
 
     def image(J, A):
@@ -268,6 +338,16 @@ def test_exactness_check_matches_recomputing_oracle():
         assert exactness_check(n) == _exactness_check_oracle(n)
 
 
+def test_a_triangular_failure_alone_breaks_exactness(monkeypatch):
+    failure = {"J": (), "A": (), "image": {}}
+    monkeypatch.setattr(mvss, "triangular_failures",
+                        lambda n, images: [failure])
+    report = exactness_check(2)
+    assert report["counterexamples"] == []
+    assert report["triangular_failures"] == [failure]
+    assert report["all_exact"] is False
+
+
 def test_triangular_failures_reads_the_images():
     n = 3
     images = d1_images(n)
@@ -277,7 +357,13 @@ def test_triangular_failures_reads_the_images():
                 if classify_bts(*key, n).status == "extendable")
     images[(J, A)] = {}
     assert triangular_failures(n, images) == [
-        {"J": J, "A": A, "image": {}}]
+        {"J": idx(J), "A": idx(A), "image": {}}]
+    # a term not lower than the partner is reported, written on tuples
+    lead = classify_bts(J, A, n).partner
+    images[(J, A)] = {lead: 1, (J, 0): 2}
+    assert triangular_failures(n, images) == [
+        {"J": idx(J), "A": idx(A),
+         "image": {(idx(J), idx(lead[1])): 1, (idx(J), ()): 2}}]
 
 
 def test_mv_two_sets_demo(monkeypatch):
@@ -328,4 +414,4 @@ def test_memoised_normal_form_matches_the_plain_one():
 
 
 def test_empty_element_trivially_closed():
-    assert d1({}, 2) == {} == ts_normal_form({((1,), (2,)): 0}, 2)
+    assert d1({}, 2) == {} == ts_normal_form({(m(1), m(2)): 0}, 2)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exterior_oracle as oracle
-from exterior_oracle import to_ext, to_masks
+from exterior_oracle import sigma, to_ext, to_masks
 from kslab import springer
 from kslab.combinatorics import enumerate_sparse, is_sparse, sparse_closure
-from kslab.exterior import ExtElement, sigma
+from kslab.exterior import ExtElement
 from kslab.intlinalg import snf_invariants
 
 
