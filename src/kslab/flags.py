@@ -47,7 +47,7 @@ from .fqlin import (
     t_image,
     t_preimage,
 )
-from .graphs import BiGraph, is_tree, make_standard, quotient
+from .graphs import BiGraph, bfs, is_tree, make_standard, quotient
 from .springer import hilbert_ranks
 
 FLAG_BRANCH_CAP = 10 ** 6
@@ -274,7 +274,8 @@ def tree_from_flag(F, n: int) -> tuple[BiGraph, dict]:
     partition = tuple(tuple(c) for c in classes)
     T, pmap = quotient(make_standard("C", n), partition)
     tree_ok = is_tree(T)
-    metric_ok = all(T.distance(pmap[u], pmap[v]) == dvert[u][v]
+    depths = {c: bfs(T.adjacency, c)[1] for c in T.vertices}
+    metric_ok = all(depths[pmap[u]][pmap[v]] == dvert[u][v]
                     for u in range(2 * n) for v in range(2 * n))
     report = {"partition": partition, "is_tree": tree_ok,
               "path_metric_matches": metric_ok,

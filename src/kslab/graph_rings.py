@@ -61,14 +61,13 @@ R(n)/(x_i + x_{i+1} : i in A).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .combinatorics import sparse_count
 from .exterior import r_poly
-from .graphs import BiGraph, Hedgehog, hedgehog_analyze
+from .graphs import BiGraph, Hedgehog, bfs, hedgehog_analyze
 from .intlinalg import quotient_structure
 
 
@@ -96,23 +95,11 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
     """Relations of S(G) from the fundamental cycles of a BFS spanning tree.
 
     The tree is rooted at ``G.vertices[0]`` and grown in positive-edge
-    order.  Each non-tree edge {a, b} closes one cycle: the tree path from
+    order (``graphs.bfs`` over ``G.adjacency``).  Each non-tree edge {a, b} closes one cycle: the tree path from
     a to b, then the edge back to a.  Trees get no relations.
     """
     idx = {e: i + 1 for i, e in enumerate(G.positive_edges())}
-    neighbours = {v: [] for v in G.vertices}
-    for a, b in idx:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    root = G.vertices[0]
-    parent, depth = {root: None}, {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in neighbours[v]:
-            if w not in parent:
-                parent[w], depth[w] = v, depth[v] + 1
-                queue.append(w)
+    parent, depth = bfs(G.adjacency, G.vertices[0])
     relations: list[dict[int, int]] = []
     provenance: list[tuple] = []
     for a, b in idx:

@@ -5,7 +5,12 @@ and irreflexive; directed edges always come in opposite pairs, so we store
 undirected edges (frozensets {u, v}) as the primary citizens and recover the
 directed count as twice the undirected count.  Every edge joins opposite
 parities, so each undirected edge has a canonical positive orientation
-(even endpoint -> odd endpoint).
+(even endpoint -> odd endpoint).  A graph builds its adjacency once, in
+positive-edge order, and every walk of a graph in the package is the one
+``bfs`` over it or over the pairs of a relation: connectivity, the
+spanning tree of ``graph_rings.cycle_relations``, the path metric of
+``flags.tree_from_flag``, the layers of ``canonical_form``, and the
+classes generated by a matching or a pinch set.
 
 A folding is a parity-respecting partition of the vertices; its quotient is
 again a graph (no loops can arise: identified vertices share parity, and
@@ -35,6 +40,7 @@ rolling (0 = 2n) folds C(n) onto a body cycle C(m) with attached spines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .combinatorics import (
     Tau,
@@ -45,6 +51,43 @@ from .combinatorics import (
 
 Edge = frozenset
 Partition = tuple[tuple, ...]
+
+
+# ---------------------------------------------------------------------------
+# the one traversal
+# ---------------------------------------------------------------------------
+
+def bfs(adjacency: dict, root) -> tuple[dict, dict]:
+    """Breadth-first search from ``root``: (parent, depth) of every vertex
+    it reaches, in the order reached.
+
+    ``adjacency`` maps each vertex to its neighbours, which are visited in
+    their listed order; the root's parent is None.
+    """
+    parent, depth = {root: None}, {root: 0}
+    order = [root]
+    for v in order:                  # order grows while it is read
+        for w in adjacency[v]:
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                order.append(w)
+    return parent, depth
+
+
+def _components(items, pairs) -> Partition:
+    """The classes of the equivalence relation that ``pairs`` generate on
+    ``items``: the connected components of the graph with those edges."""
+    adjacency = {x: [] for x in items}
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    classes, seen = [], set()
+    for x in adjacency:
+        if x not in seen:
+            _, depth = bfs(adjacency, x)
+            seen.update(depth)
+            classes.append(depth)
+    return normalise_partition(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +119,24 @@ class BiGraph:
 
     # -- basics -------------------------------------------------------------
 
-    def neighbours(self, v):
-        return {u for e in self.edges if v in e for u in e if u != v}
+    @cached_property
+    def adjacency(self) -> dict:
+        """Each vertex's neighbours, in the order of ``positive_edges()``.
+
+        Built once per graph; a ``cached_property`` is no dataclass
+        field, so equality and ``repr`` do not see it.
+        """
+        out = {v: [] for v in self.vertices}
+        for a, b in self.positive_edges():
+            out[a].append(b)
+            out[b].append(a)
+        return out
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for u in self.neighbours(stack.pop()):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
+        _, depth = bfs(self.adjacency, self.vertices[0])
+        return len(depth) == len(self.vertices)
 
     def positive_orientation(self, e: Edge) -> tuple:
         """(even vertex, odd vertex) of an undirected edge."""
@@ -98,16 +145,6 @@ class BiGraph:
 
     def positive_edges(self) -> list[tuple]:
         return sorted(self.positive_orientation(e) for e in self.edges)
-
-    def distance(self, u, v) -> int:
-        frontier, seen, d = {u}, {u}, 0
-        while frontier:
-            if v in frontier:
-                return d
-            frontier = {w for x in frontier for w in self.neighbours(x)} - seen
-            seen |= frontier
-            d += 1
-        raise ValueError("vertices not connected")
 
     def to_json(self) -> dict:
         return {
@@ -154,6 +191,9 @@ def graph_from_json(data: dict) -> BiGraph:
     parity = {item["id"]: item["parity"] for item in data["vertices"]}
     if not vertices:
         raise ValueError("empty vertex set")
+    # the graph sorts its edges, and an int and a string have no order
+    if len({isinstance(v, str) for v in vertices}) > 1:
+        raise ValueError("graph JSON mixes int and string 'id' values")
     return BiGraph(vertices, parity, frozenset(edges))
 
 
@@ -258,38 +298,14 @@ def quotient(G: BiGraph, partition: Partition) -> tuple[BiGraph, dict]:
 # tree foldings of C(n) <-> non-crossing matchings
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> Partition:
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return normalise_partition(groups.values())
-
-
 def ncm_to_folding(tau: Tau) -> Partition:
     """The folding of C(n) generated by i ~ tau(i) - 1 (vertices mod 2n)."""
     check_matching(tau)
     if not is_noncrossing(tau):
         raise ValueError("matching must be non-crossing")
     two_n = len(tau)
-    uf = _UnionFind(range(two_n))
-    for i in range(1, two_n + 1):
-        uf.union(i % two_n, (tau[i - 1] - 1) % two_n)
-    return uf.classes()
+    return _components(range(two_n), ((i % two_n, (tau[i - 1] - 1) % two_n)
+                                      for i in range(1, two_n + 1)))
 
 
 def folding_to_ncm(partition: Partition, n: int) -> Tau:
@@ -399,10 +415,8 @@ def hedgehog_analyze(n: int, A) -> Hedgehog:
     # odd gaps, the body edges, are even in number
     if len(body) % 2:
         raise RuntimeError("odd number of body edges")
-    uf = _UnionFind(range(two_n))
-    for i in A:
-        uf.union((i - 1) % two_n, (i + 1) % two_n)
-    partition = uf.classes()
+    partition = _components(range(two_n),
+                            (((i - 1) % two_n, (i + 1) % two_n) for i in A))
     rolled, _ = quotient(make_standard("C", n), partition)
     return Hedgehog(
         n=n,
@@ -431,17 +445,10 @@ def canonical_form(G: BiGraph):
     """
     profiles = []
     for v in G.vertices:
-        layers = []
-        frontier, seen = [v], {v}
-        while frontier:
-            layers.append(sorted(
-                (G.parity[u], len(G.neighbours(u))) for u in frontier))
-            nxt = []
-            for u in frontier:
-                for w in G.neighbours(u):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        profiles.append((G.parity[v], tuple(map(tuple, layers))))
+        _, depth = bfs(G.adjacency, v)
+        layers = [[] for _ in range(max(depth.values()) + 1)]
+        for u, d in depth.items():
+            layers[d].append((G.parity[u], len(G.adjacency[u])))
+        profiles.append((G.parity[v], tuple(tuple(sorted(layer))
+                                            for layer in layers)))
     return (len(G.vertices), len(G.edges), tuple(sorted(profiles)))

@@ -302,10 +302,10 @@ def compare_with_S(G: BiGraph, budget: int = SIMPLEX_BUDGET,
     Y(T) = P^k is used (with the octahedron factor still computed
     directly); other graphs get the full simplicial computation over
     the sphere model ``model``, on ``complex_`` when the caller has
-    already built ``y_complex(G, budget, model)``.
+    already built ``y_complex(G, budget, model)``.  The route runs
+    first, so a complex over the budget is refused before S(G) is
+    computed.
     """
-    s_structure = graded_structure(G)
-    s_ranks = structure_ranks(s_structure)
     k = len(G.positive_edges())
     if is_tree(G):
         h = tree_y_cohomology(k)
@@ -317,6 +317,8 @@ def compare_with_S(G: BiGraph, budget: int = SIMPLEX_BUDGET,
         route = "direct-small" if model == "small" else "direct"
         y_size = len(complex_[0])
         h = integral_cohomology(complex_)
+    s_structure = graded_structure(G)
+    s_ranks = structure_ranks(s_structure)
     h = h + [(0, [])] * max(0, 2 * len(s_ranks) - len(h))
     even = [h[2 * i][0] for i in range(len(s_ranks))]
     odd_zero = all(r == 0 and not t for j, (r, t) in enumerate(h) if j % 2)

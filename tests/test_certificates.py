@@ -56,7 +56,7 @@ def test_report_writer_matches_json_dumps(workload, tmp_path):
     parser = cli.build_parser()
     for op in workloads.generate(workload, SEED, tmp_path / "inputs"):
         args = parser.parse_args(op.argv)
-        report, _ = args.handler(args)
+        report, _ = cli._handlers()[args.command](args)
         chunks: list = []
         cli._write_json(report, chunks, "")
         assert "".join(chunks) == json.dumps(

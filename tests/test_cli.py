@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import kslab
-from kslab import cli, combinatorics, mvss, topology
+from kslab import cli, combinatorics, graph_rings, mvss, topology
 from kslab.cli import graph_parse, main
 from kslab.graphs import make_standard
+from test_mvss import _broken_pinch_substitution
 
 
 def run(capsys, *argv):
@@ -102,6 +103,10 @@ def test_malformed_graphs_exit_two(tmp_path, capsys):
     ({"vertices": [{"parity": 0}], "edges": []}, "id"),
     ({"vertices": [{"id": 0, "parity": 0}, {"id": 1, "parity": 1}],
       "edges": [[0, 1, 1]]}, "edges"),
+    # ints and strings have no order, which the edge sort needs
+    ({"vertices": [{"id": 0, "parity": 0}, {"id": "a", "parity": 1},
+                   {"id": "b", "parity": 0}, {"id": 1, "parity": 1}],
+      "edges": [[0, "a"], ["a", "b"], ["b", 1], [1, 0]]}, "id"),
 ])
 def test_misshapen_graph_json_exits_two(tmp_path, capsys, data, key):
     path = tmp_path / "graph.json"
@@ -144,6 +149,28 @@ def test_budget_exit_two(capsys):
     code, _, err = run(capsys, "cohomology", "--graph", "theta",
                        "--budget", "1000")
     assert code == 2 and "budget" in err
+
+
+def test_budget_refusal_comes_before_s_of_g(capsys):
+    # S(C(6)) alone takes many seconds; the complex is refused first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", "--graph", "C6")
+    assert code == 2 and out == "" and "budget" in err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_fold_pinch_mode_fails_on_a_wrong_relation_image(
+        monkeypatch, capsys, cold_kslab_caches):
+    code, out, _ = run(capsys, "fold", "--n", "3", "--pinch", "1")
+    ring = json.loads(out)["ring"]
+    assert code == 0 and ring["match"] and ring["relation_image_ok"]
+    cold_kslab_caches()
+    monkeypatch.setattr(graph_rings, "pinch_substitution",
+                        _broken_pinch_substitution)
+    code, out, _ = run(capsys, "fold", "--n", "3", "--pinch", "1")
+    ring = json.loads(out)["ring"]
+    # the graded ranks still match: only the relation image sees the mutant
+    assert code == 1 and ring["match"] and not ring["relation_image_ok"]
 
 
 def test_cohomology_and_fold(capsys):
@@ -323,6 +350,7 @@ def test_ring_ranks_refuse_what_cannot_be_written(capsys, monkeypatch):
 
 def test_parser_is_built_once_and_binds_no_handler(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
+    assert not hasattr(cli.build_parser().parse_args(["ring"]), "handler")
     monkeypatch.setattr(cli, "cmd_ring", lambda args: ([args.n], True))
     assert run(capsys, "ring", "--n", "2")[:2] == (0, "[\n  2\n]\n")
 
@@ -444,7 +472,7 @@ def test_emitted_report_matches_json_dumps(capsys):
                  ["sparse", "--n", "8"],
                  ["ncm", "--n", "7"]):
         args = parser.parse_args(argv)
-        report, _ = args.handler(args)
+        report, _ = cli._handlers()[args.command](args)
         assert main(argv) == 0
         assert capsys.readouterr().out == dumps_oracle(report), argv
 

@@ -64,7 +64,7 @@ def directed_simple_cycles(G: BiGraph) -> list[tuple]:
     out = []
 
     def extend(path):
-        for w in sorted(G.neighbours(path[-1]), key=order.get):
+        for w in sorted(G.adjacency[path[-1]], key=order.get):
             if w == path[0] and len(path) > 2:
                 out.append(tuple(path))
             elif order[w] > order[path[0]] and w not in path:
@@ -147,6 +147,14 @@ def test_theta_graph_cycle_classes():
     pres = cycle_relations(G)
     basis_size = len(G.edges) - len(G.vertices) + 1
     assert len({tuple(sorted(p)) for p in pres.provenance}) == basis_size == 2
+
+
+def test_spanning_tree_grows_in_positive_edge_order():
+    # the relation order decides which variables the unit elimination
+    # solves for; K_{3,3}'s tree is the star at 0 with 1 and 2 below 3
+    pres = cycle_relations(make_standard("K33"))
+    assert list(dict.fromkeys(pres.provenance)) == [
+        (1, 3, 0, 4), (1, 3, 0, 5), (2, 3, 0, 4), (2, 3, 0, 5)]
 
 
 def test_oracle_enumerates_the_old_presentation():

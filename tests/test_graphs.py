@@ -1,6 +1,9 @@
+import ast
 import math
 import random
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from kslab import graphs
 from kslab.combinatorics import enumerate_matchings, matching_from_pairs
 from kslab.graphs import (
     BiGraph,
+    bfs,
     canonical_form,
     enumerate_tree_foldings,
     folding_to_ncm,
@@ -49,6 +53,10 @@ def test_json_round_trip():
     with pytest.raises(ValueError):  # odd-odd edge
         graph_from_json({"vertices": [{"id": 0, "parity": 1}, {"id": 1, "parity": 1}],
                          "edges": [[0, 1]]})
+    with pytest.raises(ValueError, match="mixes int and string"):
+        graph_from_json({"vertices": [{"id": 0, "parity": 0},
+                                      {"id": "a", "parity": 1}],
+                         "edges": [[0, "a"]]})
 
 
 def test_quotient_examples():
@@ -216,11 +224,107 @@ def test_hedgehog_counts():
 
 
 def test_distance_parity():
+    # a BFS depth is the graph distance from the root
     for G in (make_standard("C", 3), make_standard("L", 3)):
         for u in G.vertices:
+            parent, depth = bfs(G.adjacency, u)
+            assert set(depth) == set(G.vertices) and parent[u] is None
             for v in G.vertices:
-                d = G.distance(u, v)
-                assert d % 2 == (G.parity[u] - G.parity[v]) % 2
+                assert depth[v] % 2 == (G.parity[u] - G.parity[v]) % 2
+                if v != u:
+                    assert depth[parent[v]] == depth[v] - 1
+                    assert parent[v] in G.adjacency[v]
+
+
+def test_bfs_depths_on_small_graphs():
+    C3 = make_standard("C", 3)
+    parent, depth = bfs(C3.adjacency, 0)
+    # reached in adjacency order: 3 is found from 2, before 4 is read
+    assert list(depth.items()) == [(0, 0), (1, 1), (5, 1), (2, 2), (4, 2),
+                                   (3, 3)]
+    assert parent == {0: None, 1: 0, 5: 0, 2: 1, 4: 5, 3: 2}
+    L2 = make_standard("L", 2)
+    assert bfs(L2.adjacency, 4) == ({4: None, 3: 4, 2: 3, 1: 2, 0: 1},
+                                    {4: 0, 3: 1, 2: 2, 1: 3, 0: 4})
+
+
+def test_adjacency_follows_the_positive_edges():
+    for name in ("theta", "K33", "cube"):
+        G = make_standard(name)
+        expected = {v: [] for v in G.vertices}
+        for a, b in G.positive_edges():
+            expected[a].append(b)
+            expected[b].append(a)
+        assert G.adjacency == expected
+        assert G.adjacency is G.adjacency
+
+
+def test_adjacency_is_no_field():
+    # the benchmark certificates pin the repr of rolled hedgehog graphs
+    G = make_standard("C", 2)
+    text = repr(G)
+    G.adjacency
+    assert repr(G) == text and "adjacency" not in text
+    assert G == make_standard("C", 2)
+
+
+def test_long_cycle_builds_in_linear_time():
+    start = time.perf_counter()
+    G = make_standard("C", 5000)
+    _, depth = bfs(G.adjacency, 0)
+    elapsed = time.perf_counter() - start
+    assert depth[5000] == 5000 and max(depth.values()) == 5000
+    assert elapsed < 1.0
+
+
+def _closure_oracle(items, pairs):
+    """The classes generated by ``pairs``: merge the two classes of each
+    pair, one pair at a time."""
+    cls = {x: frozenset([x]) for x in items}
+    for a, b in pairs:
+        merged = cls[a] | cls[b]
+        for x in merged:
+            cls[x] = merged
+    return graphs.normalise_partition(set(cls.values()))
+
+
+def test_components_match_the_closure_oracle():
+    rng = random.Random(23)
+    for size in range(1, 12):
+        for _ in range(20):
+            pairs = [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(rng.randrange(2 * size))]
+            assert graphs._components(range(size), pairs) == \
+                _closure_oracle(range(size), pairs)
+
+
+def _defines_a_union_find(node) -> bool:
+    name = node.name.lower().replace("_", "")
+    if name in ("find", "union") or "unionfind" in name \
+            or "disjointset" in name:
+        return True
+    methods = {item.name for item in getattr(node, "body", [])
+               if isinstance(item, ast.FunctionDef)}
+    return isinstance(node, ast.ClassDef) and {"find", "union"} <= methods
+
+
+def test_only_graphs_walks_graphs():
+    # every traversal goes through graphs.bfs: no other module keeps a
+    # queue for a BFS of its own or a union-find for its closures
+    found = []
+    package = Path(graphs.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "graphs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    any(a.name == "deque" for a in node.names) or \
+                    isinstance(node, ast.Attribute) and node.attr == "deque":
+                found.append((path.stem, "deque"))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and \
+                    _defines_a_union_find(node):
+                found.append((path.stem, node.name))
+    assert found == []
 
 
 def test_canonical_form_distinguishes_small_graphs():
