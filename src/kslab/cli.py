@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import combinatorics, flags, graph_rings, mvss, springer, topology
 from .graphs import FIXED_GRAPHS, BiGraph, enumerate_tree_foldings, \
-    graph_from_json, hedgehog_analyze, is_tree, make_standard
+    graph_from_json, is_tree, make_standard
 
 
 def graph_parse(source: str) -> BiGraph:
@@ -254,8 +254,12 @@ def cmd_fold(args):
         return report, True
     n = 2 if args.n is None else args.n
     A = _parse_pinch(args.pinch or "")
-    h = hedgehog_analyze(n, A)
+    # sigma_1..sigma_2n, the relations of R(n), hold every nonempty subset
+    # of the 2n variables once; the SNF is capped in graph_rings
+    _check_count(n, "monomials in the relations of R(n)", 2 * n - 1,
+                 lambda: (1 << 2 * n) - 1)
     ring = graph_rings.hedgehog_ring(n, A)
+    h = ring["hedgehog"]
     report = {"n": n, "pinch": list(A),
               "spine_indices": list(h.spine_indices),
               "body_indices": list(h.body_indices), "ring": ring}
@@ -299,15 +303,18 @@ def cmd_flags(args):
         report = flags.chain_lemma_scan(args.n, args.q)
         return report, report["all_clear"]
     results = []                       # op == "tree", by argparse choices
+    failures = []                      # flags whose d fails an axiom
     ok = True
     for F in flags.enumerate_flags(args.n, args.q):
         _, rep = flags.tree_from_flag(F, args.n)
         ok = ok and rep["is_tree"] and rep["path_metric_matches"]
+        if not rep["pseudometric_ok"]:
+            failures.append(F)
         results.append(rep)
     report = {"n": args.n, "q": args.q, "flags": len(results),
               "edge_counts": sorted(r["edge_count"] for r in results),
-              "all_trees": ok}
-    return report, ok
+              "all_trees": ok, "pseudometric_failures": failures}
+    return report, ok and not failures
 
 
 def cmd_cohomology(args):

@@ -47,7 +47,8 @@ from .fqlin import (
     t_image,
     t_preimage,
 )
-from .graphs import BiGraph, bfs, is_tree, make_standard, quotient
+from .graphs import (BiGraph, bfs, components, is_tree, make_standard,
+                     quotient)
 from .springer import hilbert_ranks
 
 FLAG_BRANCH_CAP = 10 ** 6
@@ -139,14 +140,9 @@ def enumerate_flags(n: int, q: int = 2):
 
 
 def flag_is_valid(F, n: int, q: int) -> bool:
-    if len(F) != 2 * n + 1:
-        return False
-    for i, W in enumerate(F):
-        if dim(W, n) != i:
-            return False
-        if i and not contains(F[i - 1], t_image(W, n, q)):
-            return False
-    return True
+    return len(F) == 2 * n + 1 and all(
+        dim(W, n) == i and (not i or contains(F[i - 1], t_image(W, n, q)))
+        for i, W in enumerate(F))
 
 
 def point_count_report(n: int, q: int, count: int) -> dict:
@@ -214,12 +210,6 @@ def cover_scan(n: int, q: int = 2) -> dict:
 # the unrolled pseudometric and the canonical tree
 # ---------------------------------------------------------------------------
 
-def _unrolled_spaces(F, n: int) -> list[Lattice]:
-    """The unrolled flag W~_0, ..., W~_4n, scaled by t^2n: the spaces
-    t^n W_i for 0 <= i <= 2n, then W_i for 1 <= i <= 2n."""
-    return [(a + n, b + n, (0,) * n + c) for a, b, c in F] + list(F[1:])
-
-
 def unrolled_metric(F, n: int) -> dict:
     """The pseudometric d(i,j) = imbalance(W~_j/W~_i) and its axioms.
 
@@ -228,7 +218,9 @@ def unrolled_metric(F, n: int) -> dict:
     booleans certifying parity, periodicity, vanishing at distance 2n,
     and every triangle inequality inside the window.
     """
-    spaces = _unrolled_spaces(F, n)
+    # the unrolled flag W~_0, ..., W~_4n, scaled by t^2n: the spaces
+    # t^n W_i for 0 <= i <= 2n, then W_i for 1 <= i <= 2n
+    spaces = [(a + n, b + n, (0,) * n + c) for a, b, c in F] + list(F[1:])
     window: dict[tuple[int, int], int] = {}
     for i in range(4 * n + 1):
         for j in range(i, min(i + 2 * n, 4 * n) + 1):
@@ -240,13 +232,11 @@ def unrolled_metric(F, n: int) -> dict:
                     for (i, j) in window if j + 2 * n <= 4 * n)
     wrap_ok = all(window[(i, i + 2 * n)] == 0 for i in range(2 * n + 1))
     step_ok = all(window[(i, i + 1)] == 1 for i in range(4 * n))
-    triangle_ok = True
-    keys = sorted(window)
-    for (i, j) in keys:
-        for k in range(j, min(i + 2 * n, 4 * n) + 1):
-            a, b, c = window[(i, j)], window[(j, k)], window[(i, k)]
-            if a > b + c or b > a + c or c > a + b:
-                triangle_ok = False
+    # no side of a triangle is longer than the other two together
+    triangle_ok = not any(a > b + c or b > a + c or c > a + b
+                          for (i, j), a in window.items()
+                          for k in range(j, min(i + 2 * n, 4 * n) + 1)
+                          for b, c in ((window[(j, k)], window[(i, k)]),))
     return {"window": window, "vertices": vertices,
             "parity_ok": parity_ok, "periodicity_ok": period_ok,
             "wraparound_zero": wrap_ok, "unit_steps": step_ok,
@@ -256,27 +246,21 @@ def unrolled_metric(F, n: int) -> dict:
 
 
 def tree_from_flag(F, n: int) -> tuple[BiGraph, dict]:
-    """The canonical folding of C(n) by the relation d(u, v) = 0.
+    """The canonical folding of C(n): the ``components`` of d(u, v) = 0.
 
     Returns the quotient graph and a report asserting that it is a tree
     and that its path metric reproduces d on the vertex classes.
     """
     metric = unrolled_metric(F, n)
     dvert = metric["vertices"]
-    classes: list[list[int]] = []
-    for v in range(2 * n):
-        for cls in classes:
-            if dvert[cls[0]][v] == 0:
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    partition = tuple(tuple(c) for c in classes)
+    V = range(2 * n)
+    partition = components(V, ((u, v) for u in V for v in V
+                                if u < v and dvert[u][v] == 0))
     T, pmap = quotient(make_standard("C", n), partition)
     tree_ok = is_tree(T)
     depths = {c: bfs(T.adjacency, c)[1] for c in T.vertices}
     metric_ok = all(depths[pmap[u]][pmap[v]] == dvert[u][v]
-                    for u in range(2 * n) for v in range(2 * n))
+                    for u in V for v in V)
     report = {"partition": partition, "is_tree": tree_ok,
               "path_metric_matches": metric_ok,
               "edge_count": len(T.edges),
@@ -301,74 +285,61 @@ def submodules(n: int, q: int) -> tuple[Lattice, ...]:
     return tuple(sorted(spaces, key=lambda W: (dim(W, n), rows(W, n, q))))
 
 
-def chain_lemma_scan(n: int, q: int = 2) -> dict:
-    """Exhaustive verification of the torsion-module chain lemmas.
+def _tally(checks) -> dict:
+    """A lemma's entry: the number of its (holds, witness) pairs and the
+    witnesses of those that fail, in order."""
+    instances, violations = 0, []
+    for holds, witness in checks:
+        instances += 1
+        if not holds:
+            violations.append(witness)
+    return {"instances": instances, "violations": violations}
 
-    Everything is read off the enumerated complete flags.  The gap and
-    triangle lemmas run over every pair of nested submodules (the
-    spaces of the flags, see ``submodules``).  The one-step lemmas run
-    over every chain 0 = M_0 < ... < M_d with dim M_i = i and d >= 1:
-    each quotient is a line, so t M_i <= M_{i-1} and the chain extends
-    to a complete flag, and the chains are exactly the distinct flag
-    prefixes.  The counting, exponent and interval lemmas are checked
-    along every flag and every sparse K.
-    """
-    zero = (n, n, (0,) * n)
-    report: dict[str, dict] = {}
 
-    def entry(name):
-        return report.setdefault(name, {"instances": 0, "violations": []})
-
-    taus = {K: mu_of(K, 2 * n) for K in enumerate_sparse(2 * n, n)}
-
-    # --- combinatorial counting lemma over sparse K --------------------
-    e = entry("count_K")
+def _count_K(n, taus):
+    """For m not in K, p = mu(K)(m) = m - 2d + 1 with d > 0; mu(K) keeps
+    [p, m] and ]p, m[; K has r elements below m and r - d below p; and
+    m - 1 is not in K if d > 1."""
     for K, tau in taus.items():
         for mm in range(1, 2 * n + 1):
             if mm in K:
                 continue
-            e["instances"] += 1
             p = tau[mm - 1]
             d = (mm - p + 1) // 2
-            ok = (p == mm - 2 * d + 1 and d > 0)
-            interval = set(range(p, mm + 1))
-            ok = ok and all(tau[j - 1] in interval for j in interval)
-            inner = set(range(p + 1, mm))
-            ok = ok and all(tau[j - 1] in inner for j in inner)
+            interval, inner = range(p, mm + 1), range(p + 1, mm)
             r = sum(1 for k in K if k < mm)
-            ok = ok and sum(1 for k in K if k < p) == r - d
-            if d > 1:
-                ok = ok and mm - 1 not in K
-            if not ok:
-                e["violations"].append((K, mm))
+            yield (p == mm - 2 * d + 1 and d > 0
+                   and all(tau[j - 1] in interval for j in interval)
+                   and all(tau[j - 1] in inner for j in inner)
+                   and sum(1 for k in K if k < p) == r - d
+                   and (d == 1 or mm - 1 not in K)), (K, mm)
 
-    # --- flag-based lemmas ---------------------------------------------
-    flags = list(enumerate_flags(n, q))
-    ew = entry("W_exponent")
-    ei = entry("interval")
-    for F in flags:
-        for K, tau in taus.items():
-            if not in_xnk(F, K, n, tau):
-                continue
-            for mm in range(1, 2 * n + 1):
-                ew["instances"] += 1
-                r = sum(1 for k in K if k <= mm)
-                if t_image(F[mm], n, q, r) != zero:
-                    ew["violations"].append((K, mm))
-            for p in range(0, 2 * n):
-                for qq in range(p + 1, 2 * n + 1):
-                    interval = set(range(p + 1, qq + 1))
-                    if not all(tau[j - 1] in interval for j in interval):
-                        continue
-                    ei["instances"] += 1
-                    if (qq - p) % 2 or not is_balanced(F[qq], F[p]):
-                        ei["violations"].append((K, p, qq))
 
-    # --- treelike four-point condition along every flag -----------------
-    et = entry("treelike")
+def _W_exponent(n, q, zero, balanced):
+    """t^r W_m = 0 for F in X(n,K), with r the elements of K up to m."""
+    for F, K in balanced:
+        for mm in range(1, 2 * n + 1):
+            r = sum(1 for k in K if k <= mm)
+            yield t_image(F[mm], n, q, r) == zero, (K, mm)
+
+
+def _interval(n, balanced, taus):
+    """F in X(n,K), mu(K) keeping ]p, q']: W_q'/W_p is balanced."""
+    for F, K in balanced:
+        tau = taus[K]
+        for p in range(0, 2 * n):
+            for qq in range(p + 1, 2 * n + 1):
+                interval = range(p + 1, qq + 1)
+                if all(tau[j - 1] in interval for j in interval):
+                    yield (not (qq - p) % 2
+                           and is_balanced(F[qq], F[p])), (K, p, qq)
+
+
+def _treelike(n, flags):
+    """x, y on geodesics a-b at equal distances from a and b: d(x, y) = 0."""
+    V = range(2 * n)
     for F in flags:
         dv = unrolled_metric(F, n)["vertices"]
-        V = range(2 * n)
         for a in V:
             for b in V:
                 for x in V:
@@ -376,32 +347,30 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
                         if (dv[a][x] == dv[a][y] and dv[x][b] == dv[y][b]
                                 and dv[a][x] + dv[x][b] == dv[a][b]
                                 and dv[a][y] + dv[y][b] == dv[a][b]):
-                            et["instances"] += 1
-                            if dv[x][y] != 0:
-                                et["violations"].append((a, b, x, y))
+                            yield dv[x][y] == 0, (a, b, x, y)
 
-    # --- triangle and gap lemmas over all nested submodule pairs --------
-    subs = submodules(n, q)
-    pairs = [(N, M) for N in subs for M in subs
-             if dim(N, n) <= dim(M, n) and contains(M, N)]
+
+def _triangle(zero, pairs):
+    """delta(M), delta(N) and delta(M/N) obey the triangle inequality."""
+    for N, M in pairs:
+        a, b = thin_invariants(M, zero).delta, thin_invariants(N, zero).delta
+        c = thin_invariants(M, N).delta
+        yield not (a > b + c or b > a + c or c > a + b), (N, M)
+
+
+def _gap(n, q, zero, pairs):
+    """K <= L <= M, dim L/K = 2d: L/K balanced iff t^d L = K, beta(L) >= d
+    iff t^-d K cap M = L, beta(M/K) >= d; if so, beta(M) >= d, M[t^d] <= L,
+    K <= t^d M, and delta agrees on M, t^d M, M/M[t^d]; on K, L,
+    L/M[t^d]; and on M/L, M/K, t^d M/K."""
     above: dict[Lattice, list[Lattice]] = {}
     for N, M in pairs:
         above.setdefault(N, []).append(M)
-    etr = entry("triangle")
-    for N, M in pairs:
-        etr["instances"] += 1
-        a = thin_invariants(M, zero).delta
-        b = thin_invariants(N, zero).delta
-        c = thin_invariants(M, N).delta
-        if a > b + c or b > a + c or c > a + b:
-            etr["violations"].append((N, M))
-    eg = entry("gap")
     for K, L in pairs:
         if (dim(L, n) - dim(K, n)) % 2:
             continue
         d = (dim(L, n) - dim(K, n)) // 2
         for M in above[L]:
-            eg["instances"] += 1
             a_holds = thin_invariants(L, K).delta == 0
             b_holds = (thin_invariants(L, zero).beta >= d
                        and t_image(L, n, q, d) == K)
@@ -422,42 +391,71 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
                       and thin_invariants(M, L).delta
                       == thin_invariants(M, K).delta
                       == thin_invariants(tdM, K).delta)
-            if not ok:
-                eg["violations"].append((K, L, M))
+            yield ok, (K, L, M)
 
-    # --- one-step lemmas over every unit-step chain from 0 --------------
-    chains = dict.fromkeys(F[:d + 1] for F in flags
-                           for d in range(1, 2 * n + 1))
-    ea = entry("one_step_a")
-    eb = entry("one_step_b")
+
+def _one_step_a(n, q, zero, chains):
+    """A chain whose top has a 2-dimensional socle lies in some X(n, i)."""
+    socle = t_preimage(zero, n, q)                      # V(n)[t]
     for chain in chains:
-        d = len(chain) - 1
-        ea["instances"] += 1
-        top = chain[-1]
-        cyclic = dim(intersect(t_preimage(zero, n, q), top, n, q), n) <= 1
-        if not cyclic:
-            found = any(
-                thin_invariants(chain[i + 1], chain[i - 1]).delta == 0
-                and t_image(chain[i + 1], n, q) == chain[i - 1]
-                for i in range(1, d))
-            if not found:
-                ea["violations"].append(chain)
+        cyclic = dim(intersect(socle, chain[-1], n, q), n) <= 1
+        # t M_(i+1) = M_(i-1) kills M_(i+1)/M_(i-1) by t, so that quotient
+        # is A_1^2 and balanced: in_xni implies its delta == 0
+        yield cyclic or any(in_xni(chain, i, n, q)
+                            for i in range(1, len(chain) - 1)), chain
+
+
+def _one_step_b(zero, chains):
+    """Each 0 <= k <= delta(top) is delta(M_i) with delta(top/M_i) the rest;
+    if delta(top) = 1 < d, an inner M_i or top/M_i is balanced (part b)."""
+    for chain in chains:
+        d, top = len(chain) - 1, chain[-1]
         dl = thin_invariants(top, zero).delta
         for k in range(dl + 1):
-            eb["instances"] += 1
-            hit = any(thin_invariants(chain[i], zero).delta == k
+            yield any(thin_invariants(chain[i], zero).delta == k
                       and thin_invariants(top, chain[i]).delta == dl - k
-                      for i in range(d + 1))
-            if not hit:
-                eb["violations"].append((chain, k))
+                      for i in range(d + 1)), (chain, k)
         if dl == 1 and d > 1:
-            eb["instances"] += 1
-            hit = any(thin_invariants(chain[i], zero).delta == 0
+            yield any(thin_invariants(chain[i], zero).delta == 0
                       or thin_invariants(top, chain[i]).delta == 0
-                      for i in range(1, d))
-            if not hit:
-                eb["violations"].append((chain, "part_b"))
+                      for i in range(1, d)), (chain, "part_b")
 
-    report["all_clear"] = all(not v["violations"] for k, v in report.items()
-                              if isinstance(v, dict))
+
+def chain_lemma_scan(n: int, q: int = 2) -> dict:
+    """Exhaustive verification of the torsion-module chain lemmas.
+
+    Everything is read off the enumerated complete flags.  The gap and
+    triangle lemmas run over every pair of nested submodules (the
+    spaces of the flags, see ``submodules``).  The one-step lemmas run
+    over every chain 0 = M_0 < ... < M_d with dim M_i = i and d >= 1:
+    each quotient is a line, so t M_i <= M_{i-1} and the chain extends
+    to a complete flag, and the chains are exactly the distinct flag
+    prefixes.  The counting, exponent and interval lemmas are checked
+    along every flag and every sparse K.
+
+    Each lemma is a generator of (holds, witness) pairs, one per
+    instance, and ``_tally`` writes its report entry.
+    """
+    zero = (n, n, (0,) * n)
+    taus = {K: mu_of(K, 2 * n) for K in enumerate_sparse(2 * n, n)}
+    flags = list(enumerate_flags(n, q))
+    # F in X(n,K), for two lemmas: in_xnk runs once per pair (F, K)
+    balanced = [(F, K) for F in flags for K, tau in taus.items()
+                if in_xnk(F, K, n, tau)]
+    subs = submodules(n, q)
+    pairs = [(N, M) for N in subs for M in subs
+             if dim(N, n) <= dim(M, n) and contains(M, N)]
+    chains = list(dict.fromkeys(F[:d + 1] for F in flags
+                                for d in range(1, 2 * n + 1)))
+    report = {
+        "count_K": _tally(_count_K(n, taus)),
+        "W_exponent": _tally(_W_exponent(n, q, zero, balanced)),
+        "interval": _tally(_interval(n, balanced, taus)),
+        "treelike": _tally(_treelike(n, flags)),
+        "triangle": _tally(_triangle(zero, pairs)),
+        "gap": _tally(_gap(n, q, zero, pairs)),
+        "one_step_a": _tally(_one_step_a(n, q, zero, chains)),
+        "one_step_b": _tally(_one_step_b(zero, chains)),
+    }
+    report["all_clear"] = not any(e["violations"] for e in report.values())
     return report

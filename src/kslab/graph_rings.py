@@ -70,6 +70,11 @@ from .exterior import r_poly
 from .graphs import BiGraph, Hedgehog, bfs, hedgehog_analyze
 from .intlinalg import quotient_structure
 
+# the degree loop of a pinched ring runs over E(m') for the m' variables
+# left after the unit linear relations; fold --n 6 --pinch 1 (m' = 10)
+# takes 0.5 s, and fold --n 6 (m' = 11) 15 s, nearly all in the dense SNF
+PINCHED_VARIABLE_CAP = 10
+
 
 @dataclass
 class GraphRingPresentation:
@@ -157,6 +162,19 @@ def _eliminate_unit_relations(relations):
             out.append((2, [(a | b, 2 * ca * cb)
                             for (a, ca), (b, cb) in combinations(L, 2)]))
         relations = out
+
+
+def surviving_variables(pres: GraphRingPresentation) -> int:
+    """The number m' of variables that ``graded_structure`` keeps.
+
+    Only degree-1 relations are solved for, and a substitution keeps the
+    degree of every relation (the L^2 it appends has degree 2), so
+    ``_eliminate_unit_relations`` on the degree-1 relations alone
+    eliminates the same variables as on all of them.
+    """
+    linear = [(1, list(rel.items())) for rel in pres.relations
+              if rel and all(M.bit_count() == 1 for M in rel)]
+    return pres.nvars - _eliminate_unit_relations(linear)[1].bit_count()
 
 
 def graded_structure(G: BiGraph | GraphRingPresentation
@@ -248,15 +266,28 @@ def expected_hedgehog_structure(h: Hedgehog) -> list[tuple[int, list[int]]]:
     return [(r, []) for r in ranks]
 
 
-def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
-    """Graded structure of R(n)/(x_i + x_{i+1} : i in A), degree by degree."""
-    two_n = 2 * n
-    bits = [1 << j for j in range(two_n)]
+def pinched_presentation(n: int, A, top: int) -> GraphRingPresentation:
+    """sigma_1..sigma_top of x_1..x_2n, then x_i + x_{i+1} for i in A:
+    with top = 2n, a presentation of R(n)/(x_i + x_{i+1} : i in A)."""
+    bits = [1 << j for j in range(2 * n)]
     relations = [dict.fromkeys(map(sum, combinations(bits, k)), 1)
-                 for k in range(1, two_n + 1)]
+                 for k in range(1, top + 1)]
     relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
-    return graded_structure(GraphRingPresentation(
-        two_n, relations, [()] * len(relations)))
+    return GraphRingPresentation(2 * n, relations, [()] * len(relations))
+
+
+def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
+    """Graded structure of R(n)/(x_i + x_{i+1} : i in A), degree by degree.
+
+    Refused with ``ValueError`` before any degree is reduced when more
+    than ``PINCHED_VARIABLE_CAP`` variables survive; sigma_1 and the
+    pinches, the linear relations, decide that number.
+    """
+    left = surviving_variables(pinched_presentation(n, A, 1))
+    if left > PINCHED_VARIABLE_CAP:
+        raise ValueError(f"R({n}) pinched at {list(A)} keeps {left} "
+                         f"variables, above the cap {PINCHED_VARIABLE_CAP}")
+    return graded_structure(pinched_presentation(n, A, 2 * n))
 
 
 def pinched_cycle_polynomial(n: int, A) -> list[dict[int, int]]:

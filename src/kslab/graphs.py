@@ -74,7 +74,7 @@ def bfs(adjacency: dict, root) -> tuple[dict, dict]:
     return parent, depth
 
 
-def _components(items, pairs) -> Partition:
+def components(items, pairs) -> Partition:
     """The classes of the equivalence relation that ``pairs`` generate on
     ``items``: the connected components of the graph with those edges."""
     adjacency = {x: [] for x in items}
@@ -304,8 +304,8 @@ def ncm_to_folding(tau: Tau) -> Partition:
     if not is_noncrossing(tau):
         raise ValueError("matching must be non-crossing")
     two_n = len(tau)
-    return _components(range(two_n), ((i % two_n, (tau[i - 1] - 1) % two_n)
-                                      for i in range(1, two_n + 1)))
+    return components(range(two_n), ((i % two_n, (tau[i - 1] - 1) % two_n)
+                                     for i in range(1, two_n + 1)))
 
 
 def folding_to_ncm(partition: Partition, n: int) -> Tau:
@@ -415,8 +415,8 @@ def hedgehog_analyze(n: int, A) -> Hedgehog:
     # odd gaps, the body edges, are even in number
     if len(body) % 2:
         raise RuntimeError("odd number of body edges")
-    partition = _components(range(two_n),
-                            (((i - 1) % two_n, (i + 1) % two_n) for i in A))
+    partition = components(range(two_n),
+                           (((i - 1) % two_n, (i + 1) % two_n) for i in A))
     rolled, _ = quotient(make_standard("C", n), partition)
     return Hedgehog(
         n=n,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import kslab
-from kslab import cli, combinatorics, graph_rings, mvss, topology
+from kslab import cli, combinatorics, flags, graph_rings, graphs, mvss, \
+    topology
 from kslab.cli import graph_parse, main
 from kslab.graphs import make_standard
 from test_mvss import _broken_pinch_substitution
@@ -400,6 +402,105 @@ def test_fold_pinch_mode_defaults(capsys):
     assert rep["n"] == 2 and rep["pinch"] == []
     code, out, _ = run(capsys, "fold", "--pinch", "1")
     assert code == 0 and json.loads(out)["n"] == 2
+
+
+@pytest.mark.parametrize("argv, left", [
+    (["fold", "--n", "7"], 13),
+    (["fold", "--n", "6"], 11),
+    (["fold", "--n", "9", "--pinch", "1,3,5,7,9,11"], 11),
+])
+def test_fold_refuses_a_large_ring_before_its_snf(argv, left, capsys,
+                                                  monkeypatch):
+    def no_snf(*args):
+        raise AssertionError("a degree was reduced")
+
+    monkeypatch.setattr(graph_rings, "quotient_structure", no_snf)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"keeps {left} variables, above the cap 10" in err
+
+
+def test_fold_variable_cap_counts_exactly(monkeypatch, capsys):
+    # fold --n 5 keeps 9 of its 10 variables; --pinch 1,4 keeps 7
+    for argv, left in ((["fold", "--n", "5"], 9),
+                       (["fold", "--n", "5", "--pinch", "1,4"], 7)):
+        for cap, want in ((left, 0), (left - 1, 2)):
+            monkeypatch.setattr(graph_rings, "PINCHED_VARIABLE_CAP", cap)
+            code, _, _ = run(capsys, *argv)
+            assert code == want, (argv, cap)
+
+
+def test_fold_refuses_relations_above_the_enumeration_cap(monkeypatch,
+                                                          capsys):
+    # sigma_1..sigma_6 of R(3) have 2^6 - 1 = 63 monomials
+    for cap, want in ((63, 0), (62, 2)):
+        monkeypatch.setattr(cli, "ENUMERATION_CAP", cap)
+        code, _, err = run(capsys, "fold", "--n", "3")
+        assert code == want, cap
+    assert "63 monomials in the relations of R(n)" in err
+    monkeypatch.undo()
+    code, _, err = run(capsys, "fold", "--n", "1000", "--pinch", "1")
+    assert code == 2 and "more than 2^1999 monomials" in err
+
+
+def test_fold_analyses_the_hedgehog_once(monkeypatch, capsys):
+    calls = []
+    right = graphs.hedgehog_analyze
+
+    def counted(n, A):
+        calls.append((n, A))
+        return right(n, A)
+
+    for module in (cli, graph_rings):
+        monkeypatch.setattr(module, "hedgehog_analyze", counted,
+                            raising=False)
+    code, _, _ = run(capsys, "fold", "--n", "3", "--pinch", "1,4")
+    assert code == 0 and calls == [(3, (1, 4))]
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_flags_tree_verdict(n, capsys):
+    code, out, _ = run(capsys, "flags", "--n", n, "--op", "tree")
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["all_trees"] and rep["pseudometric_failures"] == []
+
+
+def test_flags_tree_verdict_requires_the_pseudometric(monkeypatch, capsys):
+    # trees and path metrics alone used to decide the verdict
+    right = flags.unrolled_metric
+    monkeypatch.setattr(flags, "unrolled_metric", lambda F, n: {
+        **right(F, n), "pseudometric_ok": False})
+    code, out, _ = run(capsys, "flags", "--n", "2", "--op", "tree")
+    rep = json.loads(out)
+    assert code == 1 and rep["all_trees"]
+    assert rep["pseudometric_failures"] == [
+        json.loads(json.dumps(F)) for F in flags.enumerate_flags(2, 2)]
+
+
+def smoke_runs():
+    """One small run of every subcommand and every --op choice that the
+    parser offers, read off the parser itself."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    runs = []
+    for name, parser in sub.choices.items():
+        argv = [name]
+        for action in parser._actions:
+            if action.dest == "graph" and action.required:
+                argv += ["--graph", "C2"]
+        ops = [a.choices for a in parser._actions if a.dest == "op"]
+        runs += [argv + ["--op", op] for op in ops[0]] if ops else [argv]
+    return runs
+
+
+@pytest.mark.parametrize("argv", smoke_runs(), ids=" ".join)
+def test_every_subcommand_and_op_runs(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)
 
 
 def test_repeated_pinch_index_exits_two(capsys):

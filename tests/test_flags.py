@@ -1,8 +1,9 @@
+import inspect
 import random
 
 import pytest
 
-from kslab import cli, flags, fqlin
+from kslab import cli, flags, fqlin, graphs
 from kslab.combinatorics import enumerate_sparse, mu_of
 from kslab.flags import (
     chain_lemma_scan,
@@ -558,6 +559,28 @@ def test_tree_from_flag_n1():
         assert rep["is_tree"] and rep["edge_count"] == 1
 
 
+def test_tree_classes_are_the_components_of_distance_zero(monkeypatch):
+    # tree_from_flag builds no classes of its own: its partition is the
+    # one graphs.components returns for the pairs at distance 0
+    seen = []
+
+    def recorded(items, pairs):
+        seen.append(graphs.components(items, pairs))
+        return seen[-1]
+
+    monkeypatch.setattr(flags, "components", recorded)
+    for n, q in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        for F in enumerate_flags(n, q):
+            _, rep = tree_from_flag(F, n)
+            d = unrolled_metric(F, n)["vertices"]
+            assert rep["partition"] == seen.pop()
+            # d = 0 is an equivalence relation: each class is one row's zeros
+            for cls in rep["partition"]:
+                assert tuple(v for v in range(2 * n) if d[cls[0]][v] == 0) \
+                    == cls
+    assert not seen
+
+
 def test_submodule_counts():
     assert len(submodules(2, 2)) == 15
     assert len(submodules(3, 2)) == 37
@@ -574,6 +597,18 @@ def test_chain_lemma_scan_n2():
 
 def test_chain_lemma_scan_q3():
     assert chain_lemma_scan(2, 3)["all_clear"]
+
+
+def test_tally_counts_instances_and_keeps_failures_in_order():
+    checks = [(True, "a"), (False, "b"), (True, "c"), (False, ("d", 1))]
+    assert flags._tally(checks) == \
+        {"instances": 4, "violations": ["b", ("d", 1)]}
+    assert flags._tally(()) == {"instances": 0, "violations": []}
+
+
+def test_the_lemma_entry_format_is_written_once():
+    # every lemma's entry comes from _tally, the one writer of the format
+    assert inspect.getsource(flags).count('"instances"') == 1
 
 
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2)])

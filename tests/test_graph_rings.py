@@ -15,9 +15,11 @@ from kslab.graph_rings import (
     hedgehog_ring,
     pinch_substitution,
     pinched_cycle_polynomial,
+    pinched_presentation,
     pinched_ring_structure,
     r_masks,
     structure_ranks,
+    surviving_variables,
     tensor_ranks,
 )
 from kslab.graphs import BiGraph, make_standard, quotient
@@ -312,6 +314,30 @@ def test_pinched_rings_match_the_oracle(monkeypatch):
     monkeypatch.setattr(graph_rings, "graded_structure",
                         oracle_graded_structure)
     assert fast == [pinched_ring_structure(n, A) for n, A in pinches]
+
+
+def full_elimination_survivors(pres) -> int:
+    """m' by eliminating over every relation, as graded_structure does."""
+    relations = [(next(iter(rel)).bit_count(), list(rel.items()))
+                 for rel in pres.relations if rel]
+    _, gone = graph_rings._eliminate_unit_relations(relations)
+    return pres.nvars - gone.bit_count()
+
+
+def test_surviving_variables_need_only_the_linear_relations():
+    cases = [pinched_presentation(n, A, 2 * n) for n in range(1, 5)
+             for r in range(2 * n) for A in combinations(range(1, 2 * n), r)]
+    cases += [cycle_relations(G) for G in STOP_GRAPHS.values()]
+    seen = set()
+    for pres in cases:
+        left = surviving_variables(pres)
+        assert left == full_elimination_survivors(pres)
+        seen.add(left)
+    assert seen == set(range(1, 8))
+    # and the refusal reads the same number off sigma_1 and the pinches
+    for n, A in ((4, ()), (4, (2, 5)), (3, (1, 2, 3, 4, 5))):
+        assert surviving_variables(pinched_presentation(n, A, 1)) == \
+            surviving_variables(pinched_presentation(n, A, 2 * n))
 
 
 def test_pinched_relations_are_the_sigmas_then_the_pinches(monkeypatch):

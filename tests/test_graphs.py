@@ -294,7 +294,7 @@ def test_components_match_the_closure_oracle():
         for _ in range(20):
             pairs = [(rng.randrange(size), rng.randrange(size))
                      for _ in range(rng.randrange(2 * size))]
-            assert graphs._components(range(size), pairs) == \
+            assert graphs.components(range(size), pairs) == \
                 _closure_oracle(range(size), pairs)
 
 

@@ -48,6 +48,11 @@ def _violation_off_by_one(mask, two_n):
     return 0
 
 
+def _in_no_xni(F, i, n, q):
+    """X(n, i) empty: no flag has t W_(i+1) = W_(i-1)."""
+    return False
+
+
 # (module, function, mutant, argv, report key naming the counterexample)
 MUTANTS = [
     ("springer", "mu_of", _crossing_mu_of, ["ring", "--n", "3"],
@@ -58,6 +63,10 @@ MUTANTS = [
      ["conjecture", "--n", "4"], ("counterexamples",)),
     ("springer", "_largest_violation", _violation_off_by_one,
      ["mvss", "--n", "3"], ("counterexamples",)),
+    ("combinatorics", "mu_of", _crossing_mu_of, ["ncm", "--n", "3"],
+     ("roundtrip_failures",)),
+    ("flags", "in_xni", _in_no_xni, ["flags", "--n", "2", "--op", "lemmas"],
+     ("one_step_a", "violations")),
 ]
 
 
