@@ -254,10 +254,6 @@ def cmd_fold(args):
         return report, True
     n = 2 if args.n is None else args.n
     A = _parse_pinch(args.pinch or "")
-    # sigma_1..sigma_2n, the relations of R(n), hold every nonempty subset
-    # of the 2n variables once; the SNF is capped in graph_rings
-    _check_count(n, "monomials in the relations of R(n)", 2 * n - 1,
-                 lambda: (1 << 2 * n) - 1)
     ring = graph_rings.hedgehog_ring(n, A)
     h = ring["hedgehog"]
     report = {"n": n, "pinch": list(A),

@@ -274,9 +274,6 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
     * ``plus``: J + {min(J^c)}; stays sparse, size grows by one.
     * ``bar``:  iterate plus up to size n -- the lexicographically smallest
       sparse size-n superset of J.
-    * ``star``: the lexicographically largest sparse size-n superset of J:
-      the first superset met scanning the lex-sorted sparse size-n sets
-      from the end.
     """
     n = two_n // 2
     if not is_sparse(J, two_n):
@@ -295,12 +292,6 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
         while len(out) < n:
             out = sparse_closure(out, two_n, "plus")
         return out
-    if kind == "star":
-        Jset = set(J)
-        for K in reversed(enumerate_sparse(two_n, n)):
-            if Jset.issubset(K):
-                return K
-        raise RuntimeError(f"no sparse size-{n} superset of {J}")
     raise ValueError(f"unknown closure kind {kind!r}")
 
 
@@ -344,8 +335,9 @@ def classify_dotted(tau: Tau, dots: Subset) -> dict[str, bool]:
 def star_dotted_set(n: int) -> set[tuple[Tau, Subset]]:
     """All dotted matchings of the form (mu(J*), J* minus J), J sparse.
 
-    J* is the first superset in the reversed scan of ``sparse_closure``,
-    tested on bitmasks (bit j - 1 for j).
+    J* is the lexicographically largest sparse size-n superset of J: the
+    first superset met scanning the lex-sorted sparse size-n sets from the
+    end, tested on bitmasks (bit j - 1 for j).
     """
     two_n = 2 * n
     tops = [(sum(1 << (k - 1) for k in K), K)

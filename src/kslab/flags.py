@@ -330,9 +330,10 @@ def _interval(n, balanced, taus):
         for p in range(0, 2 * n):
             for qq in range(p + 1, 2 * n + 1):
                 interval = range(p + 1, qq + 1)
+                # mu(K) is a fixed-point-free involution, so an interval
+                # it keeps has even length: only the balance can fail
                 if all(tau[j - 1] in interval for j in interval):
-                    yield (not (qq - p) % 2
-                           and is_balanced(F[qq], F[p])), (K, p, qq)
+                    yield is_balanced(F[qq], F[p]), (K, p, qq)
 
 
 def _treelike(n, flags):

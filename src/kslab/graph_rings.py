@@ -56,7 +56,8 @@ order, and the degrees above their number m' are 0.
 
 S(C(n)) recovers R(n); for a hedgehog H(A) the ring is R(body) tensor
 E(spines), which this module verifies against the independent presentation
-R(n)/(x_i + x_{i+1} : i in A).
+R(n)/(x_i + x_{i+1} : i in A), read off the pinch substitution psi: the
+pinches, then the images psi(sigma_k) of the relations of R(n).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from math import comb
 
 from .combinatorics import sparse_count
 from .exterior import r_poly
-from .graphs import BiGraph, Hedgehog, bfs, hedgehog_analyze
+from .graphs import BiGraph, Hedgehog, bfs, hedgehog_analyze, pinch_set
 from .intlinalg import quotient_structure
 
 # the degree loop of a pinched ring runs over E(m') for the m' variables
@@ -164,19 +165,6 @@ def _eliminate_unit_relations(relations):
         relations = out
 
 
-def surviving_variables(pres: GraphRingPresentation) -> int:
-    """The number m' of variables that ``graded_structure`` keeps.
-
-    Only degree-1 relations are solved for, and a substitution keeps the
-    degree of every relation (the L^2 it appends has degree 2), so
-    ``_eliminate_unit_relations`` on the degree-1 relations alone
-    eliminates the same variables as on all of them.
-    """
-    linear = [(1, list(rel.items())) for rel in pres.relations
-              if rel and all(M.bit_count() == 1 for M in rel)]
-    return pres.nvars - _eliminate_unit_relations(linear)[1].bit_count()
-
-
 def graded_structure(G: BiGraph | GraphRingPresentation
                      ) -> list[tuple[int, list[int]]]:
     """Per-degree (free rank, torsion) of S(G); degree k means x-degree 2k.
@@ -246,14 +234,14 @@ def pinch_substitution(A: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """x_j -> (-1)^(j - rep(j)) x_rep(j), stepping j -> j-1 while j-1 in A."""
     Aset = set(A)
     mapping = {}
-    upper = (max(A) + 2) if A else 1
-    for j in range(1, upper):
-        r, sign = j, 1
-        while r - 1 in Aset:
-            r -= 1
+    rep = sign = 1
+    for j in range(1, (max(A) + 2) if A else 1):
+        if j - 1 in Aset:
             sign = -sign
-        if r != j:
-            mapping[j] = (sign, r)
+        else:
+            rep, sign = j, 1
+        if rep != j:
+            mapping[j] = (sign, rep)
     return mapping
 
 
@@ -266,36 +254,45 @@ def expected_hedgehog_structure(h: Hedgehog) -> list[tuple[int, list[int]]]:
     return [(r, []) for r in ranks]
 
 
-def pinched_presentation(n: int, A, top: int) -> GraphRingPresentation:
-    """sigma_1..sigma_top of x_1..x_2n, then x_i + x_{i+1} for i in A:
-    with top = 2n, a presentation of R(n)/(x_i + x_{i+1} : i in A)."""
-    bits = [1 << j for j in range(2 * n)]
-    relations = [dict.fromkeys(map(sum, combinations(bits, k)), 1)
-                 for k in range(1, top + 1)]
-    relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
-    return GraphRingPresentation(2 * n, relations, [()] * len(relations))
+def _pinched_variables(n: int, A) -> list[tuple[int, int]]:
+    """(sign, rep) with psi(x_j) = sign * x_rep, j = 1..2n."""
+    mapping = pinch_substitution(pinch_set(n, A))
+    return [mapping.get(j, (1, j)) for j in range(1, 2 * n + 1)]
+
+
+def pinched_cycle_polynomial(n: int, A) -> list[dict[int, int]]:
+    """Coefficients of prod_j (1 + t x_j), j = 1..2n, under the pinch
+    substitution psi: ``r_masks`` of the substituted variables and signs."""
+    pairs = _pinched_variables(n, A)
+    return r_masks([r for _, r in pairs], [s for s, _ in pairs])
 
 
 def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
     """Graded structure of R(n)/(x_i + x_{i+1} : i in A), degree by degree.
 
-    Refused with ``ValueError`` before any degree is reduced when more
-    than ``PINCHED_VARIABLE_CAP`` variables survive; sigma_1 and the
-    pinches, the linear relations, decide that number.
+    Presented by the pinches x_i + x_{i+1}, then psi(sigma_1..sigma_2n)
+    over x_1..x_2n: sigma_k = psi(sigma_k) modulo the pinches.  Refused
+    with ``ValueError``, before ``r_masks`` runs, when more than
+    ``PINCHED_VARIABLE_CAP`` variables survive.
     """
-    left = surviving_variables(pinched_presentation(n, A, 1))
+    pairs = _pinched_variables(n, A)
+    # The pinch rows come first, and each one solves for one variable with
+    # a one-term L (no L^2), which only relabels the representatives of
+    # psi: one variable survives per representative.  After the pinches,
+    # psi(sigma_1) is the only linear relation, and a substitution keeps
+    # the degree of every relation, so at most psi(sigma_1) solves for one
+    # more: exactly when it has a +-1 coefficient.
+    linear: dict[int, int] = {}
+    for sign, rep in pairs:
+        linear[rep] = linear.get(rep, 0) + sign
+    left = len(linear) - any(c in (1, -1) for c in linear.values())
     if left > PINCHED_VARIABLE_CAP:
         raise ValueError(f"R({n}) pinched at {list(A)} keeps {left} "
                          f"variables, above the cap {PINCHED_VARIABLE_CAP}")
-    return graded_structure(pinched_presentation(n, A, 2 * n))
-
-
-def pinched_cycle_polynomial(n: int, A) -> list[dict[int, int]]:
-    """Coefficients of prod_j (1 + t x_j), j = 1..2n, under the pinch
-    substitution: ``r_masks`` of the substituted variables and signs."""
-    mapping = pinch_substitution(tuple(sorted(A)))
-    pairs = [mapping.get(j, (1, j)) for j in range(1, 2 * n + 1)]
-    return r_masks([r for _, r in pairs], [s for s, _ in pairs])
+    relations = [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
+    relations += pinched_cycle_polynomial(n, A)[1:]
+    return graded_structure(GraphRingPresentation(
+        2 * n, relations, [()] * len(relations)))
 
 
 def hedgehog_ring(n: int, A) -> dict:
@@ -312,9 +309,9 @@ def hedgehog_ring(n: int, A) -> dict:
     of sigma_1; a coefficient other than +-1 there, or a spine term,
     already breaks the comparison at k = 1.
     """
+    direct = pinched_ring_structure(n, A)      # the cap refuses first
     h = hedgehog_analyze(n, A)
     expected = expected_hedgehog_structure(h)
-    direct = pinched_ring_structure(n, A)
     top = len(expected) - 1
     trimmed = direct[: top + 1]
     tail_trivial = all(rank == 0 and not tors for rank, tors in direct[top + 1:])

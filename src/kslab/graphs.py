@@ -390,6 +390,14 @@ class Hedgehog:
     rolled_graph: BiGraph = field(compare=False)
 
 
+def pinch_set(n: int, A) -> tuple[int, ...]:
+    """A sorted, refused with ``ValueError`` unless inside {1..2n-1}."""
+    A = tuple(sorted(A))
+    if any(a < 1 or a >= 2 * n for a in A):
+        raise ValueError(f"pinch set {A} not inside {{1..{2 * n - 1}}}")
+    return A
+
+
 def hedgehog_analyze(n: int, A) -> Hedgehog:
     """Pinch data of H(A): A^#, spine/body classification, rolled graph.
 
@@ -400,9 +408,7 @@ def hedgehog_analyze(n: int, A) -> Hedgehog:
     the same pinching inside C(n).
     """
     two_n = 2 * n
-    A = tuple(sorted(A))
-    if any(a < 1 or a >= two_n for a in A):
-        raise ValueError(f"pinch set {A} not inside {{1..{two_n - 1}}}")
+    A = pinch_set(n, A)
     a_sharp = tuple(i for i in range(two_n + 1) if i - 1 not in A)
     ivals = list(a_sharp) + [two_n + 1]
     spines, body = [], []

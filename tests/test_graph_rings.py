@@ -15,16 +15,15 @@ from kslab.graph_rings import (
     hedgehog_ring,
     pinch_substitution,
     pinched_cycle_polynomial,
-    pinched_presentation,
     pinched_ring_structure,
     r_masks,
     structure_ranks,
-    surviving_variables,
     tensor_ranks,
 )
 from kslab.graphs import BiGraph, make_standard, quotient
 from kslab.intlinalg import quotient_structure
 from kslab.springer import hilbert_ranks
+from test_mvss import _broken_pinch_substitution
 
 
 def join_with_edge(G0: BiGraph, G1: BiGraph, v0, v1) -> BiGraph:
@@ -267,6 +266,23 @@ def test_hedgehog_ring_all_pinches_n_le_4():
             assert r["relation_image_ok"], (n, A)
 
 
+def all_pinch_sets(n: int):
+    return [A for r in range(2 * n) for A in combinations(range(1, 2 * n), r)]
+
+
+def test_a_wrong_pinch_substitution_fails_every_pinch_set_holding_1(
+        monkeypatch, cold_kslab_caches):
+    # psi builds both the presentation and the relation image
+    monkeypatch.setattr(graph_rings, "pinch_substitution",
+                        _broken_pinch_substitution)
+    cases = [(n, A) for n in range(1, 5) for A in all_pinch_sets(n)
+             if 1 in A]
+    assert len(cases) == 85
+    for n, A in cases:
+        r = hedgehog_ring(n, A)
+        assert not (r["match"] and r["relation_image_ok"]), (n, A)
+
+
 def relabelled_sigma_image(n: int, A, k: int) -> ExtElement:
     """sigma_k(x_1..x_2n) built over all 2n variables, then relabelled
     through the pinch substitution term by term (oracle)."""
@@ -316,6 +332,32 @@ def test_pinched_rings_match_the_oracle(monkeypatch):
     assert fast == [pinched_ring_structure(n, A) for n, A in pinches]
 
 
+def pinched_presentation(n: int, A) -> GraphRingPresentation:
+    """sigma_1..sigma_2n of x_1..x_2n, then x_i + x_{i+1} for i in A: the
+    2n-variable presentation of R(n)/(x_i + x_{i+1} : i in A) (oracle)."""
+    bits = [1 << j for j in range(2 * n)]
+    relations = [dict.fromkeys(map(sum, combinations(bits, k)), 1)
+                 for k in range(1, 2 * n + 1)]
+    relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
+    return GraphRingPresentation(2 * n, relations, [()] * len(relations))
+
+
+def test_pinched_rings_match_the_2n_variable_presentation():
+    cases = [(n, A) for n in range(1, 5) for A in all_pinch_sets(n)]
+    assert len(cases) == 2 + 8 + 32 + 128
+    for n, A in cases:
+        assert pinched_ring_structure(n, A) == \
+            graded_structure(pinched_presentation(n, A)), (n, A)
+
+
+def surviving_variables(pres: GraphRingPresentation) -> int:
+    """m' from the degree-1 relations alone (oracle)."""
+    linear = [(1, list(rel.items())) for rel in pres.relations
+              if rel and all(M.bit_count() == 1 for M in rel)]
+    return pres.nvars - graph_rings._eliminate_unit_relations(linear)[1] \
+        .bit_count()
+
+
 def full_elimination_survivors(pres) -> int:
     """m' by eliminating over every relation, as graded_structure does."""
     relations = [(next(iter(rel)).bit_count(), list(rel.items()))
@@ -325,8 +367,8 @@ def full_elimination_survivors(pres) -> int:
 
 
 def test_surviving_variables_need_only_the_linear_relations():
-    cases = [pinched_presentation(n, A, 2 * n) for n in range(1, 5)
-             for r in range(2 * n) for A in combinations(range(1, 2 * n), r)]
+    cases = [pinched_presentation(n, A) for n in range(1, 5)
+             for A in all_pinch_sets(n)]
     cases += [cycle_relations(G) for G in STOP_GRAPHS.values()]
     seen = set()
     for pres in cases:
@@ -334,25 +376,39 @@ def test_surviving_variables_need_only_the_linear_relations():
         assert left == full_elimination_survivors(pres)
         seen.add(left)
     assert seen == set(range(1, 8))
-    # and the refusal reads the same number off sigma_1 and the pinches
-    for n, A in ((4, ()), (4, (2, 5)), (3, (1, 2, 3, 4, 5))):
-        assert surviving_variables(pinched_presentation(n, A, 1)) == \
-            surviving_variables(pinched_presentation(n, A, 2 * n))
 
 
-def test_pinched_relations_are_the_sigmas_then_the_pinches(monkeypatch):
-    # sigma_1..sigma_2n written as masks, term for term in the order of
-    # the ExtElement oracle, then x_i + x_{i+1} for each pinch i
+def test_the_cap_counts_the_variables_that_survive(monkeypatch):
+    # the presentation that is reduced keeps the m' of the 2n-variable
+    # one, and with the cap at 0 every ring is refused naming that m'
     seen = []
     monkeypatch.setattr(graph_rings, "graded_structure", seen.append)
-    for n, A in ((1, ()), (3, (1, 4))):
+    for n in range(1, 5):
+        for A in all_pinch_sets(n):
+            pinched_ring_structure(n, A)
+            assert full_elimination_survivors(seen.pop()) == \
+                surviving_variables(pinched_presentation(n, A))
+    monkeypatch.setattr(graph_rings, "PINCHED_VARIABLE_CAP", 0)
+    for n in range(1, 5):
+        for A in all_pinch_sets(n):
+            left = surviving_variables(pinched_presentation(n, A))
+            with pytest.raises(ValueError, match=f"keeps {left} variables"):
+                pinched_ring_structure(n, A)
+
+
+def test_pinched_relations_are_the_pinches_then_the_substituted_sigmas(
+        monkeypatch):
+    # x_i + x_{i+1} for each pinch i, then psi(sigma_1)..psi(sigma_2n)
+    # over the same 2n variables
+    seen = []
+    monkeypatch.setattr(graph_rings, "graded_structure", seen.append)
+    for n, A in ((1, ()), (3, (1, 4)), (3, (1, 2, 3))):
         pinched_ring_structure(n, A)
-        two_n = 2 * n
-        want = [to_masks(sigma(k, range(1, two_n + 1), two_n))
-                for k in range(1, two_n + 1)]
-        want += [{1 << (i - 1): 1, 1 << i: 1} for i in A]
-        assert [list(r.items()) for r in seen.pop().relations] == \
-            [list(r.items()) for r in want]
+        pres = seen.pop()
+        want = [{1 << (i - 1): 1, 1 << i: 1} for i in A]
+        want += [to_masks(relabelled_sigma_image(n, A, k))
+                 for k in range(1, 2 * n + 1)]
+        assert pres.nvars == 2 * n and pres.relations == want
 
 
 def test_torsion_does_not_stop_the_reduction():

@@ -1,7 +1,8 @@
 """Committed mutants: each one must make its report a falsifier.
 
 Each row patches one function of the program with a wrong version and
-runs one subcommand through ``cli.main``.  The run must exit 1 (a
+runs one subcommand through ``cli.main``; a function may have a row per
+subcommand (``_row_ids`` keeps the test ids apart).  The run must exit 1 (a
 falsifier), never 0 (the mutant went unseen), 2 (bad input) or 3 (an
 internal error), and the report must name a counterexample under the
 row's key.  Every row also runs unpatched first and must exit 0 there.
@@ -67,11 +68,25 @@ MUTANTS = [
      ("roundtrip_failures",)),
     ("flags", "in_xni", _in_no_xni, ["flags", "--n", "2", "--op", "lemmas"],
      ("one_step_a", "violations")),
+    ("flags", "in_xni", _in_no_xni, ["flags", "--n", "2", "--op", "cover"],
+     ("uncovered_by_xni",)),
 ]
 
 
+def _row_ids(rows):
+    """module.function; a function's later rows add their subcommand
+    (flags.in_xni-flags-cover), so every id is unique and a row keeps its
+    id when another row of its function is added."""
+    ids = []
+    for module, name, _, argv, _ in rows:
+        row_id = f"{module}.{name}"
+        ids.append("-".join([row_id, *filter(str.isalpha, argv)])
+                   if row_id in ids else row_id)
+    return ids
+
+
 @pytest.mark.parametrize("module, name, mutant, argv, key", MUTANTS,
-                         ids=[f"{row[0]}.{row[1]}" for row in MUTANTS])
+                         ids=_row_ids(MUTANTS))
 def test_mutant_exits_1_with_a_counterexample(module, name, mutant, argv,
                                               key, monkeypatch, tmp_path,
                                               cold_kslab_caches):
