@@ -55,9 +55,10 @@ x3) has Z/2 in degree 2, from 2 x1 x2.  The survivors are renumbered in
 order, and the degrees above their number m' are 0.
 
 S(C(n)) recovers R(n); for a hedgehog H(A) the ring is R(body) tensor
-E(spines), which this module verifies against the independent presentation
-R(n)/(x_i + x_{i+1} : i in A), read off the pinch substitution psi: the
-pinches, then the images psi(sigma_k) of the relations of R(n).
+E(spines), which this module verifies against R(n)/(x_i + x_{i+1} : i in A)
+presented by the pinches and the images psi(sigma_k) under the pinch
+substitution psi (tests/test_graph_rings.py checks that presentation against
+sigma_1..sigma_2n of all 2n variables up to n = 4).
 """
 
 from __future__ import annotations
@@ -231,17 +232,12 @@ def tensor_ranks(a: list[int], b: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def pinch_substitution(A: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """x_j -> (-1)^(j - rep(j)) x_rep(j), stepping j -> j-1 while j-1 in A."""
-    Aset = set(A)
+    """x_j -> (-1)^(j - rep(j)) x_rep(j) for each j with j - 1 in A, where
+    rep(j) = rep(j - 1); every other j is its own representative."""
     mapping = {}
-    rep = sign = 1
-    for j in range(1, (max(A) + 2) if A else 1):
-        if j - 1 in Aset:
-            sign = -sign
-        else:
-            rep, sign = j, 1
-        if rep != j:
-            mapping[j] = (sign, rep)
+    for i in sorted(A):
+        sign, rep = mapping.get(i, (1, i))
+        mapping[i + 1] = (-sign, rep)
     return mapping
 
 
@@ -254,17 +250,41 @@ def expected_hedgehog_structure(h: Hedgehog) -> list[tuple[int, list[int]]]:
     return [(r, []) for r in ranks]
 
 
-def _pinched_variables(n: int, A) -> list[tuple[int, int]]:
-    """(sign, rep) with psi(x_j) = sign * x_rep, j = 1..2n."""
-    mapping = pinch_substitution(pinch_set(n, A))
-    return [mapping.get(j, (1, j)) for j in range(1, 2 * n + 1)]
-
-
 def pinched_cycle_polynomial(n: int, A) -> list[dict[int, int]]:
     """Coefficients of prod_j (1 + t x_j), j = 1..2n, under the pinch
-    substitution psi: ``r_masks`` of the substituted variables and signs."""
-    pairs = _pinched_variables(n, A)
+    substitution psi: ``r_masks`` of the substituted variables and signs.
+    Refused with ``ValueError``, before ``r_masks`` runs, when more than
+    ``PINCHED_VARIABLE_CAP`` variables of R(n)/(x_i + x_{i+1} : i in A)
+    survive; that count takes O(|A|) steps, whatever n is."""
+    mapping = pinch_substitution(pinch_set(n, A))
+    # Each pinch row solves for one variable with a one-term L (no L^2),
+    # which only relabels the images of psi.  After the pinches,
+    # psi(sigma_1) = sum_r c_r x_r is the only linear relation (a
+    # substitution keeps degrees), so one more variable goes exactly when
+    # some c_r = +-1.  The images r are the j that psi fixes, and c_r is 1
+    # plus the signs of the x_j sent to x_r; the ``lone`` images that no
+    # x_j is sent to have c_r = 1.
+    linear: dict[int, int] = {}
+    for sign, rep in mapping.values():
+        linear[rep] = linear.get(rep, 1) + sign
+    lone = 2 * n - len(mapping) - len(linear)
+    unit = lone > 0 or any(c in (1, -1) for c in linear.values())
+    left = lone + len(linear) - unit
+    if left > PINCHED_VARIABLE_CAP:
+        raise ValueError(f"R({n}) pinched at {list(A)} keeps {left} "
+                         f"variables, above the cap {PINCHED_VARIABLE_CAP}")
+    pairs = [mapping.get(j, (1, j)) for j in range(1, 2 * n + 1)]
     return r_masks([r for _, r in pairs], [s for s, _ in pairs])
+
+
+def _pinched_structure(n: int, A, image: list[dict[int, int]]
+                       ) -> list[tuple[int, list[int]]]:
+    """Graded structure presented by the pinches x_i + x_{i+1}, then the
+    relations image[1:] = psi(sigma_1..sigma_2n), over x_1..x_2n."""
+    relations = [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
+    relations += image[1:]
+    return graded_structure(GraphRingPresentation(
+        2 * n, relations, [()] * len(relations)))
 
 
 def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
@@ -275,32 +295,16 @@ def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:
     with ``ValueError``, before ``r_masks`` runs, when more than
     ``PINCHED_VARIABLE_CAP`` variables survive.
     """
-    pairs = _pinched_variables(n, A)
-    # The pinch rows come first, and each one solves for one variable with
-    # a one-term L (no L^2), which only relabels the representatives of
-    # psi: one variable survives per representative.  After the pinches,
-    # psi(sigma_1) is the only linear relation, and a substitution keeps
-    # the degree of every relation, so at most psi(sigma_1) solves for one
-    # more: exactly when it has a +-1 coefficient.
-    linear: dict[int, int] = {}
-    for sign, rep in pairs:
-        linear[rep] = linear.get(rep, 0) + sign
-    left = len(linear) - any(c in (1, -1) for c in linear.values())
-    if left > PINCHED_VARIABLE_CAP:
-        raise ValueError(f"R({n}) pinched at {list(A)} keeps {left} "
-                         f"variables, above the cap {PINCHED_VARIABLE_CAP}")
-    relations = [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
-    relations += pinched_cycle_polynomial(n, A)[1:]
-    return graded_structure(GraphRingPresentation(
-        2 * n, relations, [()] * len(relations)))
+    return _pinched_structure(n, A, pinched_cycle_polynomial(n, A))
 
 
 def hedgehog_ring(n: int, A) -> dict:
     """Both computations of S(H(A)) and their comparison.
 
     * expected: graded ranks of R(body) tensor E(spines) from the pinch data;
-    * direct:   Smith normal form of R(n) with the linear relations
-      x_i + x_{i+1} (i in A) adjoined.
+    * direct:   SNF of R(n)/(x_i + x_{i+1} : i in A), presented by the
+      pinches and psi(sigma_1..sigma_2n); tests/test_graph_rings.py checks
+      it against sigma_1..sigma_2n of all 2n variables up to n = 4.
 
     Also checks that the pinch substitution sends the cycle relation
     coefficients sigma_k(x_1..x_2n) to the signed body-cycle coefficients
@@ -309,13 +313,13 @@ def hedgehog_ring(n: int, A) -> dict:
     of sigma_1; a coefficient other than +-1 there, or a spine term,
     already breaks the comparison at k = 1.
     """
-    direct = pinched_ring_structure(n, A)      # the cap refuses first
+    image = pinched_cycle_polynomial(n, A)     # the cap refuses first
+    direct = _pinched_structure(n, A, image)
     h = hedgehog_analyze(n, A)
     expected = expected_hedgehog_structure(h)
     top = len(expected) - 1
     trimmed = direct[: top + 1]
     tail_trivial = all(rank == 0 and not tors for rank, tors in direct[top + 1:])
-    image = pinched_cycle_polynomial(n, A)
     signs = [-1 if image[1].get(1 << (r - 1)) == -1 else 1
              for r in h.body_indices]
     signed_body = r_masks(h.body_indices, signs)

@@ -410,6 +410,8 @@ def test_fold_pinch_mode_defaults(capsys):
     (["fold", "--n", "9", "--pinch", "1,3,5,7,9,11"], 11),
     (["fold", "--n", "100000"], 199999),
     (["fold", "--n", "1000", "--pinch", "1"], 1998),
+    (["fold", "--n", "1000000000"], 1999999999),
+    (["fold", "--n", "1000000000", "--pinch", "1999999999"], 1999999998),
 ])
 def test_fold_refuses_a_large_ring_before_its_snf(argv, left, capsys,
                                                   monkeypatch):

@@ -283,6 +283,12 @@ def test_a_wrong_pinch_substitution_fails_every_pinch_set_holding_1(
         assert not (r["match"] and r["relation_image_ok"]), (n, A)
 
 
+def test_pinch_substitution_hand_example():
+    # A = {1, 2, 4}: x_2 -> -x_1, x_3 -> x_1, x_5 -> -x_4, in any order of A
+    for A in ((1, 2, 4), (4, 2, 1)):
+        assert pinch_substitution(A) == {2: (-1, 1), 3: (1, 1), 5: (-1, 4)}
+
+
 def relabelled_sigma_image(n: int, A, k: int) -> ExtElement:
     """sigma_k(x_1..x_2n) built over all 2n variables, then relabelled
     through the pinch substitution term by term (oracle)."""
