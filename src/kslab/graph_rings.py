@@ -82,7 +82,6 @@ PINCHED_VARIABLE_CAP = 10
 class GraphRingPresentation:
     nvars: int                         # the variables x_1..x_nvars
     relations: list[dict[int, int]]    # {mask: nonzero coeff}, homogeneous
-    provenance: list[tuple]            # cycle vertex tuples, parallel
 
 
 def r_masks(variables, signs) -> list[dict[int, int]]:
@@ -108,7 +107,6 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
     idx = {e: i + 1 for i, e in enumerate(G.positive_edges())}
     parent, depth = bfs(G.adjacency, G.vertices[0])
     relations: list[dict[int, int]] = []
-    provenance: list[tuple] = []
     for a, b in idx:
         if parent[a] == b or parent[b] == a:
             continue
@@ -122,11 +120,8 @@ def cycle_relations(G: BiGraph) -> GraphRingPresentation:
             positive = G.parity[u] == 0
             variables.append(idx[(u, v) if positive else (v, u)])
             signs.append(1 if positive else -1)
-        for rel in r_masks(variables, signs)[1:]:
-            if rel:
-                relations.append(rel)
-                provenance.append(tuple(walk))
-    return GraphRingPresentation(len(idx), relations, provenance)
+        relations += [rel for rel in r_masks(variables, signs)[1:] if rel]
+    return GraphRingPresentation(len(idx), relations)
 
 
 def _eliminate_unit_relations(relations):
@@ -281,10 +276,8 @@ def _pinched_structure(n: int, A, image: list[dict[int, int]]
                        ) -> list[tuple[int, list[int]]]:
     """Graded structure presented by the pinches x_i + x_{i+1}, then the
     relations image[1:] = psi(sigma_1..sigma_2n), over x_1..x_2n."""
-    relations = [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
-    relations += image[1:]
-    return graded_structure(GraphRingPresentation(
-        2 * n, relations, [()] * len(relations)))
+    pinches = [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
+    return graded_structure(GraphRingPresentation(2 * n, pinches + image[1:]))
 
 
 def pinched_ring_structure(n: int, A) -> list[tuple[int, list[int]]]:

@@ -19,7 +19,7 @@ normalizes arbitrary elements onto it (each monomial folded bit by bit,
 its body part reduced by ``springer.reduce_in``), implements d_1,
 classifies basis elements as extendable/unextendable with the eta/zeta
 pairing, and certifies integrally that (TS**, d_1) is exact in every
-bidegree by direct Smith-normal-form computation.
+bidegree, with eta an acyclic matching that leaves no critical cell.
 
 Sign convention: multiplying e_A by e_t uses the insertion count, i.e.
 e_A e_t = (-1)^{|{a in A : a < t}|} e_{A u {t}} (and zero when t is in A).
@@ -36,7 +36,6 @@ from math import comb
 from .combinatorics import enumerate_sparse, is_sparse
 from .graph_rings import pinch_substitution
 from .graphs import hedgehog_analyze
-from .intlinalg import snf_invariants
 from .springer import reduce_in
 
 Key = tuple[int, int]             # (J, A) as masks
@@ -181,7 +180,7 @@ def d1(a: TS, n: int, memo: dict | None = None) -> TS:
 # extendable / unextendable classification and the eta bijection
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class EtaClassification:
     status: str                       # "extendable" | "unextendable"
     partner: Key                      # eta(J,A) resp. zeta(J,A)
@@ -225,48 +224,26 @@ def _is_lower(key: Key, bound: Key) -> bool:
     return bool(J & diff & -diff) if diff else A > B
 
 
-def _bidegree_exactness(groups, images) -> dict[tuple[int, int], dict]:
-    """Integral exactness of a differential in each bidegree (p, j).
-
-    ``groups`` maps (p, j) to its sorted basis, and ``images[(J, A)]`` is
-    the differential of x_J e_A; its terms outside the basis of (p + 1, j)
-    are dropped (``exactness_check`` reports them).  With d_in the matrix
-    from (p-1, j) and d_out the matrix from (p, j), the complex is exact at
-    (p, j) over the integers iff rank(d_in) + rank(d_out) = dim and every
-    elementary divisor of d_in equals 1.  Each matrix is reduced once: its
-    invariants give rank(d_out) at its source and the divisors of d_in at
-    its target.
-    """
-    invariants = {}
-    for (p, j), source in groups.items():
-        target = groups.get((p + 1, j), [])
-        col = {key: i for i, key in enumerate(target)}
-        matrix = [{col[key]: c for key, c in images[(J, A)].items()
-                   if key in col} for J, A in source]
-        invariants[(p, j)] = snf_invariants(matrix, len(target))
-    out = {}
-    for (p, j) in sorted(groups):
-        dim = len(groups[(p, j)])
-        rank_out = len(invariants[(p, j)])
-        divisors = invariants.get((p - 1, j), [])
-        rank_in = len(divisors)
-        out[(p, j)] = {
-            "dim": dim, "rank_in": rank_in, "rank_out": rank_out,
-            "exact": rank_in + rank_out == dim and all(d == 1 for d in divisors),
-        }
-    return out
-
-
 def exactness_check(n: int) -> dict:
-    """Certify H(TS**, d1) = 0 integrally in every bidegree.
+    """Certify H(TS**, d1) = 0 integrally in every bidegree, with no SNF.
 
-    Exactness per bidegree is decided by ``_bidegree_exactness``.  The
-    report also verifies d1 o d1 = 0 on the whole basis and the
-    triangularity d1(x_J e_A) = +-eta(x_J e_A) + strictly lower terms
-    for every extendable element.  The three checks share one d1 image
-    per basis element, and one memo of monomial normal forms.  A term of
-    an image outside BTS is an ``off_basis`` counterexample.  Reports write
-    J and A as index tuples.
+    Three checks share one d1 image per basis element and one memo of
+    monomial normal forms: d1 o d1 = 0, summed from the images; eta is a
+    bijection from the extendable elements of each bidegree (p, j) onto
+    the unextendable ones of (p + 1, j), with inverse zeta
+    (``matching_failures``); and d1(x) = +-eta(x) + terms lower than eta(x)
+    for every extendable x (``triangular_failures``).  Then the block of d1
+    from the extendable elements of (p, j) to the unextendable ones of
+    (p + 1, j), both ordered along eta, is unitriangular, so invertible
+    over Z.  So projecting onto the unextendable coordinates of (p, j) is
+    injective on ker d_out and maps im d_in onto them (the block one
+    bidegree down).  With d1^2 = 0 that gives im d_in = ker d_out: eta is
+    an acyclic matching with no critical cells (Forman, Adv. Math. 134,
+    1998; Skoldberg, Trans. AMS 358, 2006).  Per bidegree, ``rank_out``
+    counts the extendable elements, ``rank_in`` the unextendable ones, and
+    ``exact`` says that they add up to ``dim``.  A term of an image outside
+    BTS is an ``off_basis`` counterexample, a break in the matching an
+    ``eta`` one.  Reports write J and A as index tuples.
     """
     if n < 2:
         raise ValueError("the double complex is set up for n >= 2")
@@ -279,34 +256,61 @@ def exactness_check(n: int) -> dict:
     found = report["counterexamples"]
     for key, once in images.items():
         J, A = _report_key(key)
-        if d1(once, n, memo):
+        twice: TS = {}
+        for term, c in once.items():
+            image = images[term] if term in images else d1({term: 1}, n, memo)
+            for t, ct in image.items():
+                twice[t] = twice.get(t, 0) + c * ct
+        if any(twice.values()):
             report["d1_squared_zero"] = False
             found.append({"kind": "d1_squared", "J": J, "A": A})
         found += [{"kind": "off_basis", "J": J, "A": A,
                    "term": _report_key(term)}
                   for term in once if term not in images]
 
-    report["bidegrees"] = _bidegree_exactness(bts_by_bidegree(n), images)
-    found += [{"kind": "homology", "bidegree": bidegree}
-              for bidegree, info in report["bidegrees"].items()
-              if not info["exact"]]
-    report["triangular_failures"] = triangular_failures(n, images)
-    # each failed check has left a counterexample or a triangular failure
+    classes = {key: classify_bts(*key, n) for key in images}
+    found += matching_failures(classes)
+    for bidegree, basis in sorted(bts_by_bidegree(n).items()):
+        statuses = [classes[key].status for key in basis]
+        rank_in = statuses.count("unextendable")
+        rank_out = statuses.count("extendable")
+        report["bidegrees"][bidegree] = {
+            "dim": len(basis), "rank_in": rank_in, "rank_out": rank_out,
+            "exact": rank_in + rank_out == len(basis)}
+    report["triangular_failures"] = triangular_failures(images, classes)
+    # a count is inexact only at a status other than the two: an eta failure
     report["all_exact"] = not (found or report["triangular_failures"])
     return report
 
 
-def triangular_failures(n: int, images) -> list[dict]:
-    """Extendable elements whose d1 image is not +-partner plus lower terms.
+def matching_failures(classes: dict[Key, EtaClassification]) -> list[dict]:
+    """``eta`` counterexamples: each basis element (J, A) whose partner
+    (``classes`` maps each element to its ``classify_bts``) is outside BTS,
+    has the same status, has another partner, or is not x_J e_B with
+    |B| = |A| + 1 (extendable) or |A| - 1 (unextendable)."""
+    failures = []
+    for (J, A), cls in classes.items():
+        K, B = cls.partner
+        mate = classes.get(cls.partner)
+        step = 1 if cls.status == "extendable" else -1
+        if mate is None or mate.partner != (J, A) or K != J or \
+                B.bit_count() != A.bit_count() + step or \
+                {cls.status, mate.status} != {"extendable", "unextendable"}:
+            failures.append({"kind": "eta", "J": _indices(J),
+                             "A": _indices(A), "status": cls.status,
+                             "partner": _report_key(cls.partner)})
+    return failures
 
-    Lower is with respect to the order x_J e_A < x_K e_B iff J < K, or
-    J = K and A > B.  An empty list certifies the triangularity that,
-    together with the eta bijection, forces H(TS**, d1) = 0.  ``images``
-    maps (J, A) to d1(x_J e_A); a failure writes its keys as index tuples.
+
+def triangular_failures(images, classes) -> list[dict]:
+    """Extendable elements whose d1 image is not +-eta plus lower terms.
+
+    Lower is in the order x_J e_A < x_K e_B iff J < K, or J = K and A > B.
+    ``images`` and ``classes`` map (J, A) to d1(x_J e_A) and to its
+    ``classify_bts``; a failure writes its keys as index tuples.
     """
     failures = []
-    for J, A in enumerate_bts(n):
-        cls = classify_bts(J, A, n)
+    for (J, A), cls in classes.items():
         if cls.status != "extendable":
             continue
         img = images[(J, A)]

@@ -174,12 +174,12 @@ def test_criterion_09_mvss():
         assert rep["all_exact"], rep["counterexamples"]
     for n in (2, 3, 4):
         images = {(J, A): d1({(J, A): 1}, n) for J, A in enumerate_bts(n)}
-        assert triangular_failures(n, images) == []
+        classes = {(J, A): classify_bts(J, A, n)
+                   for J, A in enumerate_bts(n)}
+        assert triangular_failures(images, classes) == []
         # the pairing matches extendable and unextendable elements
-        partner = {}
-        for (J, A) in enumerate_bts(n):
-            cls = classify_bts(J, A, n)
-            partner[(J, A)] = (cls.status, cls.partner)
+        partner = {key: (cls.status, cls.partner)
+                   for key, cls in classes.items()}
         for (J, A), (status, mate) in partner.items():
             back_status, back = partner[mate]
             assert back == (J, A)

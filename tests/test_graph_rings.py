@@ -20,7 +20,7 @@ from kslab.graph_rings import (
     structure_ranks,
     tensor_ranks,
 )
-from kslab.graphs import BiGraph, make_standard, quotient
+from kslab.graphs import BiGraph, bfs, make_standard, quotient
 from kslab.intlinalg import quotient_structure
 from kslab.springer import hilbert_ranks
 from test_mvss import _broken_pinch_substitution
@@ -53,6 +53,28 @@ def walk_variables(G: BiGraph, walk):
 def walk_relations(G: BiGraph, walk) -> list[dict[int, int]]:
     """Nonzero t-coefficients of r(t) - 1 along a closed walk of G."""
     return [c for c in r_masks(*walk_variables(G, walk))[1:] if c]
+
+
+def fundamental_walks(G: BiGraph) -> list[tuple]:
+    """The fundamental cycles of ``cycle_relations``, one closed walk per
+    non-tree edge {a, b} in positive-edge order: from a up the BFS tree to
+    the lowest common ancestor, then down to b."""
+    parent, _ = bfs(G.adjacency, G.vertices[0])
+
+    def to_root(v):
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    walks = []
+    for a, b in G.positive_edges():
+        if parent[a] != b and parent[b] != a:
+            up_a, up_b = to_root(a), to_root(b)
+            top = next(v for v in up_a if v in up_b)
+            walks.append(tuple(up_a[:up_a.index(top) + 1]
+                               + up_b[:up_b.index(top)][::-1]))
+    return walks
 
 
 def directed_simple_cycles(G: BiGraph) -> list[tuple]:
@@ -107,15 +129,13 @@ def oracle_graded_structure(G):
 
 def presentation(m: int, relations) -> GraphRingPresentation:
     """A bare presentation over E(1..m) of the ExtElements ``relations``."""
-    return GraphRingPresentation(m, [to_masks(rel) for rel in relations],
-                                 [()] * len(relations))
+    return GraphRingPresentation(m, [to_masks(rel) for rel in relations])
 
 
 def adjoin(G, extra) -> GraphRingPresentation:
     """The presentation of S(G) (or ``G`` itself) with ``extra`` appended."""
     pres = G if isinstance(G, GraphRingPresentation) else cycle_relations(G)
-    return GraphRingPresentation(pres.nvars, pres.relations + list(extra),
-                                 pres.provenance + [()] * len(extra))
+    return GraphRingPresentation(pres.nvars, pres.relations + list(extra))
 
 
 ORACLE_GRAPHS = {"C2": make_standard("C", 2), "C3": make_standard("C", 3),
@@ -145,17 +165,21 @@ def test_c2_relations_are_sigmas():
 
 def test_theta_graph_cycle_classes():
     G = make_standard("theta")
-    pres = cycle_relations(G)
+    walks = fundamental_walks(G)
     basis_size = len(G.edges) - len(G.vertices) + 1
-    assert len({tuple(sorted(p)) for p in pres.provenance}) == basis_size == 2
+    assert len({tuple(sorted(w)) for w in walks}) == len(walks) == \
+        basis_size == 2
 
 
 def test_spanning_tree_grows_in_positive_edge_order():
     # the relation order decides which variables the unit elimination
     # solves for; K_{3,3}'s tree is the star at 0 with 1 and 2 below 3
-    pres = cycle_relations(make_standard("K33"))
-    assert list(dict.fromkeys(pres.provenance)) == [
+    assert fundamental_walks(make_standard("K33")) == [
         (1, 3, 0, 4), (1, 3, 0, 5), (2, 3, 0, 4), (2, 3, 0, 5)]
+    for G in ORACLE_GRAPHS.values():
+        assert cycle_relations(G).relations == [
+            rel for walk in fundamental_walks(G)
+            for rel in walk_relations(G, walk)]
 
 
 def test_oracle_enumerates_the_old_presentation():
@@ -182,7 +206,7 @@ def test_cycle_basis_generates_all_cycle_relations(name):
 def test_reversed_basis_cycles_add_nothing(name):
     G = ORACLE_GRAPHS[name]
     pres = cycle_relations(G)
-    reversed_walks = {tuple(reversed(p)) for p in pres.provenance}
+    reversed_walks = [walk[::-1] for walk in fundamental_walks(G)]
     extended = adjoin(pres, [rel for walk in reversed_walks
                              for rel in walk_relations(G, walk)])
     assert graded_structure(extended) == graded_structure(pres) == \
@@ -240,7 +264,7 @@ def test_degenerate_cycles_add_nothing():
     G = make_standard("C", 2)
     pres = cycle_relations(G)
     extra = []
-    for cyc in {tuple(p) for p in pres.provenance}:
+    for cyc in fundamental_walks(G):
         variables, signs = walk_variables(G, list(cyc))
         extra.extend(c for c in r_masks(variables * 2, signs * 2)[1:] if c)
     extended = adjoin(pres, extra)
@@ -345,7 +369,7 @@ def pinched_presentation(n: int, A) -> GraphRingPresentation:
     relations = [dict.fromkeys(map(sum, combinations(bits, k)), 1)
                  for k in range(1, 2 * n + 1)]
     relations += [{1 << (i - 1): 1, 1 << i: 1} for i in sorted(A)]
-    return GraphRingPresentation(2 * n, relations, [()] * len(relations))
+    return GraphRingPresentation(2 * n, relations)
 
 
 def test_pinched_rings_match_the_2n_variable_presentation():

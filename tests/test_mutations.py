@@ -5,7 +5,8 @@ runs one subcommand through ``cli.main``; a function may have a row per
 subcommand (``_row_ids`` keeps the test ids apart).  The run must exit 1 (a
 falsifier), never 0 (the mutant went unseen), 2 (bad input) or 3 (an
 internal error), and the report must name a counterexample under the
-row's key.  Every row also runs unpatched first and must exit 0 there.
+row's key; a string part after a list keeps the entries of that kind.
+Every row also runs unpatched first and must exit 0 there.
 """
 
 import importlib
@@ -13,10 +14,11 @@ import json
 
 import pytest
 
-from kslab import cli, springer
+from kslab import cli, mvss, springer
 from test_mvss import _broken_pinch_substitution
 
 _right_mu_of = springer.mu_of
+_right_classify_bts = mvss.classify_bts
 
 
 def _crossing_mu_of(K, two_n):
@@ -49,6 +51,14 @@ def _violation_off_by_one(mask, two_n):
     return 0
 
 
+def _eta_off_by_one_bit(J, A, n):
+    """classify_bts with eta adding e_(q+1) in place of e_q."""
+    cls = _right_classify_bts(J, A, n)
+    if cls.status == "extendable":
+        cls.partner = (J, A | (cls.partner[1] & ~A) << 1)
+    return cls
+
+
 def _in_no_xni(F, i, n, q):
     """X(n, i) empty: no flag has t W_(i+1) = W_(i-1)."""
     return False
@@ -70,6 +80,8 @@ MUTANTS = [
      ("one_step_a", "violations")),
     ("flags", "in_xni", _in_no_xni, ["flags", "--n", "2", "--op", "cover"],
      ("uncovered_by_xni",)),
+    ("mvss", "classify_bts", _eta_off_by_one_bit, ["mvss", "--n", "3"],
+     ("counterexamples", "eta")),
 ]
 
 
@@ -99,5 +111,6 @@ def test_mutant_exits_1_with_a_counterexample(module, name, mutant, argv,
     assert cli.main(argv) == 1
     report = json.loads(out.read_text())
     for part in key:
-        report = report[part]
+        report = [c for c in report if c["kind"] == part] \
+            if isinstance(report, list) else report[part]
     assert report

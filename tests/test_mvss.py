@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import os
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from kslab.mvss import (
     enumerate_bts,
     exactness_check,
     is_bts,
+    matching_failures,
     triangular_failures,
     ts_normal_form,
 )
@@ -253,13 +255,20 @@ def d1_images(n):
     return {(J, A): d1({(J, A): 1}, n) for J, A in enumerate_bts(n)}
 
 
+def classes_of(n):
+    return {(J, A): classify_bts(J, A, n) for J, A in enumerate_bts(n)}
+
+
 def test_triangularity_n4():
-    assert triangular_failures(4, d1_images(4)) == []
+    assert triangular_failures(d1_images(4), classes_of(4)) == []
 
 
 def _bidegree_exactness_oracle(groups, image):
-    """The old per-bidegree check: d1 recomputed on demand, and each
-    matrix reduced twice (rank for its source, SNF for its target)."""
+    """Integral exactness per bidegree by Smith normal forms, the oracle
+    of the eta matching: d1 recomputed on demand, and each matrix reduced
+    twice (rank for its source, SNF for its target).  The complex is exact
+    at (p, j) iff rank(d_in) + rank(d_out) = dim and every elementary
+    divisor of d_in is 1; terms outside the target basis are dropped."""
     matrices = {}
     for (p, j), source in groups.items():
         col = {key: i for i, key in enumerate(groups.get((p + 1, j), []))}
@@ -280,7 +289,8 @@ def _bidegree_exactness_oracle(groups, image):
 
 
 def _exactness_check_oracle(n):
-    """exactness_check recomputing d1 for each of its three checks."""
+    """exactness_check recomputing d1 for each of its checks, with the
+    bidegree table from Smith normal forms in place of the matching."""
     report = {"n": n, "bidegrees": {}, "d1_squared_zero": True,
               "triangular_failures": [], "counterexamples": [],
               "all_exact": True}
@@ -296,7 +306,8 @@ def _exactness_check_oracle(n):
             report["all_exact"] = False
             report["counterexamples"].append(
                 {"kind": "homology", "bidegree": (p, j)})
-    report["triangular_failures"] = triangular_failures(n, d1_images(n))
+    report["triangular_failures"] = triangular_failures(d1_images(n),
+                                                        classes_of(n))
     if report["triangular_failures"] or not report["d1_squared_zero"]:
         report["all_exact"] = False
     return report
@@ -334,14 +345,80 @@ def _two_sets_oracle():
 
 
 def test_exactness_check_matches_recomputing_oracle():
-    for n in (2, 3):
+    # whole reports: every bidegree's counts against the SNF ranks
+    for n in (2, 3, 4):
         assert exactness_check(n) == _exactness_check_oracle(n)
+
+
+@pytest.mark.skipif(os.environ.get("KRL_LARGE") != "1",
+                    reason="set KRL_LARGE=1 to run")
+def test_exactness_check_matches_recomputing_oracle_n5():
+    assert exactness_check(5) == _exactness_check_oracle(5)
+
+
+def test_matching_failures_name_each_break():
+    n = 3
+    classes = classes_of(n)
+    assert matching_failures(classes) == []
+    x = next(key for key, cls in classes.items()
+             if cls.status == "extendable")
+    y = classes[x].partner
+    # eta(x) outside BTS (e_2n): x and its old partner y fail, in basis
+    # order, and nothing raises
+    outside = (x[0], x[1] | 1 << (2 * n - 1))
+    classes[x] = mvss.EtaClassification("extendable", outside)
+    assert matching_failures(classes) == [
+        {"kind": "eta", "J": idx(x[0]), "A": idx(x[1]),
+         "status": "extendable", "partner": (idx(x[0]), idx(outside[1]))},
+        {"kind": "eta", "J": idx(y[0]), "A": idx(y[1]),
+         "status": "unextendable", "partner": (idx(x[0]), idx(x[1]))}]
+    # two unextendable partners of each other: the status breaks
+    classes = classes_of(n)
+    classes[x] = mvss.EtaClassification("unextendable", y)
+    assert {(f["J"], f["A"]) for f in matching_failures(classes)} == \
+        {(idx(x[0]), idx(x[1])), (idx(y[0]), idx(y[1]))}
+    # mutual partners that skip a bidegree or change J
+    E = mvss.EtaClassification
+    for partner in ((0, m(1, 2)), (m(1), m(1))):
+        pair = {(0, 0): E("extendable", partner),
+                partner: E("unextendable", (0, 0))}
+        assert [(f["J"], f["A"]) for f in matching_failures(pair)] == \
+            [((), ()), (idx(partner[0]), idx(partner[1]))]
+
+
+def test_d1_squared_sums_images_off_the_basis(monkeypatch):
+    # under the broken relation images leave BTS; d1 o d1 summed from the
+    # stored images, d1 recomputed off the basis, is d1 applied twice
+    monkeypatch.setattr(mvss, "pinch_substitution",
+                        _broken_pinch_substitution)
+    n = 2
+    twice = [{"kind": "d1_squared", "J": idx(J), "A": idx(A)}
+             for J, A in enumerate_bts(n) if d1(d1({(J, A): 1}, n), n)]
+    report = exactness_check(n)
+    assert len(twice) == 4 and report["d1_squared_zero"] is False
+    assert [c for c in report["counterexamples"]
+            if c["kind"] == "d1_squared"] == twice
+
+
+def test_an_unmatched_unextendable_element_breaks_exactness(monkeypatch):
+    # a classification with no extendable element leaves every triangle
+    # unchecked and every count adding up; only the zeta side sees it
+    def all_unextendable(J, A, n):
+        return mvss.EtaClassification("unextendable", (J, A & (A - 1)))
+
+    monkeypatch.setattr(mvss, "classify_bts", all_unextendable)
+    report = exactness_check(2)
+    assert report["triangular_failures"] == []
+    assert all(info["exact"] for info in report["bidegrees"].values())
+    assert {c["kind"] for c in report["counterexamples"]} == {"eta"}
+    assert len(report["counterexamples"]) == 28
+    assert report["all_exact"] is False
 
 
 def test_a_triangular_failure_alone_breaks_exactness(monkeypatch):
     failure = {"J": (), "A": (), "image": {}}
     monkeypatch.setattr(mvss, "triangular_failures",
-                        lambda n, images: [failure])
+                        lambda images, classes: [failure])
     report = exactness_check(2)
     assert report["counterexamples"] == []
     assert report["triangular_failures"] == [failure]
@@ -350,18 +427,18 @@ def test_a_triangular_failure_alone_breaks_exactness(monkeypatch):
 
 def test_triangular_failures_reads_the_images():
     n = 3
-    images = d1_images(n)
-    assert triangular_failures(n, images) == []
+    images, classes = d1_images(n), classes_of(n)
+    assert triangular_failures(images, classes) == []
     # a wrong image is reported, so the images are really read
-    J, A = next(key for key in enumerate_bts(n)
-                if classify_bts(*key, n).status == "extendable")
+    J, A = next(key for key, cls in classes.items()
+                if cls.status == "extendable")
     images[(J, A)] = {}
-    assert triangular_failures(n, images) == [
+    assert triangular_failures(images, classes) == [
         {"J": idx(J), "A": idx(A), "image": {}}]
     # a term not lower than the partner is reported, written on tuples
-    lead = classify_bts(J, A, n).partner
+    lead = classes[(J, A)].partner
     images[(J, A)] = {lead: 1, (J, 0): 2}
-    assert triangular_failures(n, images) == [
+    assert triangular_failures(images, classes) == [
         {"J": idx(J), "A": idx(A),
          "image": {(idx(J), idx(lead[1])): 1, (idx(J), ()): 2}}]
 
