@@ -327,12 +327,12 @@ def cmd_cohomology(args):
     rep = topology.compare_with_S(G, budget=args.budget, model=model,
                                   complex_=complex_)
     if complex_ is not None:
+        vertices, levels = complex_
+        names = ["(" + ",".join(str(x) for x in v) + ")" for v in vertices]
         with open(args.export, "w") as fh:
-            for level in complex_:
+            for level in levels:
                 for simplex in level:
-                    fh.write(" ".join(
-                        "(" + ",".join(str(x) for x in v) + ")"
-                        for v in simplex) + "\n")
+                    fh.write(" ".join(names[i] for i in simplex) + "\n")
     return rep, rep["match"]
 
 

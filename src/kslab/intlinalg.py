@@ -59,11 +59,14 @@ from math import gcd
 
 
 def _to_sparse_rows(rows, ncols):
+    """Checked copies of the rows (the echelon pass edits them in place),
+    with their zero entries dropped."""
     out = []
     for r in rows:
         if r and (min(r) < 0 or max(r) >= ncols):
             raise ValueError("row column outside 0..ncols-1")
-        out.append({c: v for c, v in r.items() if v})
+        out.append({c: v for c, v in r.items() if v}
+                   if 0 in r.values() else dict(r))
     return out
 
 

@@ -255,18 +255,25 @@ def exactness_check(n: int) -> dict:
     images = {key: d1({key: 1}, n, memo) for key in enumerate_bts(n)}
     found = report["counterexamples"]
     for key, once in images.items():
-        J, A = _report_key(key)
         twice: TS = {}
+        off_basis = []
         for term, c in once.items():
-            image = images[term] if term in images else d1({term: 1}, n, memo)
+            image = images.get(term)
+            if image is None:
+                image = d1({term: 1}, n, memo)
+                off_basis.append(term)
             for t, ct in image.items():
                 twice[t] = twice.get(t, 0) + c * ct
-        if any(twice.values()):
+        squared = any(twice.values())
+        if not (squared or off_basis):
+            continue
+        # the index tuples are built only for a counterexample
+        J, A = _report_key(key)
+        if squared:
             report["d1_squared_zero"] = False
             found.append({"kind": "d1_squared", "J": J, "A": A})
         found += [{"kind": "off_basis", "J": J, "A": A,
-                   "term": _report_key(term)}
-                  for term in once if term not in images]
+                   "term": _report_key(term)} for term in off_basis]
 
     classes = {key: classify_bts(*key, n) for key in images}
     found += matching_failures(classes)

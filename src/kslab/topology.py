@@ -25,11 +25,24 @@ Every chain of P has at most three elements, so for the octahedron the
 rule never fires and the power is the order complex of P^c; for the
 4-vertex chain it removes exactly the missing face {0, 1, 2, 3} of the
 boundary of the 3-simplex (the staircase triangulation).
-``staircase_product_complex`` is the only code that enumerates these
-chains, and ``y_complex`` the only code that unions their pull-backs.
 A coordinatewise homotopy equivalence of the two sphere models commutes
 with every diagonal, so the two unions are homotopy equivalent and have
 the same cohomology.
+
+Everything is built on integer vertex ids.  ``staircase_product_complex``
+is the only code that enumerates these chains: a chain is a tuple of
+indices into ``product(elements, repeat=c)``, and the rule is kept as a
+step count per coordinate.  ``y_complex`` is the only code that unions
+their pull-backs: it returns ``(vertices, levels)``, where ``vertices``
+is the sorted list of the vertex tuples of Y(G) and each simplex is a
+tuple of indices into it.  It maps each power's indices to these through
+one list.  Both numberings are monotone: ``product`` lists the c-tuples
+in lex order, and ``vertices`` is sorted.  So a chain of indices sorts
+where its chain of vertex tuples would, every level is in the order that
+sorting the vertex tuples gives, and each coboundary matrix below has
+the same rows and columns in the same order.  Its SNF then takes the
+same pivots and clears the same rows.  The vertex tuples are read back
+only to report ``len(vertices)`` and to write ``--export``.
 
 Cohomology is computed from the simplices: the coboundary matrices are
 fed to the exact Smith-normal-form engine, in increasing degree and
@@ -127,41 +140,54 @@ def staircase_product_complex(c: int, model: str = "small"):
 
     Simplices are the chains of vertex c-tuples, strictly increasing in
     the componentwise order, that take at most three distinct values in
-    every coordinate (see the module docstring).  Its size is
-    ``staircase_f_vector(c, model)``, which ``y_complex`` checks against
-    the budget before it asks for any power.
+    every coordinate (see the module docstring).  A chain is a tuple of
+    indices into ``product(elements, repeat=c)``, in lex order, so each
+    level is sorted.  Its size is ``staircase_f_vector(c, model)``, which
+    ``y_complex`` checks against the budget before it asks for any power.
+
+    A coordinate's values along a chain climb a chain of the vertex
+    poset, so it takes at most three values iff it steps at most twice.
+    Each chain carries two bitmasks, the coordinates that have stepped
+    at least once and at least twice, and an extension may not step a
+    coordinate of the second.
 
     Memoised, since ``y_complex`` asks for it once per folding; the
     levels are tuples so that no caller can alter the cached value.
     """
     elements, leq = _sphere_model(model)
     vertices = list(product(elements, repeat=c))
-    above = {v: [w for w in vertices if w != v and all(map(leq, v, w))]
-             for v in vertices}
-    levels: list[tuple[tuple, ...]] = []
-    frontier = [(v,) for v in vertices]
+    # above[i]: each index j above vertex i, with the coordinates that step
+    above = [[(j, sum(1 << t for t, (x, y) in enumerate(zip(v, w))
+                      if x != y))
+              for j, w in enumerate(vertices)
+              if j != i and all(map(leq, v, w))]
+             for i, v in enumerate(vertices)]
+    levels: list[tuple[tuple[int, ...], ...]] = []
+    # (chain, stepped once, stepped twice); extending a lex-sorted level
+    # in increasing order of the new index keeps the next one sorted
+    frontier = [((i,), 0, 0) for i in range(len(vertices))]
     while frontier:
-        levels.append(tuple(sorted(frontier)))
-        nxt = []
-        for chain in frontier:
-            used = [set(col) for col in zip(*chain)]
-            for w in above[chain[-1]]:
-                if all(len(u | {x}) <= 3 for u, x in zip(used, w)):
-                    nxt.append(chain + (w,))
-        frontier = nxt
+        levels.append(tuple(chain for chain, _, _ in frontier))
+        frontier = [(chain + (j,), once | steps, twice | (once & steps))
+                    for chain, once, twice in frontier
+                    for j, steps in above[chain[-1]] if not steps & twice]
     return tuple(levels)
 
 
 def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET,
               model: str = "octahedron"):
-    """The simplicial model of Y(G) over a sphere model, by dimension.
+    """The simplicial model of Y(G) over a sphere model: ``(vertices,
+    levels)``.
 
-    Each tree folding contributes its sphere power, pulled back along
-    the map from positive edges to folding classes; the model is the
-    union of these subcomplexes.  Refuses, before building anything,
-    when the sphere powers hold more than ``budget`` simplices in all
-    (``staircase_f_vector``).  Each power is pulled back through a map
-    on its vertices, so a chain maps vertex by vertex.
+    ``vertices`` is the sorted list of the vertex tuples of Y(G), and
+    ``levels[k]`` the sorted list of its k-simplices, each a tuple of
+    indices into ``vertices``.  Each tree folding contributes its sphere
+    power, pulled back along the map from positive edges to folding
+    classes; the model is the union of these subcomplexes.  Refuses,
+    before building anything, when the sphere powers hold more than
+    ``budget`` simplices in all (``staircase_f_vector``).  Each power is
+    pulled back through one list that maps its vertex indices to those
+    of ``vertices``, so a chain maps index by index.
     """
     edges = G.positive_edges()
     pulls = []  # per folding: its class count, and each edge's class
@@ -174,16 +200,20 @@ def y_complex(G: BiGraph, budget: int = SIMPLEX_BUDGET,
     if total > budget:
         raise ValueError("Y-complex exceeds the simplex budget "
                          f"({total} > {budget})")
-    levels: list[set[tuple]] = []
-    for c, pull in pulls:
-        power = staircase_product_complex(c, model)
-        vmap = {v: tuple(v[i] for i in pull) for (v,) in power[0]}
-        for k, level in enumerate(power):
+    elements = _sphere_model(model)[0]
+    images = [[tuple(v[i] for i in pull)
+               for v in product(elements, repeat=c)] for c, pull in pulls]
+    vertices = sorted(set().union(*images))
+    position = {v: i for i, v in enumerate(vertices)}
+    levels: list[set[tuple[int, ...]]] = []
+    for (c, _), image in zip(pulls, images):
+        vmap = [position[v] for v in image]
+        for k, level in enumerate(staircase_product_complex(c, model)):
             if k == len(levels):
                 levels.append(set())
             levels[k].update(tuple(map(vmap.__getitem__, chain))
                              for chain in level)
-    return [sorted(level) for level in levels]
+    return vertices, [sorted(level) for level in levels]
 
 
 # ``perfbench/spans.py`` traces this name, so it stays as a delegate.
@@ -218,27 +248,35 @@ def f_vector(simplices) -> tuple[int, ...]:
     return tuple(len(s) for s in simplices)
 
 
-def euler_characteristic(simplices) -> int:
-    return sum((-1) ** k * len(s) for k, s in enumerate(simplices))
-
-
 def coboundary_rows(simplices, k: int, cleared=()):
     """Matrix of delta: C^k -> C^(k+1) as rows over the (k+1)-simplex basis.
 
     The rows of the k-simplices whose indices are in ``cleared`` are left
-    out; the other rows keep their order.
+    out; the other rows keep their order.  Faces are looked up in one
+    dict from the k-simplices to their rows, so a face of a (k+1)-simplex
+    that is not in level k raises ``ValueError``: the levels are not a
+    complex.
     """
     if k + 1 >= len(simplices):
         return [], 0
-    skip = set(cleared)
-    rows: dict[tuple, dict[int, int]] = {
-        s: {} for i, s in enumerate(simplices[k]) if i not in skip}
-    for j, tau in enumerate(simplices[k + 1]):
-        for i in range(len(tau)):
-            row = rows.get(tau[:i] + tau[i + 1:])
-            if row is not None:
-                row[j] = row.get(j, 0) + (-1) ** i
-    return list(rows.values()), len(simplices[k + 1])
+    rows: dict[tuple, dict[int, int]] = {s: {} for s in simplices[k]}
+    sink: dict[int, int] = {}          # takes the entries of cleared rows
+    for i in cleared:
+        rows[simplices[k][i]] = sink
+    upper = simplices[k + 1]
+    cols = list(range(len(upper)))     # one int per column, shared by its rows
+    for i in range(k + 2):
+        # face i of each (k+1)-simplex; a slice keeps an edge's faces tuples
+        face = operator.itemgetter(*(t for t in range(k + 2) if t != i)) \
+            if k else operator.itemgetter(slice(1 - i, 2 - i))
+        sign = -1 if i % 2 else 1
+        try:
+            for j, row in zip(cols, map(rows.__getitem__, map(face, upper))):
+                row[j] = sign
+        except KeyError as exc:
+            raise ValueError(f"face {exc.args[0]} of a {k + 1}-simplex is "
+                             f"not a {k}-simplex") from None
+    return [row for row in rows.values() if row is not sink], len(upper)
 
 
 def integral_cohomology(simplices) -> list[tuple[int, list[int]]]:
@@ -312,11 +350,11 @@ def compare_with_S(G: BiGraph, budget: int = SIMPLEX_BUDGET,
         route = "product"
         y_size = 6 ** k
     else:
-        if complex_ is None:
-            complex_ = y_complex(G, budget, model)
+        vertices, levels = complex_ if complex_ is not None \
+            else y_complex(G, budget, model)
         route = "direct-small" if model == "small" else "direct"
-        y_size = len(complex_[0])
-        h = integral_cohomology(complex_)
+        y_size = len(vertices)
+        h = integral_cohomology(levels)
     s_structure = graded_structure(G)
     s_ranks = structure_ranks(s_structure)
     h = h + [(0, [])] * max(0, 2 * len(s_ranks) - len(h))

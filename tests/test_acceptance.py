@@ -188,7 +188,7 @@ def test_criterion_09_mvss():
 
 def test_criterion_10_topology_vs_algebra():
     # runtime cap: 5 min
-    cx = y_complex(make_standard("C", 2))
+    _, cx = y_complex(make_standard("C", 2))
     assert integral_cohomology(cx) == [(1, []), (0, []), (3, []), (0, []),
                                        (2, [])]
     rep = compare_with_S(make_standard("C", 2))

@@ -34,7 +34,6 @@ ORACLES = {
     "folding_to_ncm": "the inverse of ncm_to_folding",
     "canonical_form": "isomorphism invariant, to be replaced by a true "
                       "canonical form (ROADMAP)",
-    "euler_characteristic": "chi(Y(C(n))) = C(2n, n) against the complexes",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -10,9 +10,10 @@ from kslab.graphs import BiGraph, enumerate_tree_foldings, make_standard, \
 from kslab.intlinalg import snf_invariants
 from kslab.topology import (
     OCT_ELEMENTS,
+    SPHERE_MODELS,
+    TET_VERTICES,
     compare_with_S,
     coboundary_rows,
-    euler_characteristic,
     f_vector,
     integral_cohomology,
     oct_leq,
@@ -26,6 +27,23 @@ from kslab.topology import (
 )
 
 run_large = os.environ.get("KRL_LARGE") == "1"
+
+
+def euler_characteristic(simplices) -> int:
+    return sum((-1) ** k * len(s) for k, s in enumerate(simplices))
+
+
+def _levels(G, model="octahedron"):
+    """The simplices of ``y_complex(G, model=model)``, by dimension."""
+    return y_complex(G, model=model)[1]
+
+
+def _decoded(complex_):
+    """The levels of a ``(vertices, levels)`` pair, as chains of vertex
+    tuples."""
+    vertices, levels = complex_
+    return [[tuple(vertices[i] for i in s) for s in level]
+            for level in levels]
 
 
 def test_octahedron_poset():
@@ -51,7 +69,7 @@ def test_octahedron_complex_is_a_two_sphere():
 
 
 def test_coboundary_squares_to_zero():
-    cx = y_complex(make_standard("C", 2))
+    cx = _levels(make_standard("C", 2))
     for k in range(len(cx) - 2):
         rows_k, _ = coboundary_rows(cx, k)
         rows_k1, ncols = coboundary_rows(cx, k + 1)
@@ -64,14 +82,15 @@ def test_coboundary_squares_to_zero():
 
 
 def test_y_c1_is_the_octahedron():
-    cx = y_complex(make_standard("C", 1))
+    cx = _levels(make_standard("C", 1))
     assert f_vector(cx) == (6, 12, 8)
     assert integral_cohomology(cx) == [(1, []), (0, []), (1, [])]
 
 
 def test_y_c2_frozen_values():
     G = make_standard("C", 2)
-    cx = y_complex(G)
+    vertices, cx = y_complex(G)
+    assert len(vertices) == 66
     assert f_vector(cx) == (66, 564, 1656, 1920, 768)
     assert euler_characteristic(cx) == 6
     assert integral_cohomology(cx) == [(1, []), (0, []), (3, []), (0, []),
@@ -80,8 +99,8 @@ def test_y_c2_frozen_values():
 
 def test_euler_characteristic_is_central_binomial():
     # chi(Y(C(n))) = C(2n, n)
-    assert euler_characteristic(y_complex(make_standard("C", 1))) == 2
-    assert euler_characteristic(y_complex(make_standard("C", 2))) == 6
+    assert euler_characteristic(_levels(make_standard("C", 1))) == 2
+    assert euler_characteristic(_levels(make_standard("C", 2))) == 6
 
 
 def test_tree_product_cohomology():
@@ -97,7 +116,7 @@ def test_tree_product_cohomology():
 
 def test_tree_direct_matches_product():
     for G, k in ((make_standard("B"), 1), (make_standard("L", 1), 2)):
-        direct = integral_cohomology(y_complex(G))
+        direct = integral_cohomology(_levels(G))
         assert direct == tree_y_cohomology(k)
 
 
@@ -121,15 +140,66 @@ def test_staircase_memo_matches_a_fresh_build():
 
 def test_octahedral_power_is_the_order_complex_of_the_product():
     # the at-most-three-values rule never fires on the octahedron, so its
-    # sphere power is the order complex of P^c
+    # sphere power is the order complex of P^c, in the same index space
     for c in (1, 2):
         elements = list(product(OCT_ELEMENTS, repeat=c))
         oracle = order_complex(
             elements, lambda a, b: all(map(oct_leq, a, b)))
-        expected = tuple(
-            tuple(sorted(tuple(elements[i] for i in chain) for chain in level))
-            for level in oracle)
-        assert staircase_product_complex(c, "octahedron") == expected
+        assert staircase_product_complex(c, "octahedron") == \
+            tuple(map(tuple, oracle))
+
+
+def _staircase_by_sets(c, model):
+    """The oracle: the c-fold power as chains of vertex tuples, kept by
+    the set of values each coordinate has taken (at most three)."""
+    elements, leq = SPHERE_MODELS[model]
+    vertices = list(product(elements, repeat=c))
+    above = {v: [w for w in vertices if w != v and all(map(leq, v, w))]
+             for v in vertices}
+    levels = []
+    frontier = [(v,) for v in vertices]
+    while frontier:
+        levels.append(tuple(sorted(frontier)))
+        nxt = []
+        for chain in frontier:
+            used = [set(col) for col in zip(*chain)]
+            for w in above[chain[-1]]:
+                if all(len(u | {x}) <= 3 for u, x in zip(used, w)):
+                    nxt.append(chain + (w,))
+        frontier = nxt
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("model, top", [("small", 3), ("octahedron", 2)])
+def test_step_count_rule_matches_the_value_sets(model, top):
+    # index chains, decoded through product(elements, repeat=c), are the
+    # set-based chains in the same order: the index order is lex order
+    elements = SPHERE_MODELS[model][0]
+    for c in range(top + 1):
+        vertices = list(product(elements, repeat=c))
+        decoded = tuple(tuple(tuple(vertices[i] for i in chain)
+                              for chain in level)
+                        for level in staircase_product_complex(c, model))
+        assert decoded == _staircase_by_sets(c, model)
+
+
+def test_step_count_rule_hand_example():
+    # in the small model a coordinate may step at most twice: 0 < 1 < 2 < 3
+    # is the missing face, while two coordinates may each step twice
+    levels = staircase_product_complex(1, "small")
+    assert (0, 1, 2) in levels[2] and len(levels) == 3
+    index = {v: i for i, v in enumerate(product(TET_VERTICES, repeat=2))}
+    power = staircase_product_complex(2, "small")
+
+    def chain(*vs):
+        return tuple(index[v] for v in vs)
+
+    assert chain((0, 0), (1, 0), (2, 0), (2, 1), (2, 2)) in power[4]
+    base = ((0, 0), (1, 0), (2, 1), (2, 2))
+    assert chain(*base) in power[3]
+    # a third step in coordinate 0, then in coordinate 1
+    assert chain(*base, (3, 2)) not in power[4]
+    assert chain(*base, (2, 3)) not in power[4]
 
 
 def test_sphere_power_budget_and_model_checks():
@@ -137,7 +207,7 @@ def test_sphere_power_budget_and_model_checks():
     # checked by y_complex, here on the one-edge tree B, whose only
     # folding is itself
     B = make_standard("B")
-    assert f_vector(y_complex(B, 14, "small")) == (4, 6, 4)
+    assert f_vector(y_complex(B, 14, "small")[1]) == (4, 6, 4)
     with pytest.raises(ValueError, match="budget"):
         y_complex(B, 13, "small")
     with pytest.raises(ValueError, match="sphere model"):
@@ -179,7 +249,7 @@ def test_c4_large_refusal_builds_no_sphere_power(capsys):
 
 def _y_complex_per_chain(G, model):
     """The oracle: each folding's sphere power pulled back chain by chain,
-    with no budget."""
+    on vertex tuples, with no budget."""
     edges = G.positive_edges()
     levels = []
     for p in enumerate_tree_foldings(G):
@@ -187,7 +257,7 @@ def _y_complex_per_chain(G, model):
         fibre_key = [tuple(sorted((pmap[e[0]], pmap[e[1]]))) for e in edges]
         classes = sorted(set(fibre_key))
         pull = [classes.index(k) for k in fibre_key]
-        power = staircase_product_complex.__wrapped__(len(classes), model)
+        power = _staircase_by_sets(len(classes), model)
         for k, level in enumerate(power):
             if k == len(levels):
                 levels.append(set())
@@ -211,13 +281,46 @@ def _c2_relabelled():
 @pytest.mark.parametrize("graph", ["C2", "C2-relabelled"])
 def test_y_complex_matches_per_chain_pull_back(graph, model):
     G = make_standard("C", 2) if graph == "C2" else _c2_relabelled()
-    assert y_complex(G, model=model) == _y_complex_per_chain(G, model)
+    oracle = _y_complex_per_chain(G, model)
+    vertices, levels = y_complex(G, model=model)
+    assert vertices == [v for (v,) in oracle[0]]
+    assert _decoded((vertices, levels)) == oracle
+
+
+def _export_lines(levels):
+    """The ``--export`` format: one line per simplex, its vertex tuples
+    written as (a,b,...) and joined by spaces."""
+    return [" ".join("(" + ",".join(str(x) for x in v) + ")" for v in s)
+            for level in levels for s in level]
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_export_matches_the_per_chain_oracle(tmp_path, capsys, large):
+    out_file = tmp_path / "complex.txt"
+    flags = ["--large"] if large else []
+    assert main(["cohomology", "--graph", "C2", *flags,
+                 "--export", str(out_file)]) == 0
+    capsys.readouterr()
+    oracle = _y_complex_per_chain(make_standard("C", 2),
+                                  "small" if large else "octahedron")
+    assert out_file.read_text() == \
+        "".join(line + "\n" for line in _export_lines(oracle))
+
+
+def test_coboundary_refuses_a_missing_face():
+    # (0, 2) is a face of (0, 1, 2) that level 1 lacks
+    levels = [[(0,), (1,), (2,)], [(0, 1), (1, 2)], [(0, 1, 2)]]
+    assert coboundary_rows(levels, 0) == ([{0: -1}, {0: 1, 1: -1}, {1: 1}],
+                                          2)
+    with pytest.raises(ValueError, match="not a 1-simplex"):
+        coboundary_rows(levels, 1)
 
 
 def test_small_model_agrees_on_c2():
-    cx = y_small_complex(make_standard("C", 2))
+    vertices, cx = y_small_complex(make_standard("C", 2))
+    assert len(vertices) == 28
     assert f_vector(cx) == (28, 162, 428, 480, 192)
-    assert y_complex(make_standard("C", 2), model="small") == cx
+    assert y_complex(make_standard("C", 2), model="small") == (vertices, cx)
     assert euler_characteristic(cx) == 6
     assert integral_cohomology(cx) == [(1, []), (0, []), (3, []), (0, []),
                                        (2, [])]
@@ -229,7 +332,7 @@ def test_folding_subcomplexes_embed():
     from itertools import product as iproduct
 
     G = make_standard("C", 2)
-    union = [set(level) for level in y_complex(G)]
+    union = [set(level) for level in _decoded(y_complex(G))]
     edges = G.positive_edges()
     for p in enumerate_tree_foldings(G):
         pmap = partition_map(p)
@@ -277,7 +380,7 @@ def test_theta_euler_characteristic_agrees():
     from kslab.graph_rings import graded_structure, structure_ranks
     s_ranks = structure_ranks(graded_structure(make_standard("theta")))
     assert s_ranks[:4] == [1, 5, 8, 4]
-    cx = y_small_complex(make_standard("theta"))
+    cx = y_small_complex(make_standard("theta"))[1]
     assert f_vector(cx) == (196, 3414, 23396, 72000, 109440, 80640, 23040)
     assert euler_characteristic(cx) == sum(s_ranks)
 
@@ -357,10 +460,10 @@ def _oracle_cohomology(divisors, cx):
 
 CLEARING_CASES = {
     "octahedron": lambda: order_complex(OCT_ELEMENTS, oct_leq),
-    "oct-C1": lambda: y_complex(make_standard("C", 1)),
-    "oct-B": lambda: y_complex(make_standard("B")),
-    "oct-C2": lambda: y_complex(make_standard("C", 2)),
-    "small-C2": lambda: y_small_complex(make_standard("C", 2)),
+    "oct-C1": lambda: _levels(make_standard("C", 1)),
+    "oct-B": lambda: _levels(make_standard("B")),
+    "oct-C2": lambda: _levels(make_standard("C", 2)),
+    "small-C2": lambda: _levels(make_standard("C", 2), "small"),
     "staircase-1": lambda: staircase_product_complex(1),
     "staircase-2": lambda: staircase_product_complex(2),
     "rp2": _rp2,
@@ -401,7 +504,7 @@ def test_rp2_cases_have_two_torsion():
 
 
 def test_clearing_leaves_out_rows_and_keeps_order():
-    cx = y_small_complex(make_standard("C", 2))
+    cx = _levels(make_standard("C", 2), "small")
     full, ncols = coboundary_rows(cx, 1)
     kept, kept_ncols = coboundary_rows(cx, 1, [0, 5, 7])
     assert kept_ncols == ncols

@@ -45,20 +45,24 @@ def test_every_traced_name_exists_in_kslab():
 def test_tracer_counts_the_cleared_snf_rows():
     # small C(2) has f-vector (28, 162, 428, 480, 192): 1,098 coboundary
     # rows, less the 27 + 135 + 290 that the unit pivots of delta_0,
-    # delta_1 and delta_2 clear
+    # delta_1 and delta_2 clear.  Octahedral C(2), (66, 564, 1656, 1920,
+    # 768), feeds 2,488 of its 4,206 rows.  Both counts pin the clearing
     from kslab.graphs import make_standard
-    from kslab.topology import integral_cohomology, y_small_complex
+    from kslab.topology import integral_cohomology, y_complex
 
     spans = _load_spans()
-    cx = y_small_complex(make_standard("C", 2))
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        integral_cohomology(cx)
-    finally:
-        tracer.restore()
-    assert spans.leftover_wrappers() == []
-    assert tracer.counts["intlinalg.snf.rows_in"] == 646
+    for mod_name in spans.SPANS:           # install() wraps every module
+        importlib.import_module(f"kslab.{mod_name}")
+    for model, rows_in in (("small", 646), ("octahedron", 2488)):
+        _, cx = y_complex(make_standard("C", 2), model=model)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            integral_cohomology(cx)
+        finally:
+            tracer.restore()
+        assert spans.leftover_wrappers() == []
+        assert tracer.counts["intlinalg.snf.rows_in"] == rows_in
 
 
 def test_tracer_counts_the_graded_snf_rows():
