@@ -27,6 +27,18 @@ submodules with unit steps from 0 is a prefix of one, so the flag
 enumeration is the lattice's only source.  ``thin_invariants``,
 ``submodules`` and the flag children are memoised, as the ``fqlin``
 operations are: the scans meet the same submodules again and again.
+
+Two scans count where they could enumerate.  X(n, K) membership is a
+mask test: the pairs (i, tau_K(i) - 1) of all sparse K are collected
+once, each flag gets one bitmask of the pairs it balances, and F lies
+in X(n, K) iff K's mask of required pairs is inside it (the hits are
+memoised per bitmask).  The treelike lemma counts geodesic classes:
+for a pair (a, b), the x on an a-b geodesic fall into classes by
+d(a, x), a class of k vertices holds k^2 instances, and it passes by
+one zero-set mask test per vertex; only a pair with a failing class
+lists its instances (x, y), so violations keep their (a, b, x, y)
+order.  A check may carry such a weight, and ``_tally`` stays the one
+writer of a lemma's entry.
 """
 
 from __future__ import annotations
@@ -139,12 +151,6 @@ def enumerate_flags(n: int, q: int = 2):
     yield from walk([(n, n, (0,) * n)])
 
 
-def flag_is_valid(F, n: int, q: int) -> bool:
-    return len(F) == 2 * n + 1 and all(
-        dim(W, n) == i and (not i or contains(F[i - 1], t_image(W, n, q)))
-        for i, W in enumerate(F))
-
-
 def point_count_report(n: int, q: int, count: int) -> dict:
     """|X(n)(F_q)| = ``count`` next to sum_i rank H^{2i} q^i.
 
@@ -168,30 +174,55 @@ def in_xni(F, i: int, n: int, q: int) -> bool:
     return t_image(F[i + 1], n, q) == F[i - 1]
 
 
-def in_xnk(F, K, n: int, tau) -> bool:
-    """W in X(n,K): W_i/W_{tau(i)-1} balanced for every i not in K.
+def _xnk_membership(n: int, taus):
+    """The function F -> [K with F in X(n, K)], by balanced-pair masks.
 
-    ``tau`` is mu(K), which scans over many flags compute once per K.
+    F is in X(n, K) iff W_i / W_(tau(i)-1) is balanced for every i not
+    in K, tau = mu(K) (``taus`` maps each sparse K to it).  The distinct
+    pairs (i, tau(i) - 1) over all K are listed once, with each K's
+    mask of required pairs.  A flag gets one ``is_balanced`` call per
+    pair, into a mask, and K is hit iff its required mask lies inside;
+    the hits are memoised per mask (flags share few masks).
     """
-    for i in range(1, 2 * n + 1):
-        if i in K:
-            continue
-        if not is_balanced(F[i], F[tau[i - 1] - 1]):
-            return False
-    return True
+    index: dict[tuple[int, int], int] = {}
+    required = {}
+    for K, tau in taus.items():
+        mask = 0
+        for i in range(1, 2 * n + 1):
+            if i not in K:
+                k = index.setdefault((i, tau[i - 1] - 1), len(index))
+                mask |= 1 << k
+        required[K] = mask
+    bits = [(i, j, 1 << k) for (i, j), k in index.items()]
+    hits: dict[int, list] = {}
+
+    def members(F) -> list:
+        bal = 0
+        for i, j, bit in bits:
+            if is_balanced(F[i], F[j]):
+                bal |= bit
+        if bal not in hits:
+            hits[bal] = [K for K, req in required.items() if not req & ~bal]
+        return hits[bal]
+
+    return members
 
 
 def cover_scan(n: int, q: int = 2) -> dict:
-    """Check X(n) = union_{i<=n} X(n,i) = union_K X(n,K) over F_q points."""
-    sparse_sets = enumerate_sparse(2 * n, n)
+    """Check X(n) = union_{i<=n} X(n,i) = union_K X(n,K) over F_q points.
+
+    F is in X(n, K) iff the pairs K requires are all balanced, a mask
+    test (``_xnk_membership``).
+    """
+    taus = {K: mu_of(K, 2 * n) for K in enumerate_sparse(2 * n, n)}
+    xnk_members = _xnk_membership(n, taus)
     xni_counts = {i: 0 for i in range(1, n + 1)}
-    xnk_counts = {K: 0 for K in sparse_sets}
-    taus = {K: mu_of(K, 2 * n) for K in sparse_sets}
+    xnk_counts = {K: 0 for K in taus}
     uncovered_i, uncovered_k, total = [], [], 0
     for F in enumerate_flags(n, q):
         total += 1
         hit_i = [i for i in xni_counts if in_xni(F, i, n, q)]
-        hit_k = [K for K, tau in taus.items() if in_xnk(F, K, n, tau)]
+        hit_k = xnk_members(F)
         for i in hit_i:
             xni_counts[i] += 1
         for K in hit_k:
@@ -221,22 +252,26 @@ def unrolled_metric(F, n: int) -> dict:
     # the unrolled flag W~_0, ..., W~_4n, scaled by t^2n: the spaces
     # t^n W_i for 0 <= i <= 2n, then W_i for 1 <= i <= 2n
     spaces = [(a + n, b + n, (0,) * n + c) for a, b, c in F] + list(F[1:])
-    window: dict[tuple[int, int], int] = {}
-    for i in range(4 * n + 1):
-        for j in range(i, min(i + 2 * n, 4 * n) + 1):
-            window[(i, j)] = thin_invariants(spaces[j], spaces[i]).delta
-    vertices = [[window[(u, v if v >= u else v + 2 * n)]
-                 for v in range(2 * n)] for u in range(2 * n)]
-    parity_ok = all(d % 2 == (j - i) % 2 for (i, j), d in window.items())
-    period_ok = all(window[(i, j)] == window[(i + 2 * n, j + 2 * n)]
-                    for (i, j) in window if j + 2 * n <= 4 * n)
-    wrap_ok = all(window[(i, i + 2 * n)] == 0 for i in range(2 * n + 1))
-    step_ok = all(window[(i, i + 1)] == 1 for i in range(4 * n))
-    # no side of a triangle is longer than the other two together
+    # dist[i][k] = d(i, i + k), for 0 <= k <= min(2n, 4n - i)
+    dist = [[thin_invariants(spaces[j], spaces[i]).delta
+              for j in range(i, min(i + 2 * n, 4 * n) + 1)]
+             for i in range(4 * n + 1)]
+    window = {(i, i + k): d for i, row in enumerate(dist)
+              for k, d in enumerate(row)}
+    vertices = [[dist[u][(v - u) % (2 * n)] for v in range(2 * n)]
+                for u in range(2 * n)]
+    parity_ok = all(d % 2 == k % 2 for row in dist
+                    for k, d in enumerate(row))
+    period_ok = all(dist[i][:2 * n - i + 1] == dist[i + 2 * n]
+                    for i in range(2 * n + 1))
+    wrap_ok = all(dist[i][2 * n] == 0 for i in range(2 * n + 1))
+    step_ok = all(row[1] == 1 for row in dist[:4 * n])
+    # no side of a triangle is longer than the other two together: the
+    # sides d(i, j) = a, d(j, k) = b and d(i, k) = c for i <= j <= k
     triangle_ok = not any(a > b + c or b > a + c or c > a + b
-                          for (i, j), a in window.items()
-                          for k in range(j, min(i + 2 * n, 4 * n) + 1)
-                          for b, c in ((window[(j, k)], window[(i, k)]),))
+                          for i, row in enumerate(dist)
+                          for k, a in enumerate(row)
+                          for b, c in zip(dist[i + k], row[k:]))
     return {"window": window, "vertices": vertices,
             "parity_ok": parity_ok, "periodicity_ok": period_ok,
             "wraparound_zero": wrap_ok, "unit_steps": step_ok,
@@ -286,11 +321,13 @@ def submodules(n: int, q: int) -> tuple[Lattice, ...]:
 
 
 def _tally(checks) -> dict:
-    """A lemma's entry: the number of its (holds, witness) pairs and the
-    witnesses of those that fail, in order."""
+    """A lemma's entry: the number of its instances and the witnesses of
+    those that fail, in order.  A check is (holds, witness), one
+    instance, or (holds, witness, weight), ``weight`` instances that
+    hold together."""
     instances, violations = 0, []
-    for holds, witness in checks:
-        instances += 1
+    for holds, witness, *weight in checks:
+        instances += weight[0] if weight else 1
         if not holds:
             violations.append(witness)
     return {"instances": instances, "violations": violations}
@@ -325,29 +362,53 @@ def _W_exponent(n, q, zero, balanced):
 
 def _interval(n, balanced, taus):
     """F in X(n,K), mu(K) keeping ]p, q']: W_q'/W_p is balanced."""
+    kept = {}               # the intervals mu(K) keeps depend on K alone
+    for K, tau in taus.items():
+        kept[K] = [(p, qq) for p in range(0, 2 * n)
+                   for qq in range(p + 1, 2 * n + 1)
+                   if all(p < tau[j - 1] <= qq for j in range(p + 1, qq + 1))]
     for F, K in balanced:
-        tau = taus[K]
-        for p in range(0, 2 * n):
-            for qq in range(p + 1, 2 * n + 1):
-                interval = range(p + 1, qq + 1)
-                # mu(K) is a fixed-point-free involution, so an interval
-                # it keeps has even length: only the balance can fail
-                if all(tau[j - 1] in interval for j in interval):
-                    yield is_balanced(F[qq], F[p]), (K, p, qq)
+        # mu(K) is a fixed-point-free involution, so an interval it
+        # keeps has even length: only the balance can fail
+        for p, qq in kept[K]:
+            yield is_balanced(F[qq], F[p]), (K, p, qq)
 
 
 def _treelike(n, flags):
-    """x, y on geodesics a-b at equal distances from a and b: d(x, y) = 0."""
+    """x, y on geodesics a-b at equal distances from a and b: d(x, y) = 0.
+
+    Counted by geodesic classes (see the module docstring), with each
+    class's test memoised per flag on its mask; a pair (a, b) whose
+    classes all pass is one check, weighted by their instances.
+    """
     V = range(2 * n)
     for F in flags:
         dv = unrolled_metric(F, n)["vertices"]
+        cols = list(zip(*dv))                       # cols[b][x] = d(x, b)
+        zeros = [sum(1 << y for y in V if not row[y]) for row in dv]
+        passes: dict[int, bool] = {}
         for a in V:
+            row = dv[a]
             for b in V:
+                dab, classes = row[b], {}
+                for x, dax, dxb in zip(V, row, cols[b]):
+                    if dax + dxb == dab:
+                        classes[dax] = classes.get(dax, 0) | 1 << x
+                ok, weight = True, 0
+                for mask in classes.values():
+                    if mask not in passes:
+                        passes[mask] = all(not mask & ~zeros[x] for x in V
+                                           if mask >> x & 1)
+                    ok = ok and passes[mask]
+                    weight += mask.bit_count() ** 2
+                if ok:
+                    yield True, (a, b), weight
+                    continue
                 for x in V:
                     for y in V:
                         if (dv[a][x] == dv[a][y] and dv[x][b] == dv[y][b]
-                                and dv[a][x] + dv[x][b] == dv[a][b]
-                                and dv[a][y] + dv[y][b] == dv[a][b]):
+                                and dv[a][x] + dv[x][b] == dab
+                                and dv[a][y] + dv[y][b] == dab):
                             yield dv[x][y] == 0, (a, b, x, y)
 
 
@@ -434,15 +495,16 @@ def chain_lemma_scan(n: int, q: int = 2) -> dict:
     prefixes.  The counting, exponent and interval lemmas are checked
     along every flag and every sparse K.
 
-    Each lemma is a generator of (holds, witness) pairs, one per
-    instance, and ``_tally`` writes its report entry.
+    Each lemma is a generator of (holds, witness) checks, one per
+    instance; the treelike lemma also yields (holds, witness, weight)
+    for a pair whose classes all pass.  ``_tally`` writes the entry.
     """
     zero = (n, n, (0,) * n)
     taus = {K: mu_of(K, 2 * n) for K in enumerate_sparse(2 * n, n)}
     flags = list(enumerate_flags(n, q))
-    # F in X(n,K), for two lemmas: in_xnk runs once per pair (F, K)
-    balanced = [(F, K) for F in flags for K, tau in taus.items()
-                if in_xnk(F, K, n, tau)]
+    # F in X(n,K), for two lemmas, by the pair masks of cover_scan
+    xnk_members = _xnk_membership(n, taus)
+    balanced = [(F, K) for F in flags for K in xnk_members(F)]
     subs = submodules(n, q)
     pairs = [(N, M) for N in subs for M in subs
              if dim(N, n) <= dim(M, n) and contains(M, N)]

@@ -6,11 +6,16 @@ unique basis {t^a e_0, c(t) e_0 + t^b e_1}, 0 <= a, b <= m, deg c < a
 tuple of its a coefficients in [0, q): canonical and hashable.  L/t^m
 Lambda has dimension 2m - a - b; the zero submodule is (m, m, 0^m).
 
-``hermite`` is the one normaliser, elimination over F_q[[t]].  Under
-the pairing u . v = u_0 v_0 + u_1 v_1 mod t^m, t is self-adjoint, so
-t-preimage is perp o t-image o perp, and intersection is the perp of
-the sum of the perps; ``offsets`` decides containment.  The operations
-are memoised on the canonical form.  Vectors use coordinates 2i + j for
+``hermite`` is the one normaliser, elimination over F_q[[t]] in plain
+loops: one scan finds b and the pivot, forward substitution against the
+pivot's unit gives c, and each other generator's cleared e_0 part is
+read only below the least a found so far.  ``t_image`` and ``offsets``
+(hence ``contains``) are closed forms on (a, b, c) and call no
+normaliser.  Under the pairing u . v = u_0 v_0 + u_1 v_1 mod t^m, t is
+self-adjoint, so t-preimage is perp o t-image o perp, and intersection
+is the perp of the sum of the perps.  ``hermite``, ``generators``,
+``rows``, ``perp``, ``t_image``, ``t_preimage`` and ``intersect`` are
+memoised on the canonical form.  Vectors use coordinates 2i + j for
 t^i e_j; ``rows`` is the RREF basis of L/t^m Lambda in them, which only
 orders the flag lab's candidate lines and formats reports.  Only prime
 q is supported; inverses come from a lookup table.
@@ -65,25 +70,6 @@ def rref(rows, q: int) -> Rows:
     return tuple(tuple(out[i]) for i in order)
 
 
-def _val(p) -> int:
-    """t-adic valuation; len(p) (that is, m) for the zero polynomial."""
-    return next((i for i, x in enumerate(p) if x), len(p))
-
-
-def _mul(p, r, q: int) -> list[int]:
-    """p r mod t^len(p), for polynomials given as coefficient lists."""
-    return [sum(p[i] * r[k - i] for i in range(k + 1)) % q
-            for k in range(len(p))]
-
-
-def _unit_inverse(u, q: int) -> list[int]:
-    """u^-1 mod t^len(u), for u with a nonzero constant term."""
-    w = [_inverses(q)[u[0]]]
-    for k in range(1, len(u)):
-        w.append(-w[0] * sum(u[i] * w[k - i] for i in range(1, k + 1)) % q)
-    return w
-
-
 def _mono(k: int, m: int) -> list[int]:
     """t^k mod t^m."""
     return [int(i == k) for i in range(m)]
@@ -98,24 +84,46 @@ def _vector(x0, x1) -> Vector:
 def hermite(gens: Rows, m: int, q: int) -> Lattice:
     """Hermite form of the submodule of V(m) spanned by ``gens``.
 
-    b is the least valuation among the e_1 parts; the pivot with that
-    valuation is scaled by a unit so that its e_1 part is t^b, and it
-    clears the other e_1 parts.  L meets F_q[[t]] e_0 in t^a, where a is
-    the least valuation among the cleared e_0 parts, t^(m-b) times the
-    pivot's e_0 part, and t^m; c is the pivot's e_0 part mod t^a.
+    b is the least valuation among the e_1 parts x_1; the first
+    generator with that valuation is the pivot, and its x_1 is t^b u
+    with u known mod t^(m-b) (any lift will do; zeros are put above).
+    c solves u c = x_0 (the pivot's e_0 part) by forward substitution,
+    so the pivot's e_1 part becomes t^b and it clears the other e_1
+    parts, leaving x_0 - w c for a generator with x_1 = t^b w.  L meets
+    F_q[[t]] e_0 in t^a, where a is the least of m, m - b + val(c) (the
+    pivot times t^(m-b)), and the valuations of those cleared parts; a
+    part is scanned only below the least a found so far.  With every
+    e_1 part zero there is no pivot: b = m and c = 0.
     """
-    pairs = [([x % q for x in v[0::2]], [x % q for x in v[1::2]])
-             for v in gens]
-    b = min([m] + [_val(x1) for _, x1 in pairs])
-    # each x_1 is t^b u with u known mod t^(m-b); any lift of u will do
-    units = [x1[b:] + [0] * b for _, x1 in pairs]
+    x0s = [[x % q for x in v[0::2]] for v in gens]
+    x1s = [[x % q for x in v[1::2]] for v in gens]
+    b, pivot = m, -1
+    for j, x1 in enumerate(x1s):
+        for k in range(b):
+            if x1[k]:
+                b, pivot = k, j
+                break
     c = [0] * m
-    if b < m:
-        i = next(i for i, (_, x1) in enumerate(pairs) if _val(x1) == b)
-        c = _mul(pairs[i][0], _unit_inverse(units[i], q), q)
-    cleared = [[(y - z) % q for y, z in zip(x0, _mul(u, c, q))]
-               for (x0, _), u in zip(pairs, units)]
-    a = min([m, m - b + _val(c)] + [_val(x) for x in cleared])
+    if pivot >= 0:
+        u, x0 = x1s[pivot][b:], x0s[pivot]
+        inv0 = _inverses(q)[u[0]]
+        for k in range(m):
+            s = x0[k]
+            for i in range(1, min(k + 1, m - b)):
+                s -= u[i] * c[k - i]
+            c[k] = s * inv0 % q
+    a = min(m, m - b + next((k for k, x in enumerate(c) if x), m))
+    for j, x0 in enumerate(x0s):
+        if j == pivot:
+            continue
+        w = x1s[j][b:]
+        for k in range(a):
+            s = x0[k]
+            for i in range(min(k + 1, m - b)):
+                s -= w[i] * c[k - i]
+            if s % q:
+                a = k
+                break
     return a, b, tuple(c[:a])
 
 
@@ -124,6 +132,7 @@ def dim(L: Lattice, m: int) -> int:
     return 2 * m - L[0] - L[1]
 
 
+@lru_cache(maxsize=None)
 def generators(L: Lattice, m: int) -> Rows:
     """The Hermite basis t^a e_0, c e_0 + t^b e_1 as vectors of V(m)."""
     a, b, c = L
@@ -138,6 +147,7 @@ def rows(L: Lattice, m: int, q: int) -> Rows:
                  for g in generators(L, m) for k in range(m)], q)
 
 
+@lru_cache(maxsize=None)
 def perp(L: Lattice, m: int, q: int) -> Lattice:
     """The annihilator of L under u . v mod t^m.
 
@@ -179,9 +189,22 @@ def contains(L: Lattice, K: Lattice) -> bool:
 
 @lru_cache(maxsize=None)
 def t_image(L: Lattice, m: int, q: int, r: int = 1) -> Lattice:
-    """t^r L."""
-    return hermite(tuple(((0, 0) * r + g)[:2 * m]
-                         for g in generators(L, m)), m, q)
+    """t^r L, in closed form.
+
+    t^r L is spanned by t^(a+r) e_0 and t^r c e_0 + t^(b+r) e_1; let v
+    be the valuation of c (m if c = 0).  While b + r < m the second
+    vector is the pivot, with c shifted by r, and the e_0 axis meets
+    t^r L in t^(a+r) and t^(m-b+v) (the pivot times t^(m-b-r)).  Past
+    that, t^(b+r) = 0 and the second vector is t^r c e_0, on the axis.
+    ``q`` is not used: shifting keeps coefficients in [0, q).
+    """
+    a, b, c = L
+    v = next((k for k, x in enumerate(c) if x), m)
+    if b + r < m:
+        top = min(m, a + r, m - b + v)
+        return top, b + r, ((0,) * r + c)[:top]
+    top = min(m, a + r, r + v)
+    return top, m, (0,) * top
 
 
 @lru_cache(maxsize=None)

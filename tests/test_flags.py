@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 
@@ -9,9 +10,7 @@ from kslab.flags import (
     chain_lemma_scan,
     cover_scan,
     enumerate_flags,
-    flag_is_valid,
     in_xni,
-    in_xnk,
     is_balanced,
     point_count_report,
     submodules,
@@ -263,6 +262,75 @@ def oracle_children(W, n, q):
     return tuple(hermite(generators(W, n) + (v,), n, q) for v in ext)
 
 
+def _val(p):
+    """t-adic valuation; len(p) (that is, m) for the zero polynomial."""
+    return next((i for i, x in enumerate(p) if x), len(p))
+
+
+def _mul(p, r, q):
+    """p r mod t^len(p), for polynomials given as coefficient lists."""
+    return [sum(p[i] * r[k - i] for i in range(k + 1)) % q
+            for k in range(len(p))]
+
+
+def _unit_inverse(u, q):
+    """u^-1 mod t^len(u), for u with a nonzero constant term."""
+    w = [pow(u[0], q - 2, q)]
+    for k in range(1, len(u)):
+        w.append(-w[0] * sum(u[i] * w[k - i] for i in range(1, k + 1)) % q)
+    return w
+
+
+def oracle_hermite(gens, m, q):
+    """Hermite form by polynomial products: the pivot's e_0 part times
+    the inverse of its unit, and every generator cleared in full."""
+    pairs = [([x % q for x in v[0::2]], [x % q for x in v[1::2]])
+             for v in gens]
+    b = min([m] + [_val(x1) for _, x1 in pairs])
+    # each x_1 is t^b u with u known mod t^(m-b); any lift of u will do
+    units = [x1[b:] + [0] * b for _, x1 in pairs]
+    c = [0] * m
+    if b < m:
+        i = next(i for i, (_, x1) in enumerate(pairs) if _val(x1) == b)
+        c = _mul(pairs[i][0], _unit_inverse(units[i], q), q)
+    cleared = [[(y - z) % q for y, z in zip(x0, _mul(u, c, q))]
+               for (x0, _), u in zip(pairs, units)]
+    a = min([m, m - b + _val(c)] + [_val(x) for x in cleared])
+    return a, b, tuple(c[:a])
+
+
+def flag_is_valid(F, n, q):
+    """The flag axioms: dim W_i = i and t W_i <= W_(i-1)."""
+    return len(F) == 2 * n + 1 and all(
+        dim(W, n) == i and (not i or contains(F[i - 1], t_image(W, n, q)))
+        for i, W in enumerate(F))
+
+
+def in_xnk(F, K, n, tau):
+    """W in X(n,K): W_i/W_(tau(i)-1) balanced for every i not in K."""
+    for i in range(1, 2 * n + 1):
+        if i in K:
+            continue
+        if not is_balanced(F[i], F[tau[i - 1] - 1]):
+            return False
+    return True
+
+
+def oracle_treelike(n, flags_):
+    """The treelike lemma by the quadruple loop over (a, b, x, y)."""
+    V = range(2 * n)
+    for F in flags_:
+        dv = flags.unrolled_metric(F, n)["vertices"]
+        for a in V:
+            for b in V:
+                for x in V:
+                    for y in V:
+                        if (dv[a][x] == dv[a][y] and dv[x][b] == dv[y][b]
+                                and dv[a][x] + dv[x][b] == dv[a][b]
+                                and dv[a][y] + dv[y][b] == dv[a][b]):
+                            yield dv[x][y] == 0, (a, b, x, y)
+
+
 def identity(m, q):
     return rref([tuple(1 if c == i else 0 for c in range(m)) for i in range(m)], q)
 
@@ -340,6 +408,52 @@ def test_sum_intersection_dimension_formula():
         assert dim(S, m) + dim(X, m) == dim(U, m) + dim(W, m)
         assert contains(U, X) and contains(W, X)
         assert contains(S, U) and contains(S, W)
+
+
+def test_hermite_matches_the_oracle_on_random_generators():
+    rng = random.Random(2801)
+    for _ in range(20000):
+        m, q = rng.randint(1, 4), rng.choice((2, 3, 5, 7))
+        gens = [tuple(rng.randrange(-q, 2 * q) for _ in range(2 * m))
+                for _ in range(rng.randint(1, 4))]
+        # valuations in the middle, not only 0: shift some rows up
+        gens = [(0, 0) * s + g[:2 * m - 2 * s]
+                for g, s in ((g, rng.randrange(m + 1)) for g in gens)]
+        if rng.random() < 0.2:
+            gens[rng.randrange(len(gens))] = (0,) * (2 * m)
+        gens = tuple(gens)
+        assert hermite.__wrapped__(gens, m, q) == \
+            oracle_hermite(gens, m, q), (gens, m, q)
+    assert hermite.__wrapped__((), 3, 2) == oracle_hermite((), 3, 2) \
+        == zero(3)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (2, 5)])
+def test_hermite_matches_the_oracle_on_every_call_of_the_scans(
+        n, q, monkeypatch, cold_kslab_caches):
+    seen = set()
+
+    def recorded(gens, m, q_):
+        seen.add((gens, m, q_))
+        return hermite(gens, m, q_)
+
+    monkeypatch.setattr(fqlin, "hermite", recorded)
+    monkeypatch.setattr(flags, "hermite", recorded)
+    chain_lemma_scan(n, q)
+    cover_scan(n, q)
+    assert seen
+    for gens, m, q_ in seen:
+        assert hermite.__wrapped__(gens, m, q_) == oracle_hermite(gens, m, q_)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5),
+                                  (4, 2)])
+def test_t_image_matches_the_shifted_generators(n, q):
+    for L in submodules(n, q):
+        for r in range(n + 2):
+            shifted = tuple(((0, 0) * r + g)[:2 * n]
+                            for g in generators(L, n))
+            assert t_image(L, n, q, r) == oracle_hermite(shifted, n, q)
 
 
 @pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (3, 2), (2, 5),
@@ -504,6 +618,53 @@ def test_point_count_reports():
         assert point_count_report(n, q, count)["equal"]
 
 
+def test_in_xni_refuses_an_index_out_of_range():
+    F = next(enumerate_flags(2, 2))
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            in_xni(F, i, 2, 2)
+
+
+@pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2)])
+def test_xnk_masks_match_the_per_pair_membership(n, q):
+    taus = {K: mu_of(K, 2 * n) for K in enumerate_sparse(2 * n, n)}
+    members = flags._xnk_membership(n, taus)
+    for F in enumerate_flags(n, q):
+        assert members(F) == [K for K, tau in taus.items()
+                              if in_xnk(F, K, n, tau)]
+
+
+def _close_a_geodesic_class(F, n):
+    """unrolled_metric with d(x, y) = 2 for the first x != y in a class
+    of an a-b geodesic, x and y not a or b: the classes stay, and that
+    class fails."""
+    metric = unrolled_metric(F, n)
+    dv = metric["vertices"]
+    V = range(2 * n)
+    for a in V:
+        for b in V:
+            for x in V:
+                for y in V:
+                    if (x != y and not {x, y} & {a, b}
+                            and dv[x][y] == 0 and dv[a][x] == dv[a][y]
+                            and dv[a][x] + dv[x][b] == dv[a][b]
+                            and dv[a][y] + dv[y][b] == dv[a][b]):
+                        dv[x][y] = dv[y][x] = 2
+                        return metric
+    return metric
+
+
+@pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_treelike_classes_match_the_quadruple_loop(n, q, monkeypatch):
+    flags_ = list(enumerate_flags(n, q))
+    assert flags._tally(flags._treelike(n, flags_)) == \
+        flags._tally(oracle_treelike(n, flags_))
+    monkeypatch.setattr(flags, "unrolled_metric", _close_a_geodesic_class)
+    broken = flags._tally(flags._treelike(n, flags_))
+    assert broken == flags._tally(oracle_treelike(n, flags_))
+    assert broken["violations"] or n == 1
+
+
 def test_xni_equivalent_characterisations():
     # t W_{i+1} = W_{i-1} iff W_{i+1}/W_{i-1} is balanced
     for F in enumerate_flags(2, 2):
@@ -534,6 +695,67 @@ def test_cover_scan_at_larger_sizes(n, q, count):
     assert r["covered"]
     assert r["flags"] == point_count_report(n, q, r["flags"])["poincare_value"] \
         == count
+
+
+def oracle_metric_axioms(window, n):
+    """The pseudometric axioms of unrolled_metric, read off the window
+    dict by its (i, j) keys."""
+    parity_ok = all(d % 2 == (j - i) % 2 for (i, j), d in window.items())
+    period_ok = all(window[(i, j)] == window[(i + 2 * n, j + 2 * n)]
+                    for (i, j) in window if j + 2 * n <= 4 * n)
+    wrap_ok = all(window[(i, i + 2 * n)] == 0 for i in range(2 * n + 1))
+    step_ok = all(window[(i, i + 1)] == 1 for i in range(4 * n))
+    triangle_ok = not any(a > b + c or b > a + c or c > a + b
+                          for (i, j), a in window.items()
+                          for k in range(j, min(i + 2 * n, 4 * n) + 1)
+                          for b, c in ((window[(j, k)], window[(i, k)]),))
+    vertices = [[window[(u, v if v >= u else v + 2 * n)]
+                 for v in range(2 * n)] for u in range(2 * n)]
+    return {"vertices": vertices, "parity_ok": parity_ok,
+            "periodicity_ok": period_ok, "wraparound_zero": wrap_ok,
+            "unit_steps": step_ok, "triangle_ok": triangle_ok}
+
+
+@pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_unrolled_metric_axioms_match_the_window_oracle(n, q, monkeypatch):
+    right = flags.thin_invariants
+    flags_ = list(enumerate_flags(n, q))
+    rng = random.Random(2802)
+
+    def shaken(L, K):
+        # a delta off by 0, 1 or 2 now and then: every axiom can fail
+        ti = right(L, K)
+        return flags.ThinInvariants(ti.eta, ti.beta,
+                                    ti.delta + rng.choice((0,) * 12 + (1, 2)),
+                                    ti.dim)
+
+    fails = set()
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(flags, "thin_invariants", shaken)
+        for F in flags_:
+            rep = unrolled_metric(F, n)
+            oracle = oracle_metric_axioms(rep["window"], n)
+            assert {k: rep[k] for k in oracle} == oracle
+            fails |= {k for k, v in oracle.items() if v is False}
+    assert fails == {"parity_ok", "periodicity_ok", "wraparound_zero",
+                     "unit_steps", "triangle_ok"} or n == 1
+    # one entry of the window off by 2, in turn at every position
+    F = flags_[-1]
+    size = len(unrolled_metric(F, n)["window"])
+    for target in range(size):
+        calls = iter(range(size))
+
+        def bumped(L, K):
+            ti = right(L, K)
+            return dataclasses.replace(
+                ti, delta=ti.delta + 2 * (next(calls) == target))
+
+        monkeypatch.setattr(flags, "thin_invariants", bumped)
+        rep = unrolled_metric(F, n)
+        oracle = oracle_metric_axioms(rep["window"], n)
+        assert {k: rep[k] for k in oracle} == oracle
+        assert not rep["pseudometric_ok"]
 
 
 def test_unrolled_metric_axioms_exhaustive_n2():

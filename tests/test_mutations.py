@@ -15,6 +15,7 @@ import json
 import pytest
 
 from kslab import cli, mvss, springer
+from test_flags import _close_a_geodesic_class
 from test_mvss import _broken_pinch_substitution
 
 _right_mu_of = springer.mu_of
@@ -64,6 +65,11 @@ def _in_no_xni(F, i, n, q):
     return False
 
 
+def _never_balanced(L, K):
+    """No quotient is balanced: X(n, K) is empty for every K."""
+    return False
+
+
 # (module, function, mutant, argv, report key naming the counterexample)
 MUTANTS = [
     ("springer", "mu_of", _crossing_mu_of, ["ring", "--n", "3"],
@@ -80,6 +86,10 @@ MUTANTS = [
      ("one_step_a", "violations")),
     ("flags", "in_xni", _in_no_xni, ["flags", "--n", "2", "--op", "cover"],
      ("uncovered_by_xni",)),
+    ("flags", "is_balanced", _never_balanced,
+     ["flags", "--n", "2", "--op", "cover"], ("uncovered_by_xnk",)),
+    ("flags", "unrolled_metric", _close_a_geodesic_class,
+     ["flags", "--n", "2", "--op", "lemmas"], ("treelike", "violations")),
     ("mvss", "classify_bts", _eta_off_by_one_bit, ["mvss", "--n", "3"],
      ("counterexamples", "eta")),
 ]

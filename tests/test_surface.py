@@ -26,7 +26,6 @@ ORACLES = {
                                      "against is_sparse on every subset",
     "alpha_of": "alpha maps the non-sparse p-sets onto all (p - 1)-sets",
     "beta_of": "the inverse of alpha",
-    "flag_is_valid": "the flag axioms, checked on every enumerated flag",
     "to_json": "graph writer, round-tripped through graph_from_json",
     "is_tree_by_deletion": "the definition of a tree, against is_tree",
     "ncm_to_folding": "tree foldings of C(n) from non-crossing matchings, "
