@@ -19,6 +19,7 @@ import json
 import sys
 import traceback
 from functools import lru_cache
+from itertools import chain
 
 from . import combinatorics, flags, graph_rings, mvss, springer, topology
 from .graphs import FIXED_GRAPHS, BiGraph, enumerate_tree_foldings, \
@@ -97,6 +98,17 @@ def _int_list(value, indent: str) -> str:
         + "\n" + indent + "]"
 
 
+_SEQUENCES = {list, tuple}
+
+
+class _IntText(dict):
+    """int -> its JSON text, each computed on first use."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = int.__repr__(key)
+        return text
+
+
 def _write_json(value, out: list, indent: str) -> None:
     """Append to ``out`` the chunks of ``json.dumps(_jsonable(value),
     indent=2, default=str)`` with ``indent`` as the current margin."""
@@ -122,10 +134,17 @@ def _write_json(value, out: list, indent: str) -> None:
             out.append(_int_list(value, indent))
             return
         inner = indent + "  "
-        if all(isinstance(x, (list, tuple)) and all(type(y) is int for y in x)
-               for x in value):
-            out.append("[\n" + inner + (",\n" + inner).join(
-                _int_list(x, inner) for x in value) + "\n" + indent + "]")
+        if set(map(type, value)) <= _SEQUENCES and \
+                set(map(type, chain.from_iterable(value))) <= {int}:
+            # a list of int lists (sparse subsets, matchings), both type
+            # tests in C, a bool or an int subclass refused; each int's
+            # text is written once, and the lists are joined in one pass
+            text = _IntText().__getitem__
+            item = ",\n" + inner + "  "
+            start, end = "[\n" + inner + "  ", "\n" + inner + "]"
+            out.append("[\n" + inner + (",\n" + inner).join([
+                start + item.join(map(text, x)) + end if x else "[]"
+                for x in value]) + "\n" + indent + "]")
             return
         sep = "[\n" + inner
         for v in value:
@@ -194,7 +213,7 @@ def cmd_sparse(args):
         "counts": counts,
         "catalan_size_n": counts[n],
         "generating_function_row": gf[n],
-        "subsets": [list(J) for J in subsets],
+        "subsets": subsets,
     }
     ok = all(counts[p] == combinatorics.sparse_count(n, p)
              for p in counts) and gf[n][: n + 1] == list(counts.values())

@@ -48,28 +48,6 @@ def is_sparse(J: Subset, two_n: int) -> bool:
     return all(two_n - j > 2 * t for t, j in enumerate(reversed(J)))
 
 
-def is_sparse_tail_criterion(J: Subset, two_n: int) -> bool:
-    """Alternative sparsity test: listing J decreasingly as j_1 > j_2 > ...,
-    J is sparse iff j_t < 2(n + 1 - t) for every t (with 2n = two_n)."""
-    check_subset(J, two_n)
-    n = two_n // 2
-    for t, j in enumerate(sorted(J, reverse=True), start=1):
-        if j >= 2 * (n + 1 - t):
-            return False
-    return True
-
-
-def is_sparse_halfcount_criterion(J: Subset, two_n: int) -> bool:
-    """Third equivalent test: |J^c_{>=i}| >= |J_{>=i}| for every i in I."""
-    check_subset(J, two_n)
-    for i in range(1, two_n + 1):
-        ge_in = sum(1 for x in J if x >= i)
-        ge_out = (two_n - i + 1) - ge_in
-        if ge_out < ge_in:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def enumerate_sparse(two_n: int, k: int | str = "all") -> tuple[Subset, ...]:
     """All sparse subsets of {1..2n} of size k (or every size), lex sorted.
@@ -99,43 +77,6 @@ def sparse_count(n: int, p: int) -> int:
     if p < 0 or p > n:
         return 0
     return comb(2 * n, p) - (comb(2 * n, p - 1) if p >= 1 else 0)
-
-
-# ---------------------------------------------------------------------------
-# the alpha/beta bijection between non-sparse p-subsets and (p-1)-subsets
-# ---------------------------------------------------------------------------
-
-def _count_diff(T: Subset, two_n: int, i: int) -> int:
-    """c_T(i) = |T^c_{>=i}| - |T_{>=i}|."""
-    ge_in = sum(1 for x in T if x >= i)
-    return (two_n - i + 1) - 2 * ge_in
-
-
-def alpha_of(J: Subset, two_n: int) -> Subset:
-    """alpha(J) = J_{<a} + J^c_{>=a}, a = least i with c_J(i) < 0.
-
-    Defined on non-sparse subsets; drops the size by one.
-    """
-    if is_sparse(J, two_n):
-        raise ValueError(f"alpha is only defined on non-sparse subsets, got {J}")
-    a = next(i for i in range(1, two_n + 1) if _count_diff(J, two_n, i) < 0)
-    Jset = set(J)
-    low = [j for j in J if j < a]
-    high = [i for i in range(a, two_n + 1) if i not in Jset]
-    return tuple(low + high)
-
-
-def beta_of(K: Subset, two_n: int) -> Subset:
-    """beta(K) = K_{<b} + K^c_{>=b}, b = least i with c_K(i) <= 1.
-
-    Inverse of alpha; raises the size by one and lands on non-sparse sets.
-    """
-    check_subset(K, two_n)
-    b = next(i for i in range(1, two_n + 1) if _count_diff(K, two_n, i) <= 1)
-    Kset = set(K)
-    low = [k for k in K if k < b]
-    high = [i for i in range(b, two_n + 1) if i not in Kset]
-    return tuple(low + high)
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +186,24 @@ def lambda_of(tau: Tau) -> Subset:
 def mu_of(J: Subset, two_n: int) -> Tau:
     """The unique non-crossing matching with left-endpoint set J.
 
-    Built by decreasing recursion: tau(j) = min(J^c_{>j} minus the partners
-    already assigned to larger elements of J).
+    One left-to-right pass keeps a stack of the open left endpoints: each
+    j in J is pushed, and each i outside J closes the innermost open arc,
+    the top of the stack.  J sparse of size n is exactly the condition
+    that the stack never runs dry.
     """
     n = two_n // 2
     if len(J) != n or not is_sparse(J, two_n):
         raise ValueError(f"{J} is not a sparse size-{n} subset of {{1..{two_n}}}")
-    Jset = set(J)
+    members = set(J)
     tau = [0] * two_n
-    used: set[int] = set()
-    for j in sorted(J, reverse=True):
-        partner = min(
-            x for x in range(j + 1, two_n + 1) if x not in Jset and x not in used
-        )
-        used.add(partner)
-        tau[j - 1] = partner
-        tau[partner - 1] = j
+    open_ends: list[int] = []
+    for i in range(1, two_n + 1):
+        if i in members:
+            open_ends.append(i)
+        else:
+            j = open_ends.pop()
+            tau[i - 1] = j
+            tau[j - 1] = i
     return tuple(tau)
 
 
@@ -272,8 +215,9 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
     """Closure operations on sparse sets.
 
     * ``plus``: J + {min(J^c)}; stays sparse, size grows by one.
-    * ``bar``:  iterate plus up to size n -- the lexicographically smallest
-      sparse size-n superset of J.
+    * ``bar``:  plus iterated up to size n, which adds the least non-member
+      each time: J together with its n - |J| least non-members, the
+      lexicographically smallest sparse size-n superset of J.
     """
     n = two_n // 2
     if not is_sparse(J, two_n):
@@ -281,18 +225,17 @@ def sparse_closure(J: Subset, two_n: int, kind: str) -> Subset:
     if kind == "plus":
         if len(J) >= n:
             raise ValueError("plus needs |J| < n")
-        Jset = set(J)
-        m = min(x for x in range(1, two_n + 1) if x not in Jset)
-        out = tuple(sorted(J + (m,)))
-        if not is_sparse(out, two_n):
-            raise RuntimeError(f"plus closure {out} of {J} is not sparse")
-        return out
-    if kind == "bar":
-        out = J
-        while len(out) < n:
-            out = sparse_closure(out, two_n, "plus")
-        return out
-    raise ValueError(f"unknown closure kind {kind!r}")
+        missing = 1
+    elif kind == "bar":
+        missing = n - len(J)
+    else:
+        raise ValueError(f"unknown closure kind {kind!r}")
+    members = set(J)
+    added = [x for x in range(1, two_n + 1) if x not in members][:missing]
+    out = tuple(sorted(J + tuple(added)))
+    if not is_sparse(out, two_n):
+        raise RuntimeError(f"{kind} closure {out} of {J} is not sparse")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ the normal form of each monomial mask is memoised.
 The module also provides the evaluation maps rho_K into E(K) (one for each
 size-n sparse K, via the matching mu(K)), their product rho which is a split
 monomorphism into Q(I) = prod_K E(K), and Hilbert ranks.  ``leading_check``
-reads each rho_K off a signed int table; ``rho_K`` and ``rho_all`` on
+holds each term x_T eps_K of rho(x_J) as one int, with x_i at bit 2n - i
+so that the highest term is the smallest int, and extends the terms of
+J's parent J[:-1] by the image of x_{J[-1]} under every rho_K: each of
+the (J, K) images is computed.  ``rho_K`` and ``rho_all`` on
 ``ExtElement`` are its test oracle.
 """
 
@@ -133,6 +136,11 @@ def q_basis(n: int) -> list[tuple[Subset, Subset]]:
     return out
 
 
+def _subset(mask: int, two_n: int) -> Subset:
+    """The subset of a mask that holds x_i at bit 2n - i."""
+    return tuple(i for i in range(1, two_n + 1) if mask >> (two_n - i) & 1)
+
+
 def leading_check(n: int) -> dict:
     """Certify that rho is a split monomorphism.
 
@@ -142,50 +150,69 @@ def leading_check(n: int) -> dict:
     (ii) For n <= 3 only (it follows from (i)), assemble the integer matrix
     of rho from the sparse basis to the monomial basis of Q(I) and check
     through the Smith normal form that every elementary divisor is 1.
-    Each rho_K is a table of signed ints (x_i -> x_k is k, x_i -> -x_k is
-    -k); ``rho_all`` on ``ExtElement`` is the test oracle.
+
+    Each term x_T eps_K of rho(x_J) is one int: from the highest bits
+    down, the mask of T (x_i at bit 2n - i), the complement of the mask of
+    K, and the sign.  Among sets of one size a smaller mask is the
+    lexicographically larger set, so the highest term is the smallest
+    int.  ``enumerate_sparse`` lists
+    each J after its parent J[:-1], so the terms of J extend those of its
+    parent, for every K at once, by the image of x_{J[-1]}: a term dies
+    (x_k^2 = 0) when that bit is set already, and its sign flips when
+    J[-1] is not in K.  Every (J, K) image is computed, with no assumption
+    on where mu(K) sends an index; masks turn back into tuples only for a
+    failure entry and for the SNF columns.  ``rho_all`` on ``ExtElement``
+    is the test oracle.
     """
     two_n = 2 * n
     do_snf = n <= 3
     sparse_all = enumerate_sparse(two_n, "all")
+    Ks = enumerate_sparse(two_n, n)
+    full = (1 << two_n) - 1
+    shift = two_n + 1                    # T above the K part and the sign
+    dead = 1 << (2 * shift)              # above every live term
+    # the complement of K's mask sorts smaller K first
+    kpart = {K: full ^ sum(1 << (two_n - k) for k in K) for K in Ks}
+    # per index i, one entry per K: the bit of x_i's image, and that bit
+    # with the sign flip of x_i -> -x_k for i outside K
+    taus = [(set(K), mu_of(K, two_n)) for K in Ks]
+    check = [()] * (two_n + 1)
+    flip = [()] * (two_n + 1)
+    for i in range(1, two_n + 1):
+        check[i] = [1 << (two_n - (i if i in Kset else tau[i - 1]) + shift)
+                    for Kset, tau in taus]
+        flip[i] = [b | (i not in Kset) for b, (Kset, _) in zip(check[i], taus)]
+    terms = [[k << 1 for k in kpart.values()]]   # of the last J per size
     failures = []
     rows = []
     cols = q_basis(n) if do_snf else ()
     col_index = {c: i for i, c in enumerate(cols)}
-    tables = []
-    for K in enumerate_sparse(two_n, n):
-        tau = mu_of(K, two_n)        # pairs each k in K with an i outside K
-        table = [0] + [i if i in K else -tau[i - 1]
-                       for i in range(1, two_n + 1)]
-        tables.append((K, tuple(-k for k in K), table))
     for J in sparse_all:
-        best = None  # (J', K) maximal: larger J' wins, then smaller K
-        best_coeff = 0
-        row = {}
-        for K, neg_K, table in tables:
-            image = [table[j] for j in J]
-            T = tuple(sorted({abs(k) for k in image}))
-            if len(T) < len(J):       # x_k^2 = 0
-                continue
-            c = -1 if sum(k < 0 for k in image) % 2 else 1
-            if do_snf:
-                row[col_index[(K, T)]] = c
-            key = (T, neg_K)
-            if best is None or key > best:
-                best = key
-                best_coeff = c
-        rows.append(row)
-        lead_support = best[0] if best else None
-        lead_K = tuple(-k for k in best[1]) if best else None
-        if lead_support != J or lead_K != sparse_closure(J, two_n, "bar") \
-                or best_coeff != 1:
-            failures.append({"J": J, "leading": (lead_support, lead_K),
-                             "coefficient": best_coeff})
+        if J:
+            i = J[-1]
+            del terms[len(J):]
+            terms.append([dead if t & c else t ^ f for t, c, f in
+                          zip(terms[-1], check[i], flip[i])])
+        current = terms[-1]
+        best = min(current)
+        live = best < dead
+        coeff = (-1 if best & 1 else 1) if live else 0
+        if do_snf:
+            rows.append({col_index[(K, _subset(t >> shift, two_n))]:
+                         -1 if t & 1 else 1
+                         for K, t in zip(Ks, current) if t < dead})
+        bar = sparse_closure(J, two_n, "bar")
+        if not live or best >> shift != sum(1 << (two_n - j) for j in J) \
+                or kpart.get(bar) != best >> 1 & full or coeff != 1:
+            lead = (_subset(best >> shift, two_n),
+                    _subset(full ^ best >> 1 & full, two_n)) \
+                if live else (None, None)
+            failures.append({"J": J, "leading": lead, "coefficient": coeff})
     report = {
         "n": n,
         "basis_size": len(sparse_all),
         # len(q_basis(n)): 2^n subsets T of each sparse size-n K
-        "q_dimension": len(enumerate_sparse(two_n, n)) * 2 ** n,
+        "q_dimension": len(Ks) * 2 ** n,
         "leading_failures": failures,
     }
     if do_snf:

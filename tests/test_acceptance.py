@@ -11,8 +11,6 @@ from math import comb
 
 from exterior_oracle import sigma, to_ext, to_masks
 from kslab.combinatorics import (
-    alpha_of,
-    beta_of,
     conjecture_scan,
     enumerate_matchings,
     enumerate_sparse,
@@ -52,6 +50,7 @@ from kslab.topology import (
     tree_y_cohomology,
     y_complex,
 )
+from test_combinatorics import alpha_of, beta_of
 
 
 def catalan(n: int) -> int:

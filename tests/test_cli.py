@@ -569,6 +569,14 @@ class Num(int):
     {"set": {1, 2}, "frozen": frozenset(), (1, (2, 3)): [(4, 5), []]},
     {(1, 2): "tuple first", "(1, 2)": "string later"},
     {"(1, 2)": "string first", (1, 2): "tuple later", 1: "a", "1": "b"},
+    # lists of int lists, and leaves that the int-list path must refuse
+    [[1, True], [2]],
+    [[Num(3)], []],
+    [(), (1, 2)],
+    [[1.0, 2]],
+    [["1"]],
+    [[10 ** 40, -1]],
+    [[1], [[2]]],
 ])
 def test_writer_matches_json_dumps(report):
     assert write_json(report) == dumps_oracle(report)

@@ -31,6 +31,28 @@ def test_sparse_sets_of_size_2():
     assert list(comb.enumerate_sparse(2, "all")) == [(), (1,)]
 
 
+def is_sparse_tail_criterion(J, two_n):
+    """Alternative sparsity test: listing J decreasingly as j_1 > j_2 > ...,
+    J is sparse iff j_t < 2(n + 1 - t) for every t (with 2n = two_n)."""
+    comb.check_subset(J, two_n)
+    n = two_n // 2
+    for t, j in enumerate(sorted(J, reverse=True), start=1):
+        if j >= 2 * (n + 1 - t):
+            return False
+    return True
+
+
+def is_sparse_halfcount_criterion(J, two_n):
+    """Third equivalent test: |J^c_{>=i}| >= |J_{>=i}| for every i in I."""
+    comb.check_subset(J, two_n)
+    for i in range(1, two_n + 1):
+        ge_in = sum(1 for x in J if x >= i)
+        ge_out = (two_n - i + 1) - ge_in
+        if ge_out < ge_in:
+            return False
+    return True
+
+
 def test_sparsity_criteria_agree_exhaustively():
     # the three equivalent formulations agree on every subset, 2n <= 16
     # (sizes above 8 are all non-sparse and cheap, so cap k at n+2)
@@ -38,8 +60,8 @@ def test_sparsity_criteria_agree_exhaustively():
         for k in range(0, two_n // 2 + 3):
             for J in all_subsets(two_n, k):
                 a = comb.is_sparse(J, two_n)
-                b = comb.is_sparse_tail_criterion(J, two_n)
-                c = comb.is_sparse_halfcount_criterion(J, two_n)
+                b = is_sparse_tail_criterion(J, two_n)
+                c = is_sparse_halfcount_criterion(J, two_n)
                 assert a == b == c, (J, two_n)
 
 
@@ -60,8 +82,8 @@ def test_one_pass_sparsity_matches_quadratic_oracle():
             for J in all_subsets(two_n, k):
                 want = _is_sparse_quadratic(J, two_n)
                 assert comb.is_sparse(J, two_n) == want, (J, two_n)
-                assert comb.is_sparse_tail_criterion(J, two_n) == want
-                assert comb.is_sparse_halfcount_criterion(J, two_n) == want
+                assert is_sparse_tail_criterion(J, two_n) == want
+                assert is_sparse_halfcount_criterion(J, two_n) == want
 
 
 def test_mu_of_refuses_every_time():
@@ -144,17 +166,50 @@ def test_size_n_sparse_count_is_catalan():
 
 
 # ---------------------------------------------------------------------------
-# alpha / beta
+# alpha / beta: the non-sparse p-sets in bijection with all (p - 1)-sets
 # ---------------------------------------------------------------------------
 
+def _count_diff(T, two_n, i):
+    """c_T(i) = |T^c_{>=i}| - |T_{>=i}|."""
+    ge_in = sum(1 for x in T if x >= i)
+    return (two_n - i + 1) - 2 * ge_in
+
+
+def alpha_of(J, two_n):
+    """alpha(J) = J_{<a} + J^c_{>=a}, a = least i with c_J(i) < 0.
+
+    Defined on non-sparse subsets; drops the size by one.
+    """
+    if comb.is_sparse(J, two_n):
+        raise ValueError(f"alpha is only defined on non-sparse subsets, got {J}")
+    a = next(i for i in range(1, two_n + 1) if _count_diff(J, two_n, i) < 0)
+    Jset = set(J)
+    low = [j for j in J if j < a]
+    high = [i for i in range(a, two_n + 1) if i not in Jset]
+    return tuple(low + high)
+
+
+def beta_of(K, two_n):
+    """beta(K) = K_{<b} + K^c_{>=b}, b = least i with c_K(i) <= 1.
+
+    Inverse of alpha; raises the size by one and lands on non-sparse sets.
+    """
+    comb.check_subset(K, two_n)
+    b = next(i for i in range(1, two_n + 1) if _count_diff(K, two_n, i) <= 1)
+    Kset = set(K)
+    low = [k for k in K if k < b]
+    high = [i for i in range(b, two_n + 1) if i not in Kset]
+    return tuple(low + high)
+
+
 def test_alpha_beta_hand_examples():
-    assert comb.alpha_of((2, 3), 4) == (4,)
-    assert comb.beta_of((4,), 4) == (2, 3)
+    assert alpha_of((2, 3), 4) == (4,)
+    assert beta_of((4,), 4) == (2, 3)
 
 
 def test_alpha_rejects_sparse_input():
     with pytest.raises(ValueError):
-        comb.alpha_of((1, 3), 4)
+        alpha_of((1, 3), 4)
 
 
 def test_alpha_beta_mutually_inverse():
@@ -166,15 +221,15 @@ def test_alpha_beta_mutually_inverse():
             smaller = all_subsets(two_n, p - 1)
             image = set()
             for J in non_sparse:
-                K = comb.alpha_of(J, two_n)
+                K = alpha_of(J, two_n)
                 assert len(K) == p - 1
-                assert comb.beta_of(K, two_n) == J
+                assert beta_of(K, two_n) == J
                 image.add(K)
             assert image == set(smaller)
             for K in smaller:
-                J = comb.beta_of(K, two_n)
+                J = beta_of(K, two_n)
                 assert not comb.is_sparse(J, two_n)
-                assert comb.alpha_of(J, two_n) == K
+                assert alpha_of(J, two_n) == K
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +328,30 @@ def test_lambda_mu_inverse_bijections():
         assert seen == sparse_n
 
 
+def oracle_mu_of(J, two_n):
+    """mu(J) by decreasing recursion: tau(j) = min(J^c_{>j} minus the
+    partners already assigned to larger elements of J)."""
+    Jset = set(J)
+    tau = [0] * two_n
+    used = set()
+    for j in sorted(J, reverse=True):
+        partner = min(x for x in range(j + 1, two_n + 1)
+                      if x not in Jset and x not in used)
+        used.add(partner)
+        tau[j - 1] = partner
+        tau[partner - 1] = j
+    return tuple(tau)
+
+
+def test_mu_of_matches_the_min_scan_oracle():
+    # every sparse size-n set, n <= 7, from cold caches
+    comb.mu_of.cache_clear()
+    for n in range(1, 8):
+        two_n = 2 * n
+        for J in comb.enumerate_sparse(two_n, n):
+            assert comb.mu_of(J, two_n) == oracle_mu_of(J, two_n), J
+
+
 def test_mu_rejects_bad_input():
     with pytest.raises(ValueError):
         comb.mu_of((2, 3), 8)  # wrong size
@@ -283,6 +362,13 @@ def test_mu_rejects_bad_input():
 # ---------------------------------------------------------------------------
 # closures
 # ---------------------------------------------------------------------------
+
+def oracle_bar(J, two_n):
+    """bar(J) as plus iterated up to size n."""
+    while len(J) < two_n // 2:
+        J = comb.sparse_closure(J, two_n, "plus")
+    return J
+
 
 def test_closure_hand_examples():
     assert comb.sparse_closure((3,), 4, "plus") == (1, 3)
@@ -309,6 +395,24 @@ def test_bar_and_star_are_extremal_supersets():
         for J in comb.enumerate_sparse(two_n, "all"):
             supersets = [K for K in size_n if set(J) <= set(K)]
             assert comb.sparse_closure(J, two_n, "bar") == min(supersets)
+
+
+def test_bar_matches_the_iterated_plus_oracle():
+    # every sparse set, n <= 7
+    for n in range(1, 8):
+        two_n = 2 * n
+        for J in comb.enumerate_sparse(two_n, "all"):
+            assert comb.sparse_closure(J, two_n, "bar") == \
+                oracle_bar(J, two_n), J
+
+
+def test_closures_refuse_bad_input():
+    with pytest.raises(ValueError, match="not sparse"):
+        comb.sparse_closure((2, 3), 4, "bar")
+    with pytest.raises(ValueError, match="plus needs"):
+        comb.sparse_closure((1, 2), 4, "plus")
+    with pytest.raises(ValueError, match="unknown closure kind"):
+        comb.sparse_closure((1,), 4, "star")
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +464,7 @@ def test_lex_order_symmetric_difference_rule(n, data):
 def test_beta_lands_non_sparse(n, ):
     two_n = 2 * n
     for K in all_subsets(two_n, n - 1):
-        J = comb.beta_of(K, two_n)
+        J = beta_of(K, two_n)
         assert not comb.is_sparse(J, two_n)
 
 

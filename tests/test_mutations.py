@@ -60,6 +60,13 @@ def _eta_off_by_one_bit(J, A, n):
     return cls
 
 
+def _bar_off_by_one(J, two_n, kind):
+    """bar(J) that passes over the least non-member of J: J together with
+    the next n - |J| non-members."""
+    added = [x for x in range(1, two_n + 1) if x not in J]
+    return tuple(sorted(J + tuple(added[1:two_n // 2 - len(J) + 1])))
+
+
 def _in_no_xni(F, i, n, q):
     """X(n, i) empty: no flag has t W_(i+1) = W_(i-1)."""
     return False
@@ -73,6 +80,8 @@ def _never_balanced(L, K):
 # (module, function, mutant, argv, report key naming the counterexample)
 MUTANTS = [
     ("springer", "mu_of", _crossing_mu_of, ["ring", "--n", "3"],
+     ("leading_check", "leading_failures")),
+    ("springer", "sparse_closure", _bar_off_by_one, ["ring", "--n", "3"],
      ("leading_check", "leading_failures")),
     ("mvss", "pinch_substitution", _broken_pinch_substitution,
      ["mvss", "--n", "2"], ("counterexamples",)),

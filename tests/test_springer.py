@@ -10,6 +10,7 @@ from kslab import springer
 from kslab.combinatorics import enumerate_sparse, is_sparse, sparse_closure
 from kslab.exterior import ExtElement
 from kslab.intlinalg import snf_invariants
+from test_mutations import _crossing_mu_of
 
 
 def mono(J, two_n, c=1):
@@ -270,6 +271,115 @@ def test_leading_check_fails_a_wrong_matching(monkeypatch):
     monkeypatch.setattr(springer, "mu_of", wrong)
     for n in range(2, 6):
         assert springer.leading_check(n)["leading_failures"], n
+
+
+def oracle_leading_check(n):
+    """``leading_check`` as one loop over the pairs (J, K): the image of
+    x_J under rho_K read off a signed int table of K (x_i -> x_k is k,
+    x_i -> -x_k is -k), the leading term the largest (T, -K)."""
+    two_n = 2 * n
+    do_snf = n <= 3
+    sparse_all = enumerate_sparse(two_n, "all")
+    failures = []
+    rows = []
+    cols = springer.q_basis(n) if do_snf else ()
+    col_index = {c: i for i, c in enumerate(cols)}
+    tables = []
+    for K in enumerate_sparse(two_n, n):
+        tau = springer.mu_of(K, two_n)
+        table = [0] + [i if i in K else -tau[i - 1]
+                       for i in range(1, two_n + 1)]
+        tables.append((K, tuple(-k for k in K), table))
+    for J in sparse_all:
+        best = None
+        best_coeff = 0
+        row = {}
+        for K, neg_K, table in tables:
+            image = [table[j] for j in J]
+            T = tuple(sorted({abs(k) for k in image}))
+            if len(T) < len(J):
+                continue
+            c = -1 if sum(k < 0 for k in image) % 2 else 1
+            if do_snf:
+                row[col_index[(K, T)]] = c
+            key = (T, neg_K)
+            if best is None or key > best:
+                best = key
+                best_coeff = c
+        rows.append(row)
+        lead_support = best[0] if best else None
+        lead_K = tuple(-k for k in best[1]) if best else None
+        if lead_support != J \
+                or lead_K != springer.sparse_closure(J, two_n, "bar") \
+                or best_coeff != 1:
+            failures.append({"J": J, "leading": (lead_support, lead_K),
+                             "coefficient": best_coeff})
+    report = {
+        "n": n,
+        "basis_size": len(sparse_all),
+        "q_dimension": len(enumerate_sparse(two_n, n)) * 2 ** n,
+        "leading_failures": failures,
+    }
+    if do_snf:
+        divisors = snf_invariants(rows, len(cols))
+        report["snf_divisors_all_one"] = (
+            len(divisors) == len(sparse_all) and all(d == 1 for d in divisors)
+        )
+        report["snf_rank"] = len(divisors)
+    return report, rows
+
+
+def test_leading_check_matches_the_pair_loop_oracle(monkeypatch):
+    # whole reports for n <= 6, and the rows the SNF gets for n <= 3
+    seen = []
+
+    def record(rows, ncols):
+        seen.append(rows)
+        return snf_invariants(rows, ncols)
+
+    monkeypatch.setattr(springer, "snf_invariants", record)
+    for n in range(1, 7):
+        want, rows = oracle_leading_check(n)
+        assert springer.leading_check(n) == want, n
+        assert seen == ([rows] if n <= 3 else []), n
+        seen.clear()
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("sparse_closure", lambda J, two_n, kind: None),
+    ("mu_of", _crossing_mu_of),
+], ids=["no-bar", "crossing-mu"])
+def test_leading_failures_match_the_oracle_under_a_patch(name, wrong,
+                                                         monkeypatch):
+    # a bar closure that no K equals fails every J, so the failure lists
+    # hold every leading term; a crossing matching moves the images
+    monkeypatch.setattr(springer, name, wrong)
+    for n in range(2 if name == "mu_of" else 1, 6):
+        want, _ = oracle_leading_check(n)
+        assert springer.leading_check(n)["leading_failures"] == \
+            want["leading_failures"], n
+
+
+@pytest.mark.parametrize("tau", [
+    lambda K, two_n: tuple(range(two_n, 0, -1)),   # i <-> 2n + 1 - i
+    lambda K, two_n: tuple(range(1, two_n + 1)),   # x_i -> -x_i off K
+], ids=["mirror", "identity"])
+def test_leading_failures_name_the_support_and_the_sign(tau, monkeypatch):
+    # with bar patched to the K of each J's leading term, a J fails only on
+    # the support or the coefficient of that term: the mirror matching
+    # moves supports, and the identity keeps them and flips signs (n >= 4:
+    # the SNF columns of n <= 3 need T inside K)
+    monkeypatch.setattr(springer, "mu_of", tau)
+    for n in (4, 5):
+        monkeypatch.setattr(springer, "sparse_closure",
+                            lambda J, two_n, kind: None)
+        leads = {f["J"]: f["leading"][1] for f in
+                 oracle_leading_check(n)[0]["leading_failures"]}
+        monkeypatch.setattr(springer, "sparse_closure",
+                            lambda J, two_n, kind: leads[J])
+        want = oracle_leading_check(n)[0]["leading_failures"]
+        assert want, n
+        assert springer.leading_check(n)["leading_failures"] == want, n
 
 
 def test_rho_refuses_bad_K_on_every_call():

@@ -20,12 +20,6 @@ PACKAGE = ROOT / "src" / "kslab"
 PERFBENCH = ROOT / "perfbench"
 
 ORACLES = {
-    "is_sparse_tail_criterion": "second definition of sparse, tested "
-                                "against is_sparse on every subset",
-    "is_sparse_halfcount_criterion": "third definition of sparse, tested "
-                                     "against is_sparse on every subset",
-    "alpha_of": "alpha maps the non-sparse p-sets onto all (p - 1)-sets",
-    "beta_of": "the inverse of alpha",
     "to_json": "graph writer, round-tripped through graph_from_json",
     "is_tree_by_deletion": "the definition of a tree, against is_tree",
     "ncm_to_folding": "tree foldings of C(n) from non-crossing matchings, "
